@@ -10,11 +10,28 @@ namespace pm = obs::postmortem;
 
 namespace {
 
-/// Sanity caps on scenario counts from disk: anything beyond these marks
-/// a corrupt file rather than a real run (the engine itself scales far
-/// beyond, but a truncated-length read must not trigger a huge alloc).
-constexpr std::uint64_t kMaxScenarioNodes = 1ull << 32;
+/// Caps on scenario counts from disk.  The node cap is the engine's own
+/// limit, so a hostile count is a decode error rather than a throw from
+/// the engine constructor; every per-node and per-edge section is
+/// further bounded by the bytes left in the section, so no count can
+/// allocate beyond the file's size.
+constexpr std::uint64_t kMaxScenarioNodes =
+    radio::Engine<ColoringNode>::kMaxNodes;
 constexpr std::uint64_t kMaxScenarioEdges = 1ull << 36;
+
+/// Params a resume can run: `Params::validate()` holds (it throws, so
+/// the check is caught here), the reset policy is a known enumerator,
+/// and the node estimate is the scenario's own node count — every
+/// checkpoint producer records the true n.
+bool usable_params(const Params& p, std::uint64_t num_nodes) {
+  if (p.reset_policy > ResetPolicy::kNone || p.n != num_nodes) return false;
+  try {
+    p.validate();
+  } catch (const CheckError&) {
+    return false;
+  }
+  return true;
+}
 
 std::vector<ColoringNode> build_nodes(const CheckpointScenario& s) {
   std::vector<ColoringNode> nodes;
@@ -104,7 +121,9 @@ bool read_scenario(pm::Reader& r, CheckpointScenario& out) {
   out.params.reset_policy = static_cast<ResetPolicy>(r.u8());
 
   const std::uint64_t n = r.u64();
-  if (!r.ok() || n > kMaxScenarioNodes) return false;
+  if (!r.ok() || n > kMaxScenarioNodes || !usable_params(out.params, n)) {
+    return false;
+  }
   out.num_nodes = static_cast<std::size_t>(n);
   const std::uint64_t num_edges = r.u64();
   if (!r.ok() || num_edges > kMaxScenarioEdges ||
@@ -120,14 +139,16 @@ bool read_scenario(pm::Reader& r, CheckpointScenario& out) {
     out.edges.emplace_back(u, v);
   }
   const std::uint64_t n_wake = r.u64();
-  if (!r.ok() || n_wake != n) return false;
+  if (!r.ok() || n_wake != n || n_wake * 8 > r.remaining()) return false;
   out.wake_slots.clear();
   out.wake_slots.reserve(static_cast<std::size_t>(n_wake));
   for (std::uint64_t i = 0; i < n_wake; ++i) {
     out.wake_slots.push_back(r.i64());
   }
   const std::uint64_t n_off = r.u64();
-  if (!r.ok() || (n_off != 0 && n_off != n)) return false;
+  if (!r.ok() || (n_off != 0 && n_off != n) || n_off > r.remaining()) {
+    return false;
+  }
   out.offsets.clear();
   out.offsets.reserve(static_cast<std::size_t>(n_off));
   for (std::uint64_t i = 0; i < n_off; ++i) {
@@ -140,6 +161,9 @@ bool read_scenario(pm::Reader& r, CheckpointScenario& out) {
   out.max_slots = r.i64();
   out.medium.drop_probability = r.f64();
   if (out.max_slots <= 0) return false;
+  // The engine's medium precondition; the negated form also rejects NaN.
+  const double drop = out.medium.drop_probability;
+  if (!(drop >= 0.0 && drop < 1.0)) return false;
   return r.ok();
 }
 

@@ -62,7 +62,12 @@ struct CheckpointScenario {
 /// as the pre-rendered scenario bytes).
 [[nodiscard]] std::string render_scenario(const CheckpointScenario& s);
 
-/// Decode a scenario section.  Returns false on truncated/corrupt bytes.
+/// Decode a scenario section.  Returns false on truncated/corrupt bytes
+/// and on a scenario the engine cannot run: Params failing
+/// `Params::validate()`, an unknown reset policy, `params.n` other than
+/// the node count, more than `radio::Engine::kMaxNodes` nodes, or a drop
+/// probability outside [0, 1).  Counts are bounded by the bytes left, so
+/// decoding never allocates beyond the section's size.
 [[nodiscard]] bool read_scenario(obs::postmortem::Reader& r,
                                  CheckpointScenario& out);
 

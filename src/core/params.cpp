@@ -1,6 +1,7 @@
 #include "core/params.hpp"
 
 #include <cmath>
+#include <initializer_list>
 
 #include "support/check.hpp"
 
@@ -67,7 +68,16 @@ void Params::validate() const {
                 "kappa2 >= 2 required: with kappa2 = 1 a leader would "
                 "transmit in every slot and never hear a request");
   URN_CHECK_MSG(kappa1 >= 1 && kappa1 <= kappa2, "need 1 <= kappa1 <= kappa2");
-  URN_CHECK(alpha > 0.0 && beta > 0.0 && gamma > 0.0 && sigma > 0.0);
+  for (const double c : {alpha, beta, gamma, sigma}) {
+    URN_CHECK_MSG(std::isfinite(c) && c > 0.0,
+                  "alpha, beta, gamma, sigma must be finite and positive");
+  }
+  // The derived slot counts must fit an int64 (ceil_mul_log checks);
+  // critical_range(1) is the larger of the two ranges.
+  (void)passive_slots();
+  (void)threshold();
+  (void)critical_range(1);
+  (void)assign_window();
 }
 
 }  // namespace urn::core

@@ -111,7 +111,8 @@ struct Params {
   /// Copy with all four constants multiplied by `factor` (experiment E7).
   [[nodiscard]] Params scaled(double factor) const;
 
-  /// Throws urn::CheckError if the parameter set is unusable.
+  /// Throws urn::CheckError if the parameter set is unusable, including
+  /// non-finite constants and slot counts that overflow an int64.
   void validate() const;
 };
 

@@ -153,15 +153,15 @@ void ColoringNode::on_receive(radio::SlotContext& ctx,
   }
 }
 
-void ColoringNode::batch_cold_slot(NodeId v, Slot now, ColoringNode* nodes,
-                                   Rng* rngs,
+void ColoringNode::batch_cold_slot(NodeId v, const radio::SlotContext& slot,
+                                   ColoringNode* nodes, Rng* rngs,
                                    std::vector<radio::Message>& out) {
-  radio::SlotContext ctx;
+  radio::SlotContext ctx = slot;  // slot index + event hook
   ctx.id = v;
-  ctx.now = now;
   ctx.rng = &rngs[v];
   if (std::optional<radio::Message> msg = nodes[v].on_slot(ctx)) {
     out.push_back(*msg);
+    if (ctx.tracing()) ctx.emit(radio::transmit_event(ctx.now, *msg));
   }
 }
 

@@ -208,23 +208,29 @@ class ColoringNode {
   /// dispatch, no per-node SlotContext / std::optional<Message>
   /// construction on the non-transmitting fast path, and a Bernoulli
   /// compare against a precomputed integer cutoff instead of an
-  /// int→double conversion + double compare per draw.  Only called on
-  /// untraced engines (no sink), where `ctx.tracing()` is false for
-  /// every node.
+  /// int→double conversion + double compare per draw.
+  ///
+  /// `slot` carries the slot index and the engine's event hook (null on
+  /// untraced engines).  The event stream is the scalar loop's too: each
+  /// transmit event is emitted right after its message is appended, and
+  /// the cold classes run `on_slot` with the hook, so their phase and
+  /// serve events precede the node's transmit event exactly as there.
   static void batch_slots(ColoringHot& hot, const NodeId* awake,
-                          std::size_t count, Slot now, ColoringNode* nodes,
-                          Rng* rngs, std::vector<radio::Message>& out);
+                          std::size_t count, const radio::SlotContext& slot,
+                          ColoringNode* nodes, Rng* rngs,
+                          std::vector<radio::Message>& out);
 
  private:
   /// The irregular minority of `batch_slots` node-slots (activation with
   /// its χ reset and possible threshold decision, leader service): runs
-  /// the full scalar `on_slot`, so RNG consumption and message position
-  /// match the scalar loop trivially.  Deliberately defined out of line
-  /// (protocol.cpp) — with `on_slot` expanded in place the fused loop
-  /// grows past what the compiler will keep in registers (measured ~25%
-  /// throughput loss).
-  static void batch_cold_slot(NodeId v, Slot now, ColoringNode* nodes,
-                              Rng* rngs, std::vector<radio::Message>& out);
+  /// the full scalar `on_slot` with the slot's event hook, so RNG
+  /// consumption, message position and events match the scalar loop
+  /// trivially.  Deliberately defined out of line (protocol.cpp) — with
+  /// `on_slot` expanded in place the fused loop grows past what the
+  /// compiler will keep in registers (measured ~25% throughput loss).
+  static void batch_cold_slot(NodeId v, const radio::SlotContext& slot,
+                              ColoringNode* nodes, Rng* rngs,
+                              std::vector<radio::Message>& out);
 
  public:
 
@@ -424,7 +430,8 @@ inline std::optional<radio::Message> ColoringNode::leader_slot(
 }
 
 inline void ColoringNode::batch_slots(ColoringHot& hot, const NodeId* awake,
-                                      std::size_t count, Slot now,
+                                      std::size_t count,
+                                      const radio::SlotContext& slot,
                                       ColoringNode* nodes, Rng* rngs,
                                       std::vector<radio::Message>& out) {
   const double p = hot.p_active;
@@ -432,14 +439,7 @@ inline void ColoringNode::batch_slots(ColoringHot& hot, const NodeId* awake,
     // Degenerate transmit probability: `chance(p)` consumes no
     // randomness, so there is nothing to batch — run the scalar slots.
     for (std::size_t i = 0; i < count; ++i) {
-      const NodeId v = awake[i];
-      radio::SlotContext ctx;
-      ctx.id = v;
-      ctx.now = now;
-      ctx.rng = &rngs[v];
-      if (std::optional<radio::Message> msg = nodes[v].on_slot(ctx)) {
-        out.push_back(*msg);
-      }
+      batch_cold_slot(awake[i], slot, nodes, rngs, out);
     }
     return;
   }
@@ -459,6 +459,15 @@ inline void ColoringNode::batch_slots(ColoringHot& hot, const NodeId* awake,
   std::int64_t* counter = hot.counter.data();
   std::int64_t* passive = hot.passive_remaining.data();
   const std::int64_t threshold = hot.threshold;
+
+  // Fast-path transmissions: append, then (traced engines only) emit the
+  // transmit event — the scalar loop's order, as nothing else happens in
+  // a fast-path node-slot.
+  const bool tracing = slot.tracing();
+  const auto send = [&](const radio::Message& m) {
+    out.push_back(m);
+    if (tracing) slot.emit(radio::transmit_event(slot.now, m));
+  };
 
   // The awake list holds distinct live node ids and is id-sorted from
   // the slot the last node wakes, so a full list IS the identity
@@ -480,16 +489,16 @@ inline void ColoringNode::batch_slots(ColoringHot& hot, const NodeId* awake,
     if (k == ColoringHot::kDecidedOther) {
       // Alg. 3 l. 4: non-leader C_i keeps announcing its color.
       if ((rngs[v]() >> 11) < tx_cut) {
-        out.push_back(radio::make_decided(v, nodes[v].color_index_));
+        send(radio::make_decided(v, nodes[v].color_index_));
       }
     } else if (k == ColoringHot::kCount) {
       const std::int64_t c = counter[v] + 1;  // Alg. 1 l. 17
       if (c >= threshold) {
-        batch_cold_slot(v, now, nodes, rngs, out);  // decides (re-increments)
+        batch_cold_slot(v, slot, nodes, rngs, out);  // decides (re-increments)
       } else {
         counter[v] = c;
         if ((rngs[v]() >> 11) < tx_cut) {
-          out.push_back(radio::make_compete(v, nodes[v].color_index_, c));
+          send(radio::make_compete(v, nodes[v].color_index_, c));
         }
       }
     } else if (k == ColoringHot::kPassive) {
@@ -497,15 +506,15 @@ inline void ColoringNode::batch_slots(ColoringHot& hot, const NodeId* awake,
       if (left > 0) {
         --left;  // Alg. 1 l. 4–14: listen silently
       } else {
-        batch_cold_slot(v, now, nodes, rngs, out);  // activates (χ, …)
+        batch_cold_slot(v, slot, nodes, rngs, out);  // activates (χ, …)
       }
     } else if (k == ColoringHot::kRequest) {
       // Alg. 2 l. 2: transmit M_R(v, L(v)) with probability 1/(κ₂Δ).
       if ((rngs[v]() >> 11) < tx_cut) {
-        out.push_back(radio::make_request(v, nodes[v].leader_));
+        send(radio::make_request(v, nodes[v].leader_));
       }
     } else {  // kLeader
-      batch_cold_slot(v, now, nodes, rngs, out);  // Algorithm 3 service
+      batch_cold_slot(v, slot, nodes, rngs, out);  // Algorithm 3 service
     }
   }
 }

@@ -29,11 +29,13 @@
 ///
 /// **Observability.**  The engine takes a second template parameter, an
 /// `obs::EventSink`, defaulting to `obs::NullSink`.  With the default every
-/// emission site is discarded at compile time (`if constexpr`), so the hot
-/// loop is exactly the pre-tracing loop — m1_micro pins this.  With a real
+/// engine emission site is discarded at compile time (`if constexpr`) and
+/// protocols see a null hook, so the hot loop is the pre-tracing loop plus
+/// at most a null test per transmission — m1_micro pins this.  With a real
 /// sink the engine emits wake / transmit / delivery / collision / drop /
 /// decision events, and hands protocols a hook in `SlotContext` through
-/// which they emit their own (phase transitions, counter resets, serves).
+/// which they emit their own (phase transitions, counter resets, serves,
+/// and the transmit events of a `batch_slots` pass).
 
 #pragma once
 
@@ -87,6 +89,14 @@ struct SlotContext {
   }
 };
 
+/// The trace event for message `m` going on the air in slot `now` — the
+/// one definition shared by the engines' scalar loops and SoA protocols'
+/// `batch_slots` passes.
+[[nodiscard]] inline obs::Event transmit_event(Slot now, const Message& m) {
+  return obs::Event::transmit(now, m.sender, static_cast<std::uint8_t>(m.type),
+                              m.color_index, m.counter);
+}
+
 /// Node-protocol concept; see file comment for callback semantics.
 template <typename P>
 concept NodeProtocol = requires(P p, const P cp, SlotContext& ctx,
@@ -105,16 +115,21 @@ concept NodeProtocol = requires(P p, const P cp, SlotContext& ctx,
 //     using Hot = <block type>;               // constructible from n
 //     void attach_hot(Hot*);                  // point a node at the block
 //     static void batch_slots(Hot&, const NodeId* awake, std::size_t count,
-//                             Slot now, P* nodes, Rng* rngs,
+//                             const SlotContext& slot, P* nodes, Rng* rngs,
 //                             std::vector<Message>& out);
 //     bool Hot::decided(NodeId) const;        // node-object-free test
 //
 // The engines then (a) own one block per run and attach every node to it
-// in their constructors, and (b) on *untraced* instantiations replace the
-// per-node `on_slot` loop with one `batch_slots` call — which must be
-// bit-identical to the scalar loop (the protocol owns that proof; the
-// traced-vs-untraced and reference-diff suites are the arbiters).
-// Protocols without a `Hot` alias get `NoHotState` and the scalar loop.
+// in their constructors, and (b) replace the per-node `on_slot` loop with
+// one `batch_slots` call per slot, traced or not.  `slot` carries the
+// slot index and the engine's event hook (null when untraced); the pass
+// emits each transmit event (`transmit_event`) right after appending its
+// message, and hands the hook to every per-node context it builds, so
+// the event stream is the scalar loop's, byte for byte.  The pass must
+// be bit-identical to the scalar loop (the protocol owns that proof; the
+// reference-diff suites, which call `on_slot` per node, are the
+// arbiters).  Protocols without a `Hot` alias get `NoHotState` and the
+// scalar loop.
 
 /// Placeholder hot block for protocols without SoA state (zero size, the
 /// attach/batch paths compile away behind `if constexpr`).
@@ -192,6 +207,7 @@ class Engine {
         decision_slot_(g.num_nodes(), kUndecided),
         pending_live_(g.num_nodes()),
         rx_(g.num_nodes(), 0) {
+    URN_CHECK(graph_.num_nodes() <= kMaxNodes);
     URN_CHECK(medium_.drop_probability >= 0.0 &&
               medium_.drop_probability < 1.0);
     URN_CHECK(nodes_.size() == graph_.num_nodes());
@@ -308,27 +324,24 @@ class Engine {
 
     // (2) Collect transmissions.  awake_list_ holds only live awake
     // nodes (deactivate compacts), so no per-node dead check remains.
-    // SoA protocols on untraced engines run the whole list through one
-    // `batch_slots` call (classify over the hot arrays, batched
-    // Bernoulli draws, messages in scalar order — bit-identical by the
-    // protocol's contract); traced engines keep the scalar loop, whose
-    // per-node contexts carry the event hook.
+    // SoA protocols run the whole list through one `batch_slots` call
+    // (classify over the hot arrays, batched Bernoulli draws, messages
+    // and events in scalar order — bit-identical by the protocol's
+    // contract), with the event hook in the slot context when traced.
+    // Protocols without a hot block take the per-node loop.
     const std::uint64_t ts_protocol = span_now();
     transmitters_.clear();
-    if constexpr (kHasHotState<P> && !S::kEnabled) {
-      P::batch_slots(hot_, awake_list_.data(), awake_list_.size(), now,
-                     nodes_.data(), rngs_.data(), transmitters_);
+    if constexpr (kHasHotState<P>) {
+      P::batch_slots(hot_, awake_list_.data(), awake_list_.size(),
+                     slot_context(now), nodes_.data(), rngs_.data(),
+                     transmitters_);
     } else {
       for (NodeId v : awake_list_) {
         SlotContext ctx = context(v, now);
         if (std::optional<Message> msg = nodes_[v].on_slot(ctx)) {
           URN_DCHECK(msg->sender == v);
           transmitters_.push_back(*msg);
-          emit([&] {
-            return obs::Event::transmit(
-                now, v, static_cast<std::uint8_t>(msg->type),
-                msg->color_index, msg->counter);
-          });
+          emit([&] { return transmit_event(now, *msg); });
         }
       }
     }
@@ -351,7 +364,6 @@ class Engine {
     // are skipped outright: their state can never be read.
     const std::uint64_t ts_medium = span_now();
     touched_.clear();
-    URN_DCHECK(transmitters_.size() <= kRxSrcMask);
     for (std::uint32_t t = 0; t < transmitters_.size(); ++t) {
       const NodeId sender = transmitters_[t].sender;
       for (NodeId u : graph_.neighbors(sender)) {
@@ -641,6 +653,11 @@ class Engine {
 
   static constexpr Slot kUndecided = -1;
 
+  /// Largest supported node count: the medium word `rx_` stores a
+  /// transmitter index (< n) in 29 bits.  Checked at construction, so
+  /// the limit holds in Release builds.
+  static constexpr std::size_t kMaxNodes = std::size_t{1} << 29;
+
  private:
   // Per-node status bits (one byte per node; vector<bool> bit ops were a
   // measurable hot-path cost, and one byte encodes both flags so the
@@ -660,6 +677,7 @@ class Engine {
   static constexpr std::uint32_t kRxSelf = 3u << 29;
   static constexpr std::uint32_t kRxStateMask = 3u << 29;
   static constexpr std::uint32_t kRxSrcMask = (1u << 29) - 1;
+  static_assert(kMaxNodes - 1 == kRxSrcMask);
 
   /// Emit an event built by `make` — compiled away entirely for NullSink
   /// (the lambda is never instantiated, so event construction costs
@@ -689,11 +707,11 @@ class Engine {
     }
   }
 
-  [[nodiscard]] SlotContext context(NodeId v, Slot now) {
+  /// The slot-wide part of a context: the slot index and, on a traced
+  /// engine, the event hook (what `batch_slots` receives).
+  [[nodiscard]] SlotContext slot_context(Slot now) {
     SlotContext ctx;
-    ctx.id = v;
     ctx.now = now;
-    ctx.rng = &rngs_[v];
     if constexpr (S::kEnabled) {
       if (sink_ != nullptr) {
         ctx.events_sink = sink_;
@@ -702,6 +720,13 @@ class Engine {
         };
       }
     }
+    return ctx;
+  }
+
+  [[nodiscard]] SlotContext context(NodeId v, Slot now) {
+    SlotContext ctx = slot_context(now);
+    ctx.id = v;
+    ctx.rng = &rngs_[v];
     return ctx;
   }
 

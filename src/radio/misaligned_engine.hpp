@@ -164,11 +164,7 @@ class MisalignedEngine {
         if (std::optional<Message> msg = nodes_[v].on_slot(ctx)) {
           URN_DCHECK(msg->sender == v);
           ++stats_.transmissions;
-          emit([&] {
-            return obs::Event::transmit(local, v,
-                                        static_cast<std::uint8_t>(msg->type),
-                                        msg->color_index, msg->counter);
-          });
+          emit([&] { return transmit_event(local, *msg); });
           tx_until_half_[v] = h + 1;  // occupies halves h and h+1
           active_.push_back({*msg, h});
         }

@@ -25,6 +25,7 @@ double safe_log(std::uint64_t n) {
 std::int64_t ceil_mul_log(double factor, std::uint64_t n) {
   URN_CHECK(factor >= 0.0);
   const double value = factor * safe_log(n);
+  URN_CHECK(value < 0x1p63);  // representable (also rejects inf)
   return static_cast<std::int64_t>(std::ceil(value));
 }
 

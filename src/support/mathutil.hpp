@@ -21,6 +21,7 @@ namespace urn {
 [[nodiscard]] double safe_log(std::uint64_t n);
 
 /// ⌈factor · log n⌉ as a positive integer (the paper's rounding rule).
+/// Throws urn::CheckError for a negative factor or a result past int64.
 [[nodiscard]] std::int64_t ceil_mul_log(double factor, std::uint64_t n);
 
 /// ⌈a / b⌉ for positive integers.

@@ -8,7 +8,11 @@
 
 #include <sys/stat.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/checkpoint.hpp"
@@ -222,6 +226,81 @@ TEST(ScenarioCodec, ReadRejectsTruncatedBytes) {
     pm::Reader r(bytes.data(), cut);
     core::CheckpointScenario out;
     EXPECT_FALSE(core::read_scenario(r, out)) << "cut at " << cut;
+  }
+}
+
+// A decoded scenario must be one the engine can run.  Each hostile field
+// below is a clean decode failure — never a throw, an abort, or an
+// allocation sized by a corrupt count rather than by the bytes present.
+TEST(ScenarioCodec, ReadRejectsHostileFields) {
+  Rng rng(7);
+  const graph::Graph g = graph::gnp(40, 0.1, rng);
+  const auto delta = std::max(2u, g.max_closed_degree());
+  const core::Params params =
+      core::Params::practical(g.num_nodes(), delta, 5, 12);
+  const core::CheckpointScenario valid = core::make_scenario(
+      g, params, radio::WakeSchedule::synchronous(g.num_nodes()), 1, 1000);
+  const auto decodes = [](const std::string& bytes) {
+    pm::Reader r(bytes);
+    core::CheckpointScenario out;
+    return core::read_scenario(r, out);
+  };
+  const std::string bytes = core::render_scenario(valid);
+  ASSERT_TRUE(decodes(bytes));
+
+  using Mutation = void (*)(core::CheckpointScenario&);
+  const std::vector<std::pair<const char*, Mutation>> fields = {
+      {"alpha NaN",
+       [](core::CheckpointScenario& s) { s.params.alpha = std::nan(""); }},
+      {"sigma inf",
+       [](core::CheckpointScenario& s) {
+         s.params.sigma = std::numeric_limits<double>::infinity();
+       }},
+      {"threshold past int64",
+       [](core::CheckpointScenario& s) { s.params.sigma = 1e300; }},
+      {"kappa2 0", [](core::CheckpointScenario& s) { s.params.kappa2 = 0; }},
+      {"reset_policy 9",
+       [](core::CheckpointScenario& s) {
+         s.params.reset_policy = static_cast<core::ResetPolicy>(9);
+       }},
+      {"params.n 1", [](core::CheckpointScenario& s) { s.params.n = 1; }},
+      {"params.n != nodes",
+       [](core::CheckpointScenario& s) { s.params.n = s.num_nodes + 1; }},
+      {"drop NaN",
+       [](core::CheckpointScenario& s) {
+         s.medium.drop_probability = std::nan("");
+       }},
+      {"drop 1", [](core::CheckpointScenario& s) {
+         s.medium.drop_probability = 1.0;
+       }},
+      {"drop negative", [](core::CheckpointScenario& s) {
+         s.medium.drop_probability = -0.25;
+       }},
+  };
+  for (const auto& [name, mutate] : fields) {
+    core::CheckpointScenario s = valid;
+    mutate(s);
+    EXPECT_FALSE(decodes(core::render_scenario(s))) << name;
+  }
+
+  // Counts patched in place (rendering 2^27 real wake slots would take
+  // 1 GiB).  Layout: Params (54 bytes, params.n first), node count, edge
+  // count, 8 bytes per edge, wake-slot count.
+  const auto patch_u64 = [](std::string& b, std::size_t at,
+                            std::uint64_t v) {
+    for (std::size_t i = 0; i < 8; ++i) {
+      b[at + i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+    }
+  };
+  constexpr std::size_t kNodesAt = 54;
+  const std::size_t wake_at = kNodesAt + 16 + 8 * valid.edges.size();
+  for (const std::uint64_t n : {std::uint64_t{1} << 31,   // > engine limit
+                                std::uint64_t{1} << 27}) {  // > section
+    std::string b = bytes;
+    patch_u64(b, 0, n);  // params.n agrees, so only the counts are wrong
+    patch_u64(b, kNodesAt, n);
+    patch_u64(b, wake_at, n);
+    EXPECT_FALSE(decodes(b)) << "n = n_wake = " << n;
   }
 }
 

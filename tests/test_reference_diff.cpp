@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -14,7 +15,10 @@
 #include "core/params.hpp"
 #include "core/protocol.hpp"
 #include "graph/generators.hpp"
+#include "obs/bintrace.hpp"
+#include "obs/event.hpp"
 #include "obs/postmortem.hpp"
+#include "obs/sink.hpp"
 #include "radio/engine.hpp"
 #include "radio/misaligned_engine.hpp"
 #include "reference_engine.hpp"
@@ -279,48 +283,111 @@ TEST(EngineDiffRun, WholeRunStatsMatchFieldForField) {
   }
 }
 
-// A traced engine instantiation (any enabled sink) keeps the scalar
-// per-node `on_slot` loop — per-node contexts carry the event hook —
-// while the untraced instantiation runs `ColoringNode::batch_slots`.
-// The protocol's contract says the two are bit-identical; this pins it
-// end to end across families and lossy media: same stats, same per-node
-// state, and the same `save_state` byte blob (which serializes every
-// hot-block array, competitor list, and RNG stream).
-TEST(EngineDiffBatch, TracedScalarLoopMatchesUntracedBatchLoop) {
-  using TracedCase = std::tuple<std::string, std::uint64_t, double>;
-  for (const auto& [family, seed, drop] :
-       {TracedCase{"udg", 81, 0.0}, TracedCase{"gnp", 82, 0.2},
-        TracedCase{"star", 83, 0.0}, TracedCase{"cycle", 84, 0.3}}) {
-    const graph::Graph g = make_graph(family, seed);
+/// 64-bit FNV-1a over the URNB record bytes of an event stream — the
+/// exact bytes `--trace-bin` writes after the file header.
+std::uint64_t bin_digest(const std::vector<obs::Event>& events) {
+  std::string bytes;
+  for (const obs::Event& e : events) obs::append_bin(bytes, e);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// A traced engine instantiation (any enabled sink) drives the protocol
+// through the same slot step as an untraced one; only the sink differs.
+// This pins it end to end across families, wake patterns and lossy
+// media: same stats, same per-node state, the same `save_state` byte
+// blob (which serializes every hot-block array, competitor list, and
+// RNG stream), and an event stream that is complete (one tx event per
+// transmission, each node's phase events equal to its transition log)
+// and byte-identical to a recorded digest.  The digests were recorded
+// when traced engines still ran the per-node `on_slot` loop, so they
+// also pin the traced `batch_slots` stream to the scalar one; batch ≡
+// scalar for stats and state stays pinned by the `ReferenceEngine`
+// diffs above, which call `on_slot` per node.  The sync-wake UDG case
+// puts threshold decisions and leader serve events mid-pass.
+TEST(EngineDiffBatch, TracedBatchMatchesUntracedBatch) {
+  struct TracedCase {
+    std::string family;
+    std::uint64_t seed;
+    double drop;
+    bool sync;
+    std::size_t events;   ///< recorded event count
+    std::uint64_t digest; ///< recorded bin_digest
+  };
+  for (const TracedCase& c :
+       {TracedCase{"udg", 81, 0.0, false, 176909, 1532782506346216256ull},
+        TracedCase{"gnp", 82, 0.2, false, 126431, 4791673170477412578ull},
+        TracedCase{"star", 83, 0.0, false, 62511, 15882318393917671986ull},
+        TracedCase{"cycle", 84, 0.3, false, 23196, 10641509426990438150ull},
+        TracedCase{"udg", 85, 0.0, true, 187995, 17649827530177418817ull}}) {
+    const std::string tag = c.family + std::to_string(c.seed);
+    const graph::Graph g = make_graph(c.family, c.seed);
     const auto delta = std::max(2u, g.max_closed_degree());
     const core::Params params =
         core::Params::practical(g.num_nodes(), delta, 5, 12);
     radio::MediumOptions medium;
-    medium.drop_probability = drop;
+    medium.drop_probability = c.drop;
 
-    Rng wrng(mix_seed(seed, 91));
+    Rng wrng(mix_seed(c.seed, 91));
     const auto schedule =
-        radio::WakeSchedule::uniform(g.num_nodes(), 400, wrng);
+        c.sync ? radio::WakeSchedule::synchronous(g.num_nodes())
+               : radio::WakeSchedule::uniform(g.num_nodes(), 400, wrng);
 
     std::vector<core::ColoringNode> a_nodes, b_nodes;
     for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
       a_nodes.emplace_back(&params, v);
       b_nodes.emplace_back(&params, v);
     }
-    radio::Engine<core::ColoringNode> batch(g, schedule, std::move(a_nodes),
-                                            seed, medium);
-    obs::RingSink ring(1 << 10);
-    radio::Engine<core::ColoringNode, obs::RingSink> scalar(
-        g, schedule, std::move(b_nodes), seed, medium, &ring);
+    radio::Engine<core::ColoringNode> untraced(g, schedule,
+                                               std::move(a_nodes), c.seed,
+                                               medium);
+    obs::MemorySink sink;
+    radio::Engine<core::ColoringNode, obs::MemorySink> traced(
+        g, schedule, std::move(b_nodes), c.seed, medium, &sink);
 
     const radio::Slot budget = 4 * params.threshold() + 2000;
-    expect_stats_equal(batch.run(budget), scalar.run(budget));
-    expect_nodes_equal(g, batch, scalar);
+    const radio::RunStats stats = traced.run(budget);
+    expect_stats_equal(untraced.run(budget), stats);
+    expect_nodes_equal(g, untraced, traced);
 
-    obs::postmortem::Writer blob_batch, blob_scalar;
-    batch.save_state(blob_batch);
-    scalar.save_state(blob_scalar);
-    EXPECT_EQ(blob_batch.data(), blob_scalar.data()) << family << seed;
+    obs::postmortem::Writer blob_untraced, blob_traced;
+    untraced.save_state(blob_untraced);
+    traced.save_state(blob_traced);
+    EXPECT_EQ(blob_untraced.data(), blob_traced.data()) << tag;
+
+    const std::vector<obs::Event>& events = sink.events();
+    std::uint64_t tx_events = 0;
+    std::uint64_t serves = 0;
+    std::vector<std::vector<core::Transition>> phases(g.num_nodes());
+    for (const obs::Event& e : events) {
+      if (e.kind == obs::EventKind::kTransmit) ++tx_events;
+      if (e.kind == obs::EventKind::kServe) ++serves;
+      if (e.kind == obs::EventKind::kPhase) {
+        phases[e.node].push_back(
+            {e.slot, static_cast<core::Phase>(e.phase), e.color});
+      }
+    }
+    EXPECT_EQ(tx_events, stats.transmissions) << tag;
+    for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+      const auto& log = traced.node(v).transitions();
+      ASSERT_EQ(phases[v].size(), log.size()) << tag << " node " << v;
+      for (std::size_t i = 0; i < log.size(); ++i) {
+        EXPECT_EQ(phases[v][i].slot, log[i].slot) << tag << " node " << v;
+        EXPECT_EQ(phases[v][i].phase, log[i].phase) << tag << " node " << v;
+        EXPECT_EQ(phases[v][i].color_index, log[i].color_index)
+            << tag << " node " << v;
+      }
+    }
+    if (c.sync) {
+      EXPECT_GT(serves, 0u) << tag;
+    }
+
+    EXPECT_EQ(events.size(), c.events) << tag;
+    EXPECT_EQ(bin_digest(events), c.digest) << tag;
   }
 }
 
