@@ -10,13 +10,12 @@ namespace pm = obs::postmortem;
 
 namespace {
 
-/// Caps on scenario counts from disk.  The node cap is the engine's own
-/// limit, so a hostile count is a decode error rather than a throw from
-/// the engine constructor; every per-node and per-edge section is
-/// further bounded by the bytes left in the section, so no count can
-/// allocate beyond the file's size.
-constexpr std::uint64_t kMaxScenarioNodes =
-    radio::Engine<ColoringNode>::kMaxNodes;
+/// Caps on scenario counts from disk.  The node cap is the aligned
+/// medium's limit (shared by both engine kinds here), so a hostile count
+/// is a decode error rather than a throw from the engine constructor;
+/// every per-node and per-edge section is further bounded by the bytes
+/// left in the section, so no count can allocate beyond the file's size.
+constexpr std::uint64_t kMaxScenarioNodes = radio::AlignedMedium::kMaxNodes;
 constexpr std::uint64_t kMaxScenarioEdges = 1ull << 36;
 
 /// Params a resume can run: `Params::validate()` holds (it throws, so
@@ -46,6 +45,33 @@ graph::Graph rebuild_graph(const CheckpointScenario& s) {
   graph::GraphBuilder builder(s.num_nodes);
   for (const auto& [u, v] : s.edges) builder.add_edge(u, v);
   return builder.build();
+}
+
+/// Rebuild the engine a loaded checkpoint records, restore its saved
+/// state, and hand it to `use`.  Returns the one-line error, or "".
+template <typename Use>
+std::string with_restored_engine(const LoadedCheckpoint& ck,
+                                 const radio::WakeSchedule& schedule,
+                                 Use&& use) {
+  if (!ck.ok) return ck.error.empty() ? "checkpoint not loaded" : ck.error;
+  const CheckpointScenario& s = ck.scenario;
+  pm::Reader r(ck.engine_state);
+  const auto restore = [&](auto& engine, const char* kind) -> std::string {
+    if (!engine.load_state(r)) {
+      return std::string("corrupt engine-state section (") + kind + ")";
+    }
+    use(engine);
+    return {};
+  };
+  if (ck.kind == pm::EngineKind::kAligned) {
+    radio::Engine<ColoringNode> engine(ck.graph, schedule, build_nodes(s),
+                                       s.seed, s.medium);
+    return restore(engine, "aligned");
+  }
+  radio::MisalignedEngine<ColoringNode> engine(ck.graph, schedule,
+                                               build_nodes(s), s.offsets,
+                                               s.seed);
+  return restore(engine, "misaligned");
 }
 
 }  // namespace
@@ -174,6 +200,12 @@ LoadedCheckpoint load_checkpoint(const std::string& path) {
     out.error = file.error;
     return out;
   }
+  if (file.kind == pm::EngineKind::kMisaligned && file.version < 2) {
+    out.error = path + ": misaligned checkpoint version " +
+                std::to_string(file.version) +
+                " predates the version 2 engine-state layout; re-capture it";
+    return out;
+  }
   out.kind = file.kind;
   out.version = file.version;
   out.position = file.position;
@@ -195,106 +227,45 @@ LoadedCheckpoint load_checkpoint(const std::string& path) {
 
 ResumeResult resume_coloring(const LoadedCheckpoint& ck) {
   ResumeResult out;
-  if (!ck.ok) {
-    out.error = ck.error.empty() ? "checkpoint not loaded" : ck.error;
-    return out;
-  }
-  const CheckpointScenario& s = ck.scenario;
-  radio::WakeSchedule schedule(s.wake_slots);
-  pm::Reader r(ck.engine_state);
-
-  if (ck.kind == pm::EngineKind::kAligned) {
-    radio::Engine<ColoringNode> engine(
-        ck.graph, schedule, build_nodes(s),
-        s.seed, s.medium);
-    if (!engine.load_state(r)) {
-      out.error = "corrupt engine-state section (aligned)";
-      return out;
-    }
-    const radio::RunStats stats = engine.run(s.max_slots);
+  const radio::WakeSchedule schedule(ck.scenario.wake_slots);
+  out.error = with_restored_engine(ck, schedule, [&](auto& engine) {
+    const radio::RunStats stats = engine.run(ck.scenario.max_slots);
     out.run = harvest_coloring(engine, ck.graph, schedule, stats);
-  } else {
-    radio::MisalignedEngine<ColoringNode> engine(
-        ck.graph, schedule,
-        build_nodes(s), s.offsets,
-        s.seed);
-    if (!engine.load_state(r)) {
-      out.error = "corrupt engine-state section (misaligned)";
-      return out;
-    }
-    const radio::RunStats stats = engine.run(s.max_slots);
-    out.run = harvest_coloring(engine, ck.graph, schedule, stats);
-  }
-  out.ok = true;
+  });
+  out.ok = out.error.empty();
   return out;
 }
 
-namespace {
-
-template <typename EngineT>
-void summarize_nodes(const EngineT& engine, std::size_t n,
-                     CheckpointSummary& out) {
-  out.nodes.reserve(n);
-  for (graph::NodeId v = 0; v < n; ++v) {
-    const ColoringNode& node = engine.node(v);
-    NodeSnapshot snap;
-    snap.phase = static_cast<std::uint8_t>(node.phase());
-    snap.color_index =
-        node.decided() ? node.color() : node.verifying_color();
-    snap.counter = node.counter();
-    snap.decided = node.decided();
-    snap.awake = engine.is_awake(v);
-    snap.decision_slot = engine.decision_slot(v);
-    snap.leader = node.leader();
-    snap.intra_cluster = node.intra_cluster_color();
-    snap.competitors = node.competitors();
-    if (snap.awake) ++out.awake;
-    if (snap.decided) ++out.decided;
-    out.nodes.push_back(snap);
-  }
-  out.stats = engine.stats();
-}
-
-}  // namespace
-
 CheckpointSummary describe_checkpoint(const LoadedCheckpoint& ck) {
   CheckpointSummary out;
-  if (!ck.ok) {
-    out.error = ck.error.empty() ? "checkpoint not loaded" : ck.error;
-    return out;
-  }
-  const CheckpointScenario& s = ck.scenario;
-  radio::WakeSchedule schedule(s.wake_slots);
-  pm::Reader r(ck.engine_state);
   out.position = ck.position;
-
-  if (ck.kind == pm::EngineKind::kAligned) {
-    radio::Engine<ColoringNode> engine(
-        ck.graph, schedule, build_nodes(s),
-        s.seed, s.medium);
-    if (!engine.load_state(r)) {
-      out.error = "corrupt engine-state section (aligned)";
-      return out;
-    }
-    summarize_nodes(engine, s.num_nodes, out);
-    for (graph::NodeId v = 0; v < s.num_nodes; ++v) {
-      if (engine.is_dead(v)) {
-        out.nodes[v].dead = true;
-        ++out.dead;
+  const radio::WakeSchedule schedule(ck.scenario.wake_slots);
+  out.error = with_restored_engine(ck, schedule, [&](const auto& engine) {
+    out.nodes.reserve(ck.scenario.num_nodes);
+    for (graph::NodeId v = 0; v < ck.scenario.num_nodes; ++v) {
+      const ColoringNode& node = engine.node(v);
+      NodeSnapshot snap;
+      snap.phase = static_cast<std::uint8_t>(node.phase());
+      snap.color_index =
+          node.decided() ? node.color() : node.verifying_color();
+      snap.counter = node.counter();
+      snap.decided = node.decided();
+      snap.awake = engine.is_awake(v);
+      if constexpr (requires { engine.is_dead(v); }) {
+        snap.dead = engine.is_dead(v);
       }
+      snap.decision_slot = engine.decision_slot(v);
+      snap.leader = node.leader();
+      snap.intra_cluster = node.intra_cluster_color();
+      snap.competitors = node.competitors();
+      if (snap.awake) ++out.awake;
+      if (snap.decided) ++out.decided;
+      if (snap.dead) ++out.dead;
+      out.nodes.push_back(snap);
     }
-  } else {
-    radio::MisalignedEngine<ColoringNode> engine(
-        ck.graph, schedule,
-        build_nodes(s), s.offsets,
-        s.seed);
-    if (!engine.load_state(r)) {
-      out.error = "corrupt engine-state section (misaligned)";
-      return out;
-    }
-    summarize_nodes(engine, s.num_nodes, out);
-  }
-  out.ok = true;
+    out.stats = engine.stats();
+  });
+  out.ok = out.error.empty();
   return out;
 }
 

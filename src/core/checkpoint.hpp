@@ -65,7 +65,7 @@ struct CheckpointScenario {
 /// Decode a scenario section.  Returns false on truncated/corrupt bytes
 /// and on a scenario the engine cannot run: Params failing
 /// `Params::validate()`, an unknown reset policy, `params.n` other than
-/// the node count, more than `radio::Engine::kMaxNodes` nodes, or a drop
+/// the node count, more than `radio::AlignedMedium::kMaxNodes` nodes, or a drop
 /// probability outside [0, 1).  Counts are bounded by the bytes left, so
 /// decoding never allocates beyond the section's size.
 [[nodiscard]] bool read_scenario(obs::postmortem::Reader& r,

@@ -1,6 +1,7 @@
 #include "core/params.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <initializer_list>
 
 #include "support/check.hpp"
@@ -72,6 +73,12 @@ void Params::validate() const {
     URN_CHECK_MSG(std::isfinite(c) && c > 0.0,
                   "alpha, beta, gamma, sigma must be finite and positive");
   }
+  // Colors are int32: Theorem 5's bound on the largest color a run can
+  // produce, Δ(κ₂+1) + κ₂, must fit (exact in uint64 for uint32 inputs).
+  const std::uint64_t max_color =
+      std::uint64_t{delta} * (std::uint64_t{kappa2} + 1) + kappa2;
+  URN_CHECK_MSG(max_color <= INT32_MAX,
+                "Delta * (kappa2 + 1) + kappa2 must fit the int32 colors");
   // The derived slot counts must fit an int64 (ceil_mul_log checks);
   // critical_range(1) is the larger of the two ranges.
   (void)passive_slots();

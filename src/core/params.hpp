@@ -16,6 +16,7 @@
 
 #include <cstdint>
 
+#include "support/check.hpp"
 #include "support/mathutil.hpp"
 
 namespace urn::core {
@@ -89,9 +90,13 @@ struct Params {
   }
 
   /// First color a node with intra-cluster color tc verifies: tc·(κ₂+1)
-  /// (Alg. 2 line 4).
+  /// (Alg. 2 line 4).  Checked, in Release too: `validate` bounds it for
+  /// tc ≤ Δ, but a leader re-serving a requester hands out tc past Δ.
   [[nodiscard]] std::int32_t first_verify_color(std::int32_t tc) const {
-    return tc * (static_cast<std::int32_t>(kappa2) + 1);
+    const std::int64_t color = std::int64_t{tc} * (std::int64_t{kappa2} + 1);
+    URN_CHECK_MSG(color == static_cast<std::int32_t>(color),
+                  "color tc * (kappa2 + 1) overflows int32");
+    return static_cast<std::int32_t>(color);
   }
 
   /// Practical defaults (calibrated in experiment E7).
@@ -112,7 +117,8 @@ struct Params {
   [[nodiscard]] Params scaled(double factor) const;
 
   /// Throws urn::CheckError if the parameter set is unusable, including
-  /// non-finite constants and slot counts that overflow an int64.
+  /// non-finite constants, slot counts that overflow an int64, and a
+  /// Theorem 5 color bound Δ(κ₂+1) + κ₂ past the int32 color range.
   void validate() const;
 };
 

@@ -33,8 +33,8 @@
 /// stream, in its awake-list visit order — (wake slot, id) ascending
 /// while the network is waking, id-ascending once all nodes are awake —
 /// and the medium draws drop chances from `mix_seed(seed, 0xFADED)` in
-/// first-touch listener order.  Every engine (optimized, misaligned,
-/// naive reference) and both protocol sweeps (the scalar `on_slot` loop
+/// first-touch listener order.  The engine core (on both media), the
+/// naive reference and both protocol sweeps (the scalar `on_slot` loop
 /// and the SoA `batch_slots` pass) implement this same sequence, which
 /// is what makes them bit-comparable; `tests/test_reference_diff.cpp`
 /// is the arbiter.  Changing the spec (a v2) means re-baselining every
@@ -210,7 +210,10 @@ class ColoringNode {
   /// compare against a precomputed integer cutoff instead of an
   /// int→double conversion + double compare per draw.
   ///
-  /// `slot` carries the slot index and the engine's event hook (null on
+  /// Contract on `awake[0, count)`: distinct live node ids, and when
+  /// count == n, ascending (either medium re-sorts its lanes once every
+  /// node is awake), which the identity shortcut relies on.  `slot`
+  /// carries the lane's local slot and the engine's event hook (null on
   /// untraced engines).  The event stream is the scalar loop's too: each
   /// transmit event is emitted right after its message is appended, and
   /// the cold classes run `on_slot` with the hook, so their phase and
@@ -469,11 +472,10 @@ inline void ColoringNode::batch_slots(ColoringHot& hot, const NodeId* awake,
     if (tracing) slot.emit(radio::transmit_event(slot.now, m));
   };
 
-  // The awake list holds distinct live node ids and is id-sorted from
-  // the slot the last node wakes, so a full list IS the identity
-  // permutation: walk ids directly and spare the hot loop one dependent
-  // load per node-slot.  This is the steady state of every long run
-  // (all awake, none deactivated).
+  // By the contract above a full awake list (every node in one lane, all
+  // awake) IS the identity permutation: walk ids directly and spare the
+  // hot loop one dependent load per node-slot.  This is the steady state
+  // of every long aligned run (all awake, none deactivated).
   const bool identity = count == hot.klass.size();
 
   // One fused pass in scalar node order.  The branch chain is ordered

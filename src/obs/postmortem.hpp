@@ -157,7 +157,10 @@ inline bool read_rng(Reader& r, Rng& rng) {
 // Checkpoint file format.
 
 inline constexpr char kCkptMagic[4] = {'U', 'R', 'N', 'C'};
-inline constexpr std::uint16_t kCkptVersion = 1;
+/// Version 2 changed only the misaligned engine-state section (it became
+/// the shared engine core's layout); aligned sections are byte-identical
+/// to version 1, so version-1 aligned checkpoints still load.
+inline constexpr std::uint16_t kCkptVersion = 2;
 inline constexpr std::size_t kCkptHeaderSize = 16;
 inline constexpr const char* kCkptFileName = "checkpoint.urnc";
 inline constexpr const char* kRingFileName = "ring.bin";

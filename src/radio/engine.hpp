@@ -25,7 +25,9 @@
 /// awake nodes collecting transmissions, (3) resolves the medium, and
 /// (4) delivers at most one message per listening node via `on_receive`.
 /// State changes made in `on_receive` therefore take effect in the next
-/// slot, matching the paper's slot granularity.
+/// slot, matching the paper's slot granularity.  Only step (3) depends on
+/// slot alignment: it is the `Medium` policy (`AlignedMedium` here, the
+/// half-slot medium in misaligned_engine.hpp) of one shared engine core.
 ///
 /// **Observability.**  The engine takes a second template parameter, an
 /// `obs::EventSink`, defaulting to `obs::NullSink`.  With the default every
@@ -40,8 +42,10 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <concepts>
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <type_traits>
 #include <vector>
@@ -90,7 +94,7 @@ struct SlotContext {
 };
 
 /// The trace event for message `m` going on the air in slot `now` — the
-/// one definition shared by the engines' scalar loops and SoA protocols'
+/// one definition shared by the engine's scalar loop and SoA protocols'
 /// `batch_slots` passes.
 [[nodiscard]] inline obs::Event transmit_event(Slot now, const Message& m) {
   return obs::Event::transmit(now, m.sender, static_cast<std::uint8_t>(m.type),
@@ -119,17 +123,17 @@ concept NodeProtocol = requires(P p, const P cp, SlotContext& ctx,
 //                             std::vector<Message>& out);
 //     bool Hot::decided(NodeId) const;        // node-object-free test
 //
-// The engines then (a) own one block per run and attach every node to it
-// in their constructors, and (b) replace the per-node `on_slot` loop with
-// one `batch_slots` call per slot, traced or not.  `slot` carries the
-// slot index and the engine's event hook (null when untraced); the pass
-// emits each transmit event (`transmit_event`) right after appending its
-// message, and hands the hook to every per-node context it builds, so
-// the event stream is the scalar loop's, byte for byte.  The pass must
-// be bit-identical to the scalar loop (the protocol owns that proof; the
-// reference-diff suites, which call `on_slot` per node, are the
-// arbiters).  Protocols without a `Hot` alias get `NoHotState` and the
-// scalar loop.
+// The engine then (a) owns one block per run and attaches every node to
+// it at construction, and (b) replaces the per-node `on_slot` loop with
+// one `batch_slots` call per lane and tick, traced or not, on either
+// medium.  `slot` carries the lane's local slot and the engine's event
+// hook (null when untraced); the pass emits each transmit event
+// (`transmit_event`) right after appending its message, and hands the
+// hook to every per-node context it builds, so the event stream is the
+// scalar loop's, byte for byte.  The pass must be bit-identical to the
+// scalar loop (the protocol owns that proof; the reference-diff suites,
+// which call `on_slot` per node, are the arbiters).  Protocols without a
+// `Hot` alias get `NoHotState` and the scalar loop.
 
 /// Placeholder hot block for protocols without SoA state (zero size, the
 /// attach/batch paths compile away behind `if constexpr`).
@@ -161,7 +165,8 @@ struct RunStats {
   std::uint64_t transmissions = 0;
   /// Listening-node slot pairs where exactly one neighbor transmitted.
   std::uint64_t deliveries = 0;
-  /// Listening-node slot pairs where two or more neighbors transmitted.
+  /// Listening-node slot pairs where two or more neighbors transmitted;
+  /// on the half-slot medium, corrupted (frame, receiver) pairs instead.
   std::uint64_t collisions = 0;
   /// Otherwise-clean receptions lost to injected fading (MediumOptions).
   std::uint64_t dropped = 0;
@@ -178,195 +183,46 @@ struct MediumOptions {
   double drop_probability = 0.0;
 };
 
-/// The slotted-medium engine; owns the per-node protocol instances.
-/// Holds the graph **by reference** (hot-loop performance): the graph must
-/// outlive the engine.  `S` is the event sink; the default `obs::NullSink`
-/// compiles all tracing away.  `T` is the telemetry probe
-/// (`obs::telemetry::EngineProbe`); the default `NullEngineProbe` compiles
-/// the per-slot aggregate sampling away the same way.  `C` is the
-/// checkpointer (`obs::postmortem::Checkpointer`); the default
-/// `NullCheckpointer` compiles the run-loop checkpoint hook away.
-template <NodeProtocol P, obs::EventSink S = obs::NullSink,
-          typename T = obs::telemetry::NullEngineProbe,
-          typename C = obs::postmortem::NullCheckpointer>
-class Engine {
+/// The aligned medium of Sect. 2: one lane, whose slot is the tick, plus
+/// failure injection (`MediumOptions` drops, `Engine::deactivate`).
+class AlignedMedium {
  public:
-  /// \pre nodes.size() == g.num_nodes() == schedule.size()
-  /// \param sink event sink; may be null even for enabled sink types (no
-  ///        events are emitted then).  The sink must outlive the engine.
-  Engine(const graph::Graph& g, WakeSchedule schedule, std::vector<P> nodes,
-         std::uint64_t seed, MediumOptions medium = {}, S* sink = nullptr)
-      : graph_(g),
-        schedule_(std::move(schedule)),
-        nodes_(std::move(nodes)),
-        hot_(g.num_nodes()),
-        medium_(medium),
-        medium_rng_(mix_seed(seed, 0xFADEDull)),
-        sink_(sink),
-        status_(g.num_nodes(), 0),
-        decision_slot_(g.num_nodes(), kUndecided),
-        pending_live_(g.num_nodes()),
-        rx_(g.num_nodes(), 0) {
-    URN_CHECK(graph_.num_nodes() <= kMaxNodes);
-    URN_CHECK(medium_.drop_probability >= 0.0 &&
-              medium_.drop_probability < 1.0);
-    URN_CHECK(nodes_.size() == graph_.num_nodes());
-    URN_CHECK(schedule_.size() == graph_.num_nodes());
-    if constexpr (kHasHotState<P>) {
-      // Attach AFTER the node vector is moved into place: the pointers
-      // nodes keep into the block stay valid for the engine's lifetime.
-      for (P& node : nodes_) node.attach_hot(&hot_);
-    }
-    rngs_.reserve(graph_.num_nodes());
-    for (NodeId v = 0; v < graph_.num_nodes(); ++v) {
-      rngs_.emplace_back(mix_seed(seed, v));
-    }
-    // Wake order: nodes sorted by (wake slot, id) for an O(1) amortized
-    // wake scan.  The id tie-break makes the order — and with it the
-    // per-slot transmitter order, which fixes the medium-RNG draw
-    // sequence under drop_probability > 0 — a specification the
-    // reference engine can reproduce, not an artifact of the sort
-    // implementation.
-    wake_order_.resize(graph_.num_nodes());
-    for (NodeId v = 0; v < graph_.num_nodes(); ++v) wake_order_[v] = v;
-    std::sort(wake_order_.begin(), wake_order_.end(),
-              [this](NodeId a, NodeId b) {
-                const Slot wa = schedule_.wake_slot(a);
-                const Slot wb = schedule_.wake_slot(b);
-                return wa != wb ? wa < wb : a < b;
-              });
+  static constexpr std::size_t kLanes = 1;
+  AlignedMedium(std::size_t n, std::uint64_t seed, MediumOptions options)
+      : options_(options), rng_(mix_seed(seed, 0xFADEDull)) {
+    URN_CHECK(n <= kMaxNodes);
+    URN_CHECK(options_.drop_probability >= 0.0 &&
+              options_.drop_probability < 1.0);
+    rx_.assign(n, 0);
   }
 
-  // Nodes point into the engine-owned hot block; a copied or moved
-  // engine would leave them aimed at the source's block.
-  Engine(const Engine&) = delete;
-  Engine& operator=(const Engine&) = delete;
+  [[nodiscard]] static std::size_t lane(NodeId /*v*/) { return 0; }
+  [[nodiscard]] static Slot tick_cap(Slot max_slots) { return max_slots; }
+  void on_admit(NodeId v) { rx_[v] = kRxAwake; }  // a listening candidate
+  void deactivate(NodeId v) { rx_[v] = 0; }       // no longer one
 
-  /// Attach a wall-clock span sink: each slot then records one span per
-  /// runner phase (wake / protocol / medium) on `kSpanTrack`.  Only
-  /// meaningful on sink-enabled instantiations — with `obs::NullSink`
-  /// the span hooks compile away along with the event emission sites,
-  /// so the untraced hot loop stays untouched.
-  void set_span_sink(obs::SpanSink* spans) { spans_ = spans; }
-
-  /// Attach a telemetry probe: each slot then feeds one aggregate
-  /// `SlotSample` (counts only — no events, no RNG use) to the probe.
-  /// Only meaningful on probe-enabled instantiations; with the default
-  /// `NullEngineProbe` the sampling sites compile away.  The probe must
-  /// outlive the engine.  `run()` brackets execution with
-  /// `begin_run`/`end_run`; step()-driven users bracket it themselves.
-  void set_telemetry(T* probe) { probe_ = probe; }
-
-  /// Attach a postmortem checkpointer: `run()` then offers a snapshot at
-  /// the top of every loop iteration (the checkpointer decides whether
-  /// the period elapsed).  Only meaningful on checkpointer-enabled
-  /// instantiations; with the default `NullCheckpointer` the hook
-  /// compiles away.  Snapshots only read state, so a checkpointed run is
-  /// bit-identical to an unhooked one.  The checkpointer must outlive
-  /// the engine.
-  void set_checkpointer(C* ckpt) { ckpt_ = ckpt; }
-
-  /// The track id engine phase spans are recorded under.
-  static constexpr std::uint32_t kSpanTrack = 0;
-
-  /// Advance the simulation one slot.
-  void step() {
-    const Slot now = slot_;
-    const std::uint64_t ts_wake = span_now();
-
-    // Telemetry baselines for this slot's deltas (dead locals on
-    // probe-disabled instantiations; the optimizer drops them).
-    [[maybe_unused]] std::size_t probe_wakes_before = 0;
-    [[maybe_unused]] std::size_t probe_pending_before = 0;
-    [[maybe_unused]] std::uint64_t probe_deliveries_before = 0;
-    [[maybe_unused]] std::uint64_t probe_collisions_before = 0;
-    [[maybe_unused]] std::uint64_t probe_dropped_before = 0;
-    if constexpr (T::kEnabled) {
-      if (probe_ != nullptr) {
-        probe_wakes_before = next_wake_;
-        probe_pending_before = pending_live_;
-        probe_deliveries_before = stats_.deliveries;
-        probe_collisions_before = stats_.collisions;
-        probe_dropped_before = stats_.dropped;
-      }
-    }
-
-    // (1) Wake due nodes.  A node deactivated before its wake slot still
-    // wakes (events + on_wake fire, matching the pre-compaction engine)
-    // but never enters the live lists.
-    while (next_wake_ < wake_order_.size() &&
-           schedule_.wake_slot(wake_order_[next_wake_]) <= now) {
-      const NodeId v = wake_order_[next_wake_++];
-      status_[v] |= kAwakeBit;
-      if (status_[v] == kAwakeBit) {
-        awake_list_.push_back(v);
-        undecided_list_.push_back(v);
-        rx_[v] = kRxAwake;  // now a listening candidate for the medium
-      }
-      emit([&] { return obs::Event::wake(now, v); });
-      SlotContext ctx = context(v, now);
-      nodes_[v].on_wake(ctx);
-    }
-    if (!id_ordered_ && next_wake_ >= wake_order_.size()) {
-      // From the slot the last node wakes (inclusive), iterate nodes in
-      // ascending id: under random schedules wake order is an arbitrary
-      // permutation, and re-sorting once turns every later per-slot
-      // sweep into a linear memory walk over nodes_/rngs_.  This is part
-      // of the engine's documented iteration order — (wake slot, id)
-      // while nodes are still waking, id-ascending once all are awake —
-      // which the reference engine mirrors (it pins the medium-RNG draw
-      // sequence under drop_probability > 0; aggregate stats and
-      // per-node RNG streams are order-independent).
-      std::sort(awake_list_.begin(), awake_list_.end());
-      std::sort(undecided_list_.begin(), undecided_list_.end());
-      id_ordered_ = true;
-    }
-
-    // (2) Collect transmissions.  awake_list_ holds only live awake
-    // nodes (deactivate compacts), so no per-node dead check remains.
-    // SoA protocols run the whole list through one `batch_slots` call
-    // (classify over the hot arrays, batched Bernoulli draws, messages
-    // and events in scalar order — bit-identical by the protocol's
-    // contract), with the event hook in the slot context when traced.
-    // Protocols without a hot block take the per-node loop.
-    const std::uint64_t ts_protocol = span_now();
-    transmitters_.clear();
-    if constexpr (kHasHotState<P>) {
-      P::batch_slots(hot_, awake_list_.data(), awake_list_.size(),
-                     slot_context(now), nodes_.data(), rngs_.data(),
-                     transmitters_);
-    } else {
-      for (NodeId v : awake_list_) {
-        SlotContext ctx = context(v, now);
-        if (std::optional<Message> msg = nodes_[v].on_slot(ctx)) {
-          URN_DCHECK(msg->sender == v);
-          transmitters_.push_back(*msg);
-          emit([&] { return transmit_event(now, *msg); });
-        }
-      }
-    }
-    stats_.transmissions += transmitters_.size();
-
-    // (3) Resolve the medium in ONE pass: classify each touched live
-    // listener as clean (exactly one transmitting neighbor, with the
-    // source index) or collided, in first-touch order.  First-touch
-    // order here equals the first-visit order of the old second
-    // transmitter×neighbor pass (both walk the same nested sequence),
-    // so delivery / collision / drop events and medium-RNG draws keep
-    // the exact same order — bit-identical results, half the edge
-    // traversals.  The whole per-listener medium state lives in ONE
-    // 4-byte `rx_` word (awake flag | clean/collided/self | source), so
-    // the ~Δ random accesses per transmitter touch one cache line each
-    // instead of the three the old count/stamp/src arrays cost; the
-    // touched entries are wiped at the end of the slot (touched_ and
-    // the transmitter list enumerate exactly the dirtied words), which
-    // replaces the epoch stamps entirely.  Sleeping and dead neighbors
-    // are skipped outright: their state can never be read.
-    const std::uint64_t ts_medium = span_now();
+  /// Resolve the medium in ONE pass: classify each touched live listener
+  /// as clean (exactly one transmitting neighbor, with the source index)
+  /// or collided, in first-touch order.  First-touch order here equals
+  /// the first-visit order of the old second transmitter×neighbor pass
+  /// (both walk the same nested sequence), so delivery / collision /
+  /// drop events and medium-RNG draws keep the exact same order —
+  /// bit-identical results, half the edge traversals.  The whole
+  /// per-listener medium state lives in ONE 4-byte `rx_` word (awake
+  /// flag | clean/collided/self | source), so the ~Δ random accesses per
+  /// transmitter touch one cache line each instead of the three the old
+  /// count/stamp/src arrays cost; the touched entries are wiped at the
+  /// end of the slot (touched_ and the transmitter list enumerate
+  /// exactly the dirtied words), which replaces the epoch stamps
+  /// entirely.  Sleeping and dead neighbors are skipped outright: their
+  /// state can never be read.
+  template <typename Core>
+  void resolve(Core& core, Slot now) {
+    const std::vector<Message>& transmitters = core.transmitters_;
     touched_.clear();
-    for (std::uint32_t t = 0; t < transmitters_.size(); ++t) {
-      const NodeId sender = transmitters_[t].sender;
-      for (NodeId u : graph_.neighbors(sender)) {
+    for (std::uint32_t t = 0; t < transmitters.size(); ++t) {
+      const NodeId sender = transmitters[t].sender;
+      for (NodeId u : core.graph_.neighbors(sender)) {
         const std::uint32_t w = rx_[u];
         if (w == kRxAwake) {  // listening, untouched so far
           rx_[u] = kRxAwake | kRxClean | t;  // sole candidate sender
@@ -381,121 +237,314 @@ class Engine {
       rx_[sender] = kRxAwake | kRxSelf;
     }
 
-    // (4) Deliver to listeners with exactly one active neighbor.  Each
+    // Deliver to listeners with exactly one active neighbor.  Each
     // touched listener appears once; states are final by now.
     for (const NodeId u : touched_) {
       const std::uint32_t w = rx_[u];
       if ((w & kRxStateMask) == kRxClean) {
-        const Message& msg = transmitters_[w & kRxSrcMask];
-        if (medium_.drop_probability > 0.0 &&
-            medium_rng_.chance(medium_.drop_probability)) {
-          ++stats_.dropped;  // fading: clean reception lost anyway
-          emit([&] {
+        const Message& msg = transmitters[w & kRxSrcMask];
+        if (options_.drop_probability > 0.0 &&
+            rng_.chance(options_.drop_probability)) {
+          ++core.stats_.dropped;  // fading: clean reception lost anyway
+          core.emit([&] {
             return obs::Event::drop(now, u, msg.sender,
                                     static_cast<std::uint8_t>(msg.type));
           });
         } else {
-          ++stats_.deliveries;
-          emit([&] {
-            return obs::Event::delivery(now, u, msg.sender,
-                                        static_cast<std::uint8_t>(msg.type),
-                                        msg.color_index);
-          });
-          SlotContext ctx = context(u, now);
-          nodes_[u].on_receive(ctx, msg);
+          core.deliver(u, msg, now);
         }
       } else if ((w & kRxStateMask) == kRxCollided) {
-        ++stats_.collisions;
-        emit([&] { return obs::Event::collision(now, u); });
+        core.collide(u, now);
       }
       rx_[u] = kRxAwake;  // wipe for the next slot (still listening)
     }
     // Transmitters dirtied their own rx_ word too (kRxSelf); they are
     // live and awake by construction, so restore the bare awake flag.
-    for (const Message& m : transmitters_) rx_[m.sender] = kRxAwake;
+    for (const Message& m : transmitters) rx_[m.sender] = kRxAwake;
+  }
 
-    // (5) Track decisions, compacting decided nodes out of the scan so
-    // its cost follows the number of still-undecided nodes, not n.  SoA
-    // protocols answer `decided` straight from the hot block, so the
-    // scan never touches a node object.
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < undecided_list_.size(); ++i) {
-      const NodeId v = undecided_list_[i];
-      const bool is_decided = [&] {
-        if constexpr (kHasHotState<P>) return hot_.decided(v);
-        else return nodes_[v].decided();
-      }();
-      if (is_decided) {
-        decision_slot_[v] = now;
-        --pending_live_;
-        emit([&] {
-          return obs::Event::decision(now, v, /*color=*/-1,
-                                      now - schedule_.wake_slot(v));
-        });
-      } else {
-        undecided_list_[keep++] = v;
+  void save(obs::postmortem::Writer& w) const {
+    obs::postmortem::write_rng(w, rng_);
+  }
+  [[nodiscard]] bool load(obs::postmortem::Reader& r) {
+    return obs::postmortem::read_rng(r, rng_);
+  }
+
+  /// Largest supported node count: `rx_` stores a transmitter index
+  /// (< n) in 29 bits.  Checked at construction, so the limit holds in
+  /// Release builds.
+  static constexpr std::size_t kMaxNodes = std::size_t{1} << 29;
+
+ private:
+  // Layout of the per-node medium word rx_: the top bit is the persistent
+  // "live awake listener" flag (maintained on wake / deactivate /
+  // load_state), the next two bits are the per-slot touch state, and the
+  // low 29 bits hold the transmitter index while the state is kRxClean.
+  // Between slots every word is either 0 or exactly kRxAwake.
+  static constexpr std::uint32_t kRxAwake = 1u << 31;
+  static constexpr std::uint32_t kRxClean = 1u << 29;
+  static constexpr std::uint32_t kRxCollided = 2u << 29;
+  static constexpr std::uint32_t kRxSelf = 3u << 29;
+  static constexpr std::uint32_t kRxStateMask = 3u << 29;
+  static constexpr std::uint32_t kRxSrcMask = (1u << 29) - 1;
+  static_assert(kMaxNodes - 1 == kRxSrcMask);
+
+  MediumOptions options_;
+  Rng rng_;
+  /// Per-node medium word: persistent awake flag + per-slot touch state
+  /// (see the kRx* constants).  The dirtied entries are wiped at the end
+  /// of every slot, so no wholesale clear is ever needed.
+  std::vector<std::uint32_t> rx_;
+  std::vector<NodeId> touched_;  ///< live listeners touched this slot
+};
+
+/// The slotted radio engine, one core for both slot alignments: nodes,
+/// RNG streams, hot block, wake admission, live lists, protocol pass,
+/// decision scan, `run()` and serialization.  Alignments differ only in
+/// the `Medium` policy (`AlignedMedium`, `HalfSlotMedium`): `kLanes`,
+/// `lane(v)`, `tick_cap`, `on_admit`, `resolve` and `save`/`load`.  A
+/// *tick* is one engine step; node v in lane q = lane(v) starts local
+/// slot t at tick kLanes·t + q, so each tick runs one lane's awake list
+/// through one protocol pass; `resolve` then reads `transmitters_` and
+/// reports receptions through `deliver` / `collide`.
+///
+/// Holds the graph **by reference** (hot-loop performance): the graph
+/// must outlive the engine.  `S` is the event sink; the default
+/// `obs::NullSink` compiles all tracing away.  `T` is the telemetry probe
+/// (`obs::telemetry::EngineProbe`); the default `NullEngineProbe`
+/// compiles the per-tick aggregate sampling away the same way.  `C` is
+/// the checkpointer (`obs::postmortem::Checkpointer`); the default
+/// `NullCheckpointer` compiles the run-loop checkpoint hook away.
+template <NodeProtocol P, obs::EventSink S = obs::NullSink,
+          typename T = obs::telemetry::NullEngineProbe,
+          typename C = obs::postmortem::NullCheckpointer,
+          typename Medium = AlignedMedium>
+class Engine {
+  static constexpr std::size_t kLanes = Medium::kLanes;
+  static constexpr bool kAligned = std::same_as<Medium, AlignedMedium>;
+  friend Medium;  // resolve() reads the tick's state, reports receptions
+
+ public:
+  /// The aligned engine.
+  /// \pre nodes.size() == g.num_nodes() == schedule.size()
+  /// \param sink event sink; may be null even for enabled sink types (no
+  ///        events are emitted then).  The sink must outlive the engine.
+  Engine(const graph::Graph& g, WakeSchedule schedule, std::vector<P> nodes,
+         std::uint64_t seed, MediumOptions medium = {}, S* sink = nullptr)
+    requires kAligned
+      : Engine(g, std::move(schedule), std::move(nodes), seed, sink,
+               AlignedMedium(g.num_nodes(), seed, medium)) {}
+
+  // Nodes point into the engine-owned hot block; a copied or moved
+  // engine would leave them aimed at the source's block.
+  Engine(const Engine&) = delete;
+  Engine& operator=(const Engine&) = delete;
+
+  /// Attach a wall-clock span sink: each tick then records one span per
+  /// runner phase (wake / protocol / medium) on `kSpanTrack`.  Only
+  /// meaningful on sink-enabled instantiations — with `obs::NullSink`
+  /// the span hooks compile away along with the event emission sites,
+  /// so the untraced hot loop stays untouched.
+  void set_span_sink(obs::SpanSink* spans) { spans_ = spans; }
+
+  /// Attach a telemetry probe: each tick then feeds one aggregate
+  /// `SlotSample` (counts only — no events, no RNG use; `slots` counts
+  /// local slots) to the probe.  Only meaningful on probe-enabled
+  /// instantiations; with the default `NullEngineProbe` the sampling
+  /// sites compile away.  The probe must outlive the engine.  `run()`
+  /// brackets execution with `begin_run`/`end_run`; step()-driven users
+  /// bracket it themselves.
+  void set_telemetry(T* probe) { probe_ = probe; }
+
+  /// Attach a postmortem checkpointer: `run()` then offers a snapshot at
+  /// the top of every loop iteration (the checkpointer decides whether
+  /// the period elapsed).  Positions handed to it are ticks.  Only
+  /// meaningful on checkpointer-enabled instantiations; with the default
+  /// `NullCheckpointer` the hook compiles away.  Snapshots only read
+  /// state, so a checkpointed run is bit-identical to an unhooked one.
+  /// The checkpointer must outlive the engine.
+  void set_checkpointer(C* ckpt) { ckpt_ = ckpt; }
+
+  /// The track id engine phase spans are recorded under.
+  static constexpr std::uint32_t kSpanTrack = 0;
+
+  /// Advance the simulation one tick.
+  void step() {
+    const Slot tick = tick_;
+    const std::uint64_t ts_wake = span_now();
+    const std::size_t lane = static_cast<std::size_t>(tick) % kLanes;
+    std::vector<NodeId>& awake = awake_[lane];
+    const Slot now = local_slot(lane, tick);
+
+    // Telemetry baselines for this tick's deltas (dead locals on
+    // probe-disabled instantiations; the optimizer drops them).
+    [[maybe_unused]] RunStats probe_before;
+    [[maybe_unused]] std::size_t probe_wakes_before = 0;
+    [[maybe_unused]] std::size_t probe_pending_before = 0;
+    if constexpr (T::kEnabled) {
+      if (probe_ != nullptr) {
+        probe_before = stats_;
+        probe_wakes_before = next_wake_;
+        probe_pending_before = pending_live_;
       }
     }
-    undecided_list_.resize(keep);
+
+    // (1) Wake due nodes: those whose first tick is now, all of this
+    // tick's lane.  A node deactivated before its wake slot still wakes
+    // (events + on_wake fire, matching the pre-compaction engine) but
+    // never enters the live lists.
+    while (next_wake_ < wake_order_.size() &&
+           first_tick(wake_order_[next_wake_]) <= tick) {
+      const NodeId v = wake_order_[next_wake_++];
+      status_[v] |= kAwakeBit;
+      if (status_[v] == kAwakeBit) {
+        awake.push_back(v);
+        undecided_[lane].push_back(v);
+        medium_.on_admit(v);
+      }
+      emit([&] { return obs::Event::wake(now, v); });
+      SlotContext ctx = context(v, now);
+      nodes_[v].on_wake(ctx);
+    }
+    if (!id_ordered_ && next_wake_ >= wake_order_.size()) {
+      // From the slot the last node wakes (inclusive), iterate nodes in
+      // ascending id: under random schedules wake order is an arbitrary
+      // permutation, and re-sorting once turns every later per-slot
+      // sweep into a linear memory walk over nodes_/rngs_.  This is part
+      // of the engine's documented iteration order — (wake slot, id)
+      // while nodes are still waking, id-ascending once all are awake —
+      // which the reference engine mirrors (it pins the medium-RNG draw
+      // sequence under drop_probability > 0; aggregate stats and
+      // per-node RNG streams are order-independent).  It also keeps the
+      // `batch_slots` contract that a full awake list is id-ordered.
+      for (std::size_t q = 0; q < kLanes; ++q) {
+        std::sort(awake_[q].begin(), awake_[q].end());
+        std::sort(undecided_[q].begin(), undecided_[q].end());
+      }
+      id_ordered_ = true;
+    }
+
+    // (2) Collect transmissions.  The awake list holds only live awake
+    // nodes (deactivate compacts), so no per-node dead check remains.
+    // SoA protocols run the whole list through one `batch_slots` call
+    // (classify over the hot arrays, batched Bernoulli draws, messages
+    // and events in scalar order — bit-identical by the protocol's
+    // contract), with the event hook in the slot context when traced.
+    // Protocols without a hot block take the per-node loop.
+    const std::uint64_t ts_protocol = span_now();
+    transmitters_.clear();
+    if constexpr (kHasHotState<P>) {
+      P::batch_slots(hot_, awake.data(), awake.size(), slot_context(now),
+                     nodes_.data(), rngs_.data(), transmitters_);
+    } else {
+      for (NodeId v : awake) {
+        SlotContext ctx = context(v, now);
+        if (std::optional<Message> msg = nodes_[v].on_slot(ctx)) {
+          URN_DCHECK(msg->sender == v);
+          transmitters_.push_back(*msg);
+          emit([&] { return transmit_event(now, *msg); });
+        }
+      }
+    }
+    stats_.transmissions += transmitters_.size();
+
+    // (3) Resolve the medium and deliver.
+    const std::uint64_t ts_medium = span_now();
+    medium_.resolve(*this, tick);
+
+    // (4) Track decisions, each lane at its own local slot, compacting
+    // decided nodes out of the scan so its cost follows the number of
+    // still-undecided nodes, not n.  SoA protocols answer `decided`
+    // straight from the hot block, so the scan never touches a node
+    // object.
+    for (std::size_t q = 0; q < kLanes; ++q) {
+      std::vector<NodeId>& undecided = undecided_[q];
+      const Slot at = local_slot(q, tick);
+      std::size_t keep = 0;
+      for (std::size_t i = 0; i < undecided.size(); ++i) {
+        const NodeId v = undecided[i];
+        const bool is_decided = [&] {
+          if constexpr (kHasHotState<P>) return hot_.decided(v);
+          else return nodes_[v].decided();
+        }();
+        if (is_decided) {
+          decision_slot_[v] = at;
+          --pending_live_;
+          emit([&] {
+            return obs::Event::decision(at, v, /*color=*/-1,
+                                        at - schedule_.wake_slot(v));
+          });
+        } else {
+          undecided[keep++] = v;
+        }
+      }
+      undecided.resize(keep);
+    }
 
     span_emit("wake", ts_wake, ts_protocol, now);
     span_emit("protocol", ts_protocol, ts_medium, now);
     span_emit("medium", ts_medium, span_now(), now);
 
-    ++slot_;
-    stats_.slots_run = slot_;
+    ++tick_;
+    stats_.slots_run = tick_ / static_cast<Slot>(kLanes);
 
     if constexpr (T::kEnabled) {
       if (probe_ != nullptr) {
         obs::telemetry::SlotSample s;
-        s.slots = 1;
-        s.active = awake_list_.size();
+        s.slots = static_cast<std::uint64_t>(stats_.slots_run -
+                                             probe_before.slots_run);
+        s.active = awake.size();
         s.wakes = next_wake_ - probe_wakes_before;
         s.decisions = probe_pending_before - pending_live_;
         s.transmissions = transmitters_.size();
-        s.deliveries = stats_.deliveries - probe_deliveries_before;
-        s.collisions = stats_.collisions - probe_collisions_before;
-        s.drops = stats_.dropped - probe_dropped_before;
-        s.undecided = undecided_list_.size();
+        s.deliveries = stats_.deliveries - probe_before.deliveries;
+        s.collisions = stats_.collisions - probe_before.collisions;
+        s.drops = stats_.dropped - probe_before.dropped;
+        for (const auto& u : undecided_) s.undecided += u.size();
         probe_->on_slot(s);
       }
     }
   }
 
-  /// Run until every node is awake and has decided, or `max_slots` elapse.
-  /// Returns the statistics so far; `all_decided` reports success.
+  /// Run until every node is awake and has decided, or `max_slots` local
+  /// slots elapse.  Returns the statistics so far; `all_decided` reports
+  /// success.
   ///
   /// Empty wake gaps are fast-forwarded: while no node is awake and the
   /// next wake lies in the future, stepping consumes no RNG and changes
-  /// no state, so `slot_` jumps straight to the next wake (or the cap).
-  /// The jump requires a pending wake — it cannot fire when the list is
-  /// empty because every woken node died, where the old loop would stop
-  /// after one more step via `all_decided`.
+  /// no state, so `tick_` jumps straight to the next wake (or the cap).
+  /// The jump requires a pending wake — it cannot fire when the lists
+  /// are empty because every woken node died, where the old loop would
+  /// stop after one more step via `all_decided`.
   RunStats run(Slot max_slots) {
     URN_CHECK(max_slots > 0);
     if constexpr (T::kEnabled) {
       if (probe_ != nullptr) probe_->begin_run();
     }
-    while (slot_ < max_slots) {
+    const Slot cap = Medium::tick_cap(max_slots);
+    while (tick_ < cap) {
       if constexpr (C::kEnabled) {
-        if (ckpt_ != nullptr) ckpt_->maybe_checkpoint(*this, slot_);
+        if (ckpt_ != nullptr) ckpt_->maybe_checkpoint(*this, tick_);
       }
-      if (awake_list_.empty() && next_wake_ < wake_order_.size()) {
-        const Slot next = schedule_.wake_slot(wake_order_[next_wake_]);
-        if (next > slot_) {
-          const Slot jumped = (next < max_slots ? next : max_slots) - slot_;
-          slot_ += jumped;
-          stats_.slots_run = slot_;
+      const bool idle = std::all_of(awake_.begin(), awake_.end(),
+                                    [](const auto& a) { return a.empty(); });
+      if (idle && next_wake_ < wake_order_.size()) {
+        const Slot next = first_tick(wake_order_[next_wake_]);
+        if (next > tick_) {
+          [[maybe_unused]] const Slot slots_before = stats_.slots_run;
+          tick_ = next < cap ? next : cap;
+          stats_.slots_run = tick_ / static_cast<Slot>(kLanes);
           if constexpr (T::kEnabled) {
             // Fast-forwarded slots still count toward engine.slots so
             // the exported total matches stats_.slots_run exactly.
-            if (probe_ != nullptr && jumped > 0) {
+            if (probe_ != nullptr && stats_.slots_run > slots_before) {
               obs::telemetry::SlotSample s;
-              s.slots = static_cast<std::uint64_t>(jumped);
+              s.slots =
+                  static_cast<std::uint64_t>(stats_.slots_run - slots_before);
               probe_->on_slot(s);
             }
           }
-          if (slot_ >= max_slots) break;
+          if (tick_ >= cap) break;
         }
       }
       step();
@@ -523,24 +572,25 @@ class Engine {
     }
   }
 
-  /// Crash-stop failure injection: from the next slot on, node v neither
-  /// transmits nor receives.  It is excluded from `all_decided` (a dead
-  /// node has no obligation to decide) and compacted out of the live
-  /// lists so later slots never branch on it.  Idempotent: deactivating
-  /// an already-dead node changes no accounting.
-  void deactivate(NodeId v) {
+  /// Crash-stop failure injection (aligned engine only): from the next
+  /// slot on, node v neither transmits nor receives.  It is excluded
+  /// from `all_decided` (a dead node has no obligation to decide) and
+  /// compacted out of the live lists so later slots never branch on it.
+  /// Idempotent: deactivating an already-dead node changes no
+  /// accounting.
+  void deactivate(NodeId v) requires kAligned {
     URN_CHECK(v < nodes_.size());
     if ((status_[v] & kDeadBit) != 0) return;
     status_[v] |= kDeadBit;
-    rx_[v] = 0;  // no longer a listening candidate
+    medium_.deactivate(v);  // no longer a listening candidate
     if (decision_slot_[v] == kUndecided) --pending_live_;
     if ((status_[v] & kAwakeBit) != 0) {
-      std::erase(awake_list_, v);
-      std::erase(undecided_list_, v);
+      std::erase(awake_[0], v);
+      std::erase(undecided_[0], v);
     }
   }
 
-  [[nodiscard]] bool is_dead(NodeId v) const {
+  [[nodiscard]] bool is_dead(NodeId v) const requires kAligned {
     URN_CHECK(v < status_.size());
     return (status_[v] & kDeadBit) != 0;
   }
@@ -552,30 +602,31 @@ class Engine {
 
   /// Serialize the complete engine state (a checkpoint's engine-state
   /// section).  Everything a freshly constructed engine cannot
-  /// reconstruct from its constructor arguments is written: the slot
-  /// cursor, per-node status/decision arrays, live lists, wake cursor,
-  /// all RNG streams (medium + per-node), aggregate stats, and every
-  /// node's protocol state.  The per-slot scratch (the rx_ touch bits,
-  /// transmitters_, touched_) is never read across slot boundaries, so
-  /// it is deliberately skipped — a resumed engine's fresh scratch
-  /// behaves identically (the persistent rx_ awake flags are rebuilt
-  /// from status_ on load).
+  /// reconstruct from its constructor arguments is written: the tick
+  /// cursor, aggregate stats, the medium's cross-tick state, per-node
+  /// status/decision arrays, live lists, wake cursor, all per-node RNG
+  /// streams, and every node's protocol state.  Per-tick scratch
+  /// (transmitters_ and the medium's touch state) is never read across
+  /// tick boundaries, so it is deliberately skipped.  With one lane this
+  /// is the aligned engine's layout of URNC version 1.
   void save_state(obs::postmortem::Writer& w) const {
     w.u64(nodes_.size());
-    w.i64(slot_);
+    w.i64(tick_);
     w.i64(stats_.slots_run);
     w.u64(stats_.transmissions);
     w.u64(stats_.deliveries);
     w.u64(stats_.collisions);
     w.u64(stats_.dropped);
     w.boolean(stats_.all_decided);
-    obs::postmortem::write_rng(w, medium_rng_);
+    medium_.save(w);
     for (const std::uint8_t s : status_) w.u8(s);
     for (const Slot s : decision_slot_) w.i64(s);
-    w.u64(awake_list_.size());
-    for (const NodeId v : awake_list_) w.u32(v);
-    w.u64(undecided_list_.size());
-    for (const NodeId v : undecided_list_) w.u32(v);
+    for (std::size_t q = 0; q < kLanes; ++q) {
+      for (const std::vector<NodeId>* ids : {&awake_[q], &undecided_[q]}) {
+        w.u64(ids->size());
+        for (const NodeId v : *ids) w.u32(v);
+      }
+    }
     w.u64(next_wake_);
     w.boolean(id_ordered_);
     w.u64(pending_live_);
@@ -591,33 +642,27 @@ class Engine {
   /// bit-identically.
   [[nodiscard]] bool load_state(obs::postmortem::Reader& r) {
     if (r.u64() != nodes_.size()) return false;
-    slot_ = r.i64();
+    tick_ = r.i64();
     stats_.slots_run = r.i64();
     stats_.transmissions = r.u64();
     stats_.deliveries = r.u64();
     stats_.collisions = r.u64();
     stats_.dropped = r.u64();
     stats_.all_decided = r.boolean();
-    if (!obs::postmortem::read_rng(r, medium_rng_)) return false;
+    if (!medium_.load(r)) return false;
     for (std::uint8_t& s : status_) s = r.u8();
-    // The persistent part of the medium word is a pure function of
-    // status_; the per-slot touch bits are always clear between slots,
-    // which is when checkpoints are taken.
-    for (NodeId v = 0; v < status_.size(); ++v) {
-      rx_[v] = status_[v] == kAwakeBit ? kRxAwake : 0;
-    }
     for (Slot& s : decision_slot_) s = r.i64();
-    const std::uint64_t n_awake = r.u64();
-    if (!r.ok() || n_awake > nodes_.size()) return false;
-    awake_list_.clear();
-    for (std::uint64_t i = 0; i < n_awake; ++i) {
-      awake_list_.push_back(static_cast<NodeId>(r.u32()));
-    }
-    const std::uint64_t n_undecided = r.u64();
-    if (!r.ok() || n_undecided > nodes_.size()) return false;
-    undecided_list_.clear();
-    for (std::uint64_t i = 0; i < n_undecided; ++i) {
-      undecided_list_.push_back(static_cast<NodeId>(r.u32()));
+    for (std::size_t q = 0; q < kLanes; ++q) {
+      for (std::vector<NodeId>* ids : {&awake_[q], &undecided_[q]}) {
+        const std::uint64_t count = r.u64();
+        if (!r.ok() || count > nodes_.size()) return false;
+        ids->clear();
+        for (std::uint64_t i = 0; i < count; ++i) {
+          ids->push_back(static_cast<NodeId>(r.u32()));
+          if (ids->back() >= nodes_.size()) return false;
+        }
+      }
+      for (const NodeId v : awake_[q]) medium_.on_admit(v);  // listeners
     }
     next_wake_ = static_cast<std::size_t>(r.u64());
     if (next_wake_ > wake_order_.size()) return false;
@@ -633,14 +678,15 @@ class Engine {
     return r.ok();
   }
 
-  [[nodiscard]] Slot current_slot() const { return slot_; }
+  /// The tick cursor: the next slot (aligned) or half-slot to run.
+  [[nodiscard]] Slot current_slot() const { return tick_; }
   [[nodiscard]] const RunStats& stats() const { return stats_; }
   [[nodiscard]] const P& node(NodeId v) const { return nodes_.at(v); }
   [[nodiscard]] P& node(NodeId v) { return nodes_.at(v); }
-  [[nodiscard]] std::size_t num_nodes() const { return nodes_.size(); }
   [[nodiscard]] const WakeSchedule& schedule() const { return schedule_; }
 
-  /// Slot in which v's `decided()` first became true (kUndecided if never).
+  /// Local slot in which v's `decided()` first became true (kUndecided if
+  /// never) — comparable across slot alignments.
   [[nodiscard]] Slot decision_slot(NodeId v) const {
     return decision_slot_.at(v);
   }
@@ -653,10 +699,46 @@ class Engine {
 
   static constexpr Slot kUndecided = -1;
 
-  /// Largest supported node count: the medium word `rx_` stores a
-  /// transmitter index (< n) in 29 bits.  Checked at construction, so
-  /// the limit holds in Release builds.
-  static constexpr std::size_t kMaxNodes = std::size_t{1} << 29;
+ protected:
+  /// The engine on any medium (see the public constructor).
+  Engine(const graph::Graph& g, WakeSchedule schedule, std::vector<P> nodes,
+         std::uint64_t seed, S* sink, Medium medium)
+      : graph_(g),
+        schedule_(std::move(schedule)),
+        nodes_(std::move(nodes)),
+        hot_(g.num_nodes()),
+        medium_(std::move(medium)),
+        sink_(sink),
+        status_(g.num_nodes(), 0),
+        decision_slot_(g.num_nodes(), kUndecided),
+        pending_live_(g.num_nodes()) {
+    URN_CHECK(nodes_.size() == graph_.num_nodes());
+    URN_CHECK(schedule_.size() == graph_.num_nodes());
+    if constexpr (kHasHotState<P>) {
+      // Attach AFTER the node vector is moved into place: the pointers
+      // nodes keep into the block stay valid for the engine's lifetime.
+      for (P& node : nodes_) node.attach_hot(&hot_);
+    }
+    rngs_.reserve(graph_.num_nodes());
+    for (NodeId v = 0; v < graph_.num_nodes(); ++v) {
+      URN_CHECK(medium_.lane(v) < kLanes);
+      rngs_.emplace_back(mix_seed(seed, v));
+    }
+    // Wake order: nodes sorted by (first tick, id) for an O(1) amortized
+    // wake scan — (wake slot, id) within each lane.  The id tie-break
+    // makes the order — and with it the per-slot transmitter order,
+    // which fixes the medium-RNG draw sequence under drop_probability >
+    // 0 — a specification the reference engine can reproduce, not an
+    // artifact of the sort implementation.
+    wake_order_.resize(graph_.num_nodes());
+    for (NodeId v = 0; v < graph_.num_nodes(); ++v) wake_order_[v] = v;
+    std::sort(wake_order_.begin(), wake_order_.end(),
+              [this](NodeId a, NodeId b) {
+                const Slot ta = first_tick(a);
+                const Slot tb = first_tick(b);
+                return ta != tb ? ta < tb : a < b;
+              });
+  }
 
  private:
   // Per-node status bits (one byte per node; vector<bool> bit ops were a
@@ -665,19 +747,34 @@ class Engine {
   static constexpr std::uint8_t kAwakeBit = 0x1;
   static constexpr std::uint8_t kDeadBit = 0x2;
 
-  // Layout of the per-node medium word rx_ (see step section 3): the
-  // top bit is the persistent "live awake listener" flag (maintained on
-  // wake / deactivate / load_state), the next two bits are the per-slot
-  // touch state, and the low 29 bits hold the transmitter index while
-  // the state is kRxClean.  Between slots every word is either 0 or
-  // exactly kRxAwake.
-  static constexpr std::uint32_t kRxAwake = 1u << 31;
-  static constexpr std::uint32_t kRxClean = 1u << 29;
-  static constexpr std::uint32_t kRxCollided = 2u << 29;
-  static constexpr std::uint32_t kRxSelf = 3u << 29;
-  static constexpr std::uint32_t kRxStateMask = 3u << 29;
-  static constexpr std::uint32_t kRxSrcMask = (1u << 29) - 1;
-  static_assert(kMaxNodes - 1 == kRxSrcMask);
+  /// Local slot of lane `lane` at tick `tick` (the one it started last).
+  static Slot local_slot(std::size_t lane, Slot tick) {
+    return (tick - static_cast<Slot>(lane)) / static_cast<Slot>(kLanes);
+  }
+
+  /// The tick v's lane starts v's wake slot.
+  [[nodiscard]] Slot first_tick(NodeId v) const {
+    return schedule_.wake_slot(v) * static_cast<Slot>(kLanes) +
+           static_cast<Slot>(medium_.lane(v));
+  }
+
+  /// Hand `msg` to listener u in its local slot `now` (medium callback).
+  void deliver(NodeId u, const Message& msg, Slot now) {
+    ++stats_.deliveries;
+    emit([&] {
+      return obs::Event::delivery(now, u, msg.sender,
+                                  static_cast<std::uint8_t>(msg.type),
+                                  msg.color_index);
+    });
+    SlotContext ctx = context(u, now);
+    nodes_[u].on_receive(ctx, msg);
+  }
+
+  /// Count a reception at u lost to overlapping frames (medium callback).
+  void collide(NodeId u, Slot now) {
+    ++stats_.collisions;
+    emit([&] { return obs::Event::collision(now, u); });
+  }
 
   /// Emit an event built by `make` — compiled away entirely for NullSink
   /// (the lambda is never instantiated, so event construction costs
@@ -707,7 +804,7 @@ class Engine {
     }
   }
 
-  /// The slot-wide part of a context: the slot index and, on a traced
+  /// The slot-wide part of a context: the local slot and, on a traced
   /// engine, the event hook (what `batch_slots` receives).
   [[nodiscard]] SlotContext slot_context(Slot now) {
     SlotContext ctx;
@@ -737,18 +834,19 @@ class Engine {
   /// Nodes hold raw pointers into it, so the engine is neither copyable
   /// nor movable (see the deleted special members above).
   HotStateOf<P> hot_;
-  MediumOptions medium_;
-  Rng medium_rng_;
+  Medium medium_;
   S* sink_;
   obs::SpanSink* spans_ = nullptr;  ///< wall-clock phase spans (optional)
   T* probe_ = nullptr;              ///< telemetry probe (optional)
   C* ckpt_ = nullptr;               ///< postmortem checkpointer (optional)
   std::vector<Rng> rngs_;
 
-  Slot slot_ = 0;
+  Slot tick_ = 0;
   std::vector<std::uint8_t> status_;     ///< kAwakeBit | kDeadBit per node
-  std::vector<NodeId> awake_list_;       ///< live awake nodes, wake order
-  std::vector<NodeId> undecided_list_;   ///< live awake undecided subset
+  /// Per lane: live awake nodes (wake order, then id order) and their
+  /// undecided subset.
+  std::array<std::vector<NodeId>, kLanes> awake_;
+  std::array<std::vector<NodeId>, kLanes> undecided_;
   std::vector<NodeId> wake_order_;
   std::size_t next_wake_ = 0;
   bool id_ordered_ = false;  ///< live lists re-sorted to id order yet?
@@ -756,13 +854,7 @@ class Engine {
   /// Live (non-dead) nodes without a recorded decision — the O(1)
   /// termination counter behind `all_decided()`.
   std::size_t pending_live_ = 0;
-
-  /// Per-node medium word: persistent awake flag + per-slot touch state
-  /// (see the kRx* constants).  The dirtied entries are wiped at the end
-  /// of every slot, so no wholesale clear is ever needed.
-  std::vector<std::uint32_t> rx_;
-  std::vector<Message> transmitters_;
-  std::vector<NodeId> touched_;  ///< live listeners touched this slot
+  std::vector<Message> transmitters_;  ///< this tick's transmissions
 
   RunStats stats_;
 };

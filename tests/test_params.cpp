@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "core/params.hpp"
 #include "support/check.hpp"
@@ -57,6 +59,23 @@ TEST(Params, FirstVerifyColorSpacing) {
   EXPECT_EQ(p.first_verify_color(0), 0);
   EXPECT_EQ(p.first_verify_color(1), 8);
   EXPECT_EQ(p.first_verify_color(2), 16);
+}
+
+// Colors are int32, so Theorem 5's bound Δ(κ₂+1) + κ₂ must fit: a
+// hostile κ₂ or Δ is a validation error, not a signed overflow at the
+// first assignment.  The product in first_verify_color is checked on its
+// own, since a re-serving leader hands out tc past Δ.
+TEST(Params, ColorBoundMustFitInt32) {
+  EXPECT_THROW((void)Params::practical(100, 16, 5, 1u << 30), CheckError);
+  EXPECT_THROW((void)Params::practical(100, 1u << 31, 5, 12), CheckError);
+  // κ₂ = 2: 3Δ + 2 ≤ 2³¹ − 1 holds up to Δ = 715827881.
+  EXPECT_NO_THROW((void)Params::practical(100, 715827881, 2, 2));
+  EXPECT_THROW((void)Params::practical(100, 715827882, 2, 2), CheckError);
+
+  const Params p = Params::practical(100, 10, 4, 12);
+  const std::int32_t last_tc = std::numeric_limits<std::int32_t>::max() / 13;
+  EXPECT_EQ(p.first_verify_color(last_tc), last_tc * 13);
+  EXPECT_THROW((void)p.first_verify_color(last_tc + 1), CheckError);
 }
 
 // Lemma 5 / Corollary 1: the color range of intra-cluster color tc,

@@ -10,6 +10,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <utility>
@@ -22,6 +24,7 @@
 #include "graph/generators.hpp"
 #include "obs/postmortem.hpp"
 #include "radio/engine.hpp"
+#include "radio/misaligned_engine.hpp"
 #include "support/rng.hpp"
 
 namespace urn {
@@ -148,6 +151,72 @@ TEST(CheckpointFile, RejectsFutureVersionWithOneLiner) {
       << file.error;
 }
 
+// URNC version 2 changed only the misaligned engine-state layout (the
+// shared engine core's lanes and the half-slot medium's frames in
+// flight).  A version-1 misaligned checkpoint is refused with one line;
+// a version-1 aligned checkpoint, whose engine-state bytes are the same,
+// still loads and resumes.
+TEST(CheckpointFile, Version1MisalignedRejectedVersion1AlignedResumes) {
+  Rng rng(21);
+  const graph::Graph g = graph::gnp(40, 0.1, rng);
+  const std::size_t n = g.num_nodes();
+  const auto delta = std::max(2u, g.max_closed_degree());
+  const core::Params params = core::Params::practical(n, delta, 5, 12);
+  const auto schedule = radio::WakeSchedule::synchronous(n);
+  const radio::Slot budget = 10 * params.threshold();
+  const auto nodes = [&] {
+    std::vector<core::ColoringNode> v;
+    for (graph::NodeId i = 0; i < n; ++i) v.emplace_back(&params, i);
+    return v;
+  };
+  // Rewrite the header's version field (bytes 4–5) of a fresh capture.
+  const auto as_version_1 = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    bytes[4] = 1;
+    bytes[5] = 0;
+    const std::string v1 = path + ".v1";
+    EXPECT_TRUE(pm::write_text_file(v1, bytes));
+    return v1;
+  };
+
+  const std::string aligned_path = ::testing::TempDir() + "v1_aligned.urnc";
+  radio::Engine<core::ColoringNode> aligned(g, schedule, nodes(), 4);
+  pm::Checkpointer aligned_ckpt(
+      aligned_path, pm::EngineKind::kAligned, 0,
+      core::render_scenario(
+          core::make_scenario(g, params, schedule, 4, budget)));
+  aligned_ckpt.take(aligned, 0);
+  const core::LoadedCheckpoint a1 =
+      core::load_checkpoint(as_version_1(aligned_path));
+  ASSERT_TRUE(a1.ok) << a1.error;
+  EXPECT_EQ(a1.version, 1);
+  const core::ResumeResult resumed = core::resume_coloring(a1);
+  ASSERT_TRUE(resumed.ok) << resumed.error;
+  EXPECT_TRUE(resumed.run.check.valid());
+
+  const std::string mis_path = ::testing::TempDir() + "v1_misaligned.urnc";
+  Rng orng(22);
+  auto offsets =
+      radio::MisalignedEngine<core::ColoringNode>::random_offsets(n, orng);
+  radio::MisalignedEngine<core::ColoringNode> mis(g, schedule, nodes(),
+                                                  offsets, 4);
+  pm::Checkpointer mis_ckpt(
+      mis_path, pm::EngineKind::kMisaligned, 0,
+      core::render_scenario(core::make_scenario(
+          g, params, schedule, 4, budget, {}, 0, std::move(offsets))));
+  mis_ckpt.take(mis, 0);
+  ASSERT_TRUE(core::load_checkpoint(mis_path).ok);
+  const core::LoadedCheckpoint m1 =
+      core::load_checkpoint(as_version_1(mis_path));
+  EXPECT_FALSE(m1.ok);
+  EXPECT_NE(m1.error.find("misaligned checkpoint version 1"),
+            std::string::npos)
+      << m1.error;
+  EXPECT_EQ(m1.error.find('\n'), std::string::npos) << m1.error;
+}
+
 TEST(CheckpointFile, RejectsTruncatedSections) {
   pm::Writer w;
   for (char c : pm::kCkptMagic) w.u8(static_cast<std::uint8_t>(c));
@@ -259,6 +328,10 @@ TEST(ScenarioCodec, ReadRejectsHostileFields) {
       {"threshold past int64",
        [](core::CheckpointScenario& s) { s.params.sigma = 1e300; }},
       {"kappa2 0", [](core::CheckpointScenario& s) { s.params.kappa2 = 0; }},
+      {"kappa2 2^30 (int32 colors)",
+       [](core::CheckpointScenario& s) { s.params.kappa2 = 1u << 30; }},
+      {"delta 2^31 (int32 colors)",
+       [](core::CheckpointScenario& s) { s.params.delta = 1u << 31; }},
       {"reset_policy 9",
        [](core::CheckpointScenario& s) {
          s.params.reset_policy = static_cast<core::ResetPolicy>(9);

@@ -296,6 +296,47 @@ std::uint64_t bin_digest(const std::vector<obs::Event>& events) {
   return h;
 }
 
+/// Traced ≡ untraced after both ran to the same budget: same stats,
+/// per-node state and `save_state` blob, one transmit event per
+/// transmission, and each node's phase events equal to its transition
+/// log.
+template <typename Untraced, typename Traced>
+void expect_traced_matches_untraced(const graph::Graph& g,
+                                    const Untraced& untraced,
+                                    const radio::RunStats& untraced_stats,
+                                    const Traced& traced,
+                                    const radio::RunStats& stats,
+                                    const std::vector<obs::Event>& events,
+                                    const std::string& tag) {
+  expect_stats_equal(untraced_stats, stats);
+  expect_nodes_equal(g, untraced, traced);
+  obs::postmortem::Writer blob_untraced, blob_traced;
+  untraced.save_state(blob_untraced);
+  traced.save_state(blob_traced);
+  EXPECT_EQ(blob_untraced.data(), blob_traced.data()) << tag;
+
+  std::uint64_t tx_events = 0;
+  std::vector<std::vector<core::Transition>> phases(g.num_nodes());
+  for (const obs::Event& e : events) {
+    if (e.kind == obs::EventKind::kTransmit) ++tx_events;
+    if (e.kind == obs::EventKind::kPhase) {
+      phases[e.node].push_back(
+          {e.slot, static_cast<core::Phase>(e.phase), e.color});
+    }
+  }
+  EXPECT_EQ(tx_events, stats.transmissions) << tag;
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    const auto& log = traced.node(v).transitions();
+    ASSERT_EQ(phases[v].size(), log.size()) << tag << " node " << v;
+    for (std::size_t i = 0; i < log.size(); ++i) {
+      EXPECT_EQ(phases[v][i].slot, log[i].slot) << tag << " node " << v;
+      EXPECT_EQ(phases[v][i].phase, log[i].phase) << tag << " node " << v;
+      EXPECT_EQ(phases[v][i].color_index, log[i].color_index)
+          << tag << " node " << v;
+    }
+  }
+}
+
 // A traced engine instantiation (any enabled sink) drives the protocol
 // through the same slot step as an untraced one; only the sink differs.
 // This pins it end to end across families, wake patterns and lossy
@@ -351,36 +392,12 @@ TEST(EngineDiffBatch, TracedBatchMatchesUntracedBatch) {
 
     const radio::Slot budget = 4 * params.threshold() + 2000;
     const radio::RunStats stats = traced.run(budget);
-    expect_stats_equal(untraced.run(budget), stats);
-    expect_nodes_equal(g, untraced, traced);
-
-    obs::postmortem::Writer blob_untraced, blob_traced;
-    untraced.save_state(blob_untraced);
-    traced.save_state(blob_traced);
-    EXPECT_EQ(blob_untraced.data(), blob_traced.data()) << tag;
-
     const std::vector<obs::Event>& events = sink.events();
-    std::uint64_t tx_events = 0;
+    expect_traced_matches_untraced(g, untraced, untraced.run(budget), traced,
+                                   stats, events, tag);
     std::uint64_t serves = 0;
-    std::vector<std::vector<core::Transition>> phases(g.num_nodes());
     for (const obs::Event& e : events) {
-      if (e.kind == obs::EventKind::kTransmit) ++tx_events;
       if (e.kind == obs::EventKind::kServe) ++serves;
-      if (e.kind == obs::EventKind::kPhase) {
-        phases[e.node].push_back(
-            {e.slot, static_cast<core::Phase>(e.phase), e.color});
-      }
-    }
-    EXPECT_EQ(tx_events, stats.transmissions) << tag;
-    for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-      const auto& log = traced.node(v).transitions();
-      ASSERT_EQ(phases[v].size(), log.size()) << tag << " node " << v;
-      for (std::size_t i = 0; i < log.size(); ++i) {
-        EXPECT_EQ(phases[v][i].slot, log[i].slot) << tag << " node " << v;
-        EXPECT_EQ(phases[v][i].phase, log[i].phase) << tag << " node " << v;
-        EXPECT_EQ(phases[v][i].color_index, log[i].color_index)
-            << tag << " node " << v;
-      }
     }
     if (c.sync) {
       EXPECT_GT(serves, 0u) << tag;
@@ -388,6 +405,58 @@ TEST(EngineDiffBatch, TracedBatchMatchesUntracedBatch) {
 
     EXPECT_EQ(events.size(), c.events) << tag;
     EXPECT_EQ(bin_digest(events), c.digest) << tag;
+  }
+
+  // The half-slot medium under random offsets: the same traced ≡
+  // untraced contract, plus one decision event per decided node.  No
+  // event digest is pinned here — only results are specified for this
+  // engine, not the order of events within a half-slot.
+  struct MisalignedCase {
+    std::string family;
+    std::uint64_t seed;
+    bool sync;
+  };
+  for (const MisalignedCase& c :
+       {MisalignedCase{"udg", 86, false}, MisalignedCase{"gnp", 87, false},
+        MisalignedCase{"udg", 88, true}}) {
+    const std::string tag = "misaligned " + c.family + std::to_string(c.seed);
+    const graph::Graph g = make_graph(c.family, c.seed);
+    const std::size_t n = g.num_nodes();
+    const auto delta = std::max(2u, g.max_closed_degree());
+    const core::Params params = core::Params::practical(n, delta, 5, 12);
+    Rng wrng(mix_seed(c.seed, 91));
+    const auto schedule = c.sync ? radio::WakeSchedule::synchronous(n)
+                                 : radio::WakeSchedule::uniform(n, 400, wrng);
+    Rng orng(mix_seed(c.seed, 92));
+    const auto offsets =
+        radio::MisalignedEngine<core::ColoringNode>::random_offsets(n, orng);
+
+    std::vector<core::ColoringNode> a_nodes, b_nodes;
+    for (graph::NodeId v = 0; v < n; ++v) {
+      a_nodes.emplace_back(&params, v);
+      b_nodes.emplace_back(&params, v);
+    }
+    radio::MisalignedEngine<core::ColoringNode> untraced(
+        g, schedule, std::move(a_nodes), offsets, c.seed);
+    obs::MemorySink sink;
+    radio::MisalignedEngine<core::ColoringNode, obs::MemorySink> traced(
+        g, schedule, std::move(b_nodes), offsets, c.seed, &sink);
+
+    const radio::Slot budget = 10 * params.threshold();
+    const radio::RunStats stats = traced.run(budget);
+    EXPECT_TRUE(stats.all_decided) << tag;
+    expect_traced_matches_untraced(g, untraced, untraced.run(budget), traced,
+                                   stats, sink.events(), tag);
+    std::vector<std::size_t> decisions(n, 0);
+    for (const obs::Event& e : sink.events()) {
+      if (e.kind == obs::EventKind::kDecision) ++decisions[e.node];
+    }
+    for (graph::NodeId v = 0; v < n; ++v) {
+      const bool decided =
+          traced.decision_slot(v) !=
+          radio::MisalignedEngine<core::ColoringNode>::kUndecided;
+      EXPECT_EQ(decisions[v], decided ? 1u : 0u) << tag << " node " << v;
+    }
   }
 }
 
@@ -634,8 +703,8 @@ TEST(CheckpointResumeMisaligned, ResumeIsBitIdenticalToStraightRun) {
     std::int64_t h = 0;
     const std::int64_t take_at_half = 2 * 400 + 1;  // mid-waking, odd half
     for (; h < take_at_half && !a.all_decided(); ++h) {
-      a.step_half();
-      b.step_half();
+      a.step();
+      b.step();
     }
     ckpt.take(b, h);
     ASSERT_FALSE(ckpt.failed());
