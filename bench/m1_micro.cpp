@@ -38,15 +38,21 @@ void BM_RandomUdgGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_RandomUdgGeneration)->Arg(256)->Arg(1024)->Arg(4096);
 
-void BM_Kappa2Exact(benchmark::State& state) {
+/// Exact κ₂ over every node of an n-node UDG in a side × side square.
+void BM_Kappa2Exact(benchmark::State& state, double side, double radius) {
   Rng rng(2);
   const auto net = graph::random_udg(
-      static_cast<std::size_t>(state.range(0)), 7.0, 1.4, rng);
+      static_cast<std::size_t>(state.range(0)), side, radius, rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(graph::kappa2(net.graph).value);
   }
 }
+void BM_Kappa2Exact(benchmark::State& state) {
+  BM_Kappa2Exact(state, 7.0, 1.4);
+}
 BENCHMARK(BM_Kappa2Exact)->Arg(64)->Arg(128);
+// perfbench's e2_sweep deployment shape: n = 256, side 9.5, radius 1.5.
+BENCHMARK_CAPTURE(BM_Kappa2Exact, e2_sweep, 9.5, 1.5)->Arg(256);
 
 void BM_Chi(benchmark::State& state) {
   Rng rng(3);

@@ -1,8 +1,9 @@
 #include "graph/independence.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <numeric>
-#include <unordered_map>
 
 namespace urn::graph {
 
@@ -56,201 +57,161 @@ std::vector<NodeId> greedy_mis_random(const Graph& g, Rng& rng) {
 
 namespace {
 
-/// Dynamic bitset of `words` 64-bit words, flat storage.
-class BitMatrixRow {
- public:
-  BitMatrixRow(std::uint64_t* data, std::size_t words)
-      : data_(data), words_(words) {}
+constexpr std::uint32_t kAbsent = std::numeric_limits<std::uint32_t>::max();
 
-  void set(std::size_t i) { data_[i >> 6] |= 1ULL << (i & 63); }
-  [[nodiscard]] bool test(std::size_t i) const {
-    return (data_[i >> 6] >> (i & 63)) & 1ULL;
-  }
-  [[nodiscard]] const std::uint64_t* data() const { return data_; }
-  [[nodiscard]] std::size_t words() const { return words_; }
-
- private:
-  std::uint64_t* data_;
-  std::size_t words_;
-};
-
-struct MisInstance {
-  std::size_t k = 0;      // number of vertices
-  std::size_t words = 0;  // bitset words
-  std::vector<std::uint64_t> adj;  // k rows of `words` words each
-
-  [[nodiscard]] const std::uint64_t* row(std::size_t v) const {
-    return adj.data() + v * words;
-  }
-};
-
-std::uint32_t popcount_words(const std::uint64_t* w, std::size_t n) {
-  std::uint32_t c = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    c += static_cast<std::uint32_t>(__builtin_popcountll(w[i]));
-  }
-  return c;
-}
-
-/// Branch-and-bound maximum independent set over a candidate bitset.
+/// Maximum independent sets of induced subgraphs of one graph.
+///
+/// The exact search is maximum-clique branch and bound on the complement
+/// graph: Tomita and Seki's MCQ colouring bound in the bitset form of San
+/// Segundo et al.'s BBMC.  The candidates are covered greedily by cliques
+/// of G; an independent set holds at most one vertex of each, so `taken +
+/// cliques <= best` prunes.  The node index and every buffer live as long
+/// as the solver and are reused by each set it solves.
 class MisSolver {
  public:
-  explicit MisSolver(const MisInstance& inst) : inst_(inst) {}
+  explicit MisSolver(const Graph& g) : g_(g), pos_(g.num_nodes(), kAbsent) {}
 
-  std::uint32_t solve() {
-    std::vector<std::uint64_t> all(inst_.words, 0);
-    for (std::size_t v = 0; v < inst_.k; ++v) {
-      all[v >> 6] |= 1ULL << (v & 63);
+  /// max(floor, α(G[nodes])).  A set whose root bound cannot beat `floor`
+  /// returns at once.
+  std::uint32_t exact(std::span<const NodeId> nodes, std::uint32_t floor) {
+    index(nodes);
+    const std::size_t k = nodes.size();
+    words_ = (k + 63) / 64;
+    adj_.assign(k * words_, 0);
+    for (std::size_t i = 0; i < k; ++i) {
+      for (NodeId u : g_.neighbors(nodes[i])) {
+        if (pos_[u] != kAbsent) set(row(i), pos_[u]);
+      }
     }
-    best_ = greedy_bound(all);
-    recurse(all, 0);
+    unindex(nodes);
+    left_.resize(words_);
+    clique_.resize(words_);
+    grow(0);
+    std::uint64_t* all = cand(0);
+    std::fill(all, all + words_, 0);
+    for (std::size_t v = 0; v < k; ++v) set(all, v);
+    best_ = floor;
+    expand(0);
     return best_;
   }
 
- private:
-  /// Greedy min-degree MIS on the candidate set; a quick lower bound that
-  /// lets the branch-and-bound prune early.
-  std::uint32_t greedy_bound(std::vector<std::uint64_t> cand) const {
-    std::uint32_t size = 0;
-    while (true) {
-      std::size_t pick = inst_.k;
-      std::uint32_t pick_deg = 0;
-      for (std::size_t v = 0; v < inst_.k; ++v) {
-        if (!((cand[v >> 6] >> (v & 63)) & 1ULL)) continue;
-        std::uint32_t deg = 0;
-        const std::uint64_t* row = inst_.row(v);
-        for (std::size_t w = 0; w < inst_.words; ++w) {
-          deg += static_cast<std::uint32_t>(
-              __builtin_popcountll(row[w] & cand[w]));
-        }
-        if (pick == inst_.k || deg < pick_deg) {
-          pick = v;
-          pick_deg = deg;
-        }
-      }
-      if (pick == inst_.k) break;
-      ++size;
-      const std::uint64_t* row = inst_.row(pick);
-      for (std::size_t w = 0; w < inst_.words; ++w) cand[w] &= ~row[w];
-      cand[pick >> 6] &= ~(1ULL << (pick & 63));
+  /// Greedy lower bound for a set too large to solve exactly: first fit in
+  /// order of induced degree, then id.
+  std::uint32_t greedy(std::span<const NodeId> nodes) {
+    index(nodes);
+    std::vector<std::uint32_t> deg(nodes.size(), 0);
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      for (NodeId u : g_.neighbors(nodes[i])) deg[i] += pos_[u] != kAbsent;
     }
+    std::vector<std::uint32_t> order(nodes.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                return deg[a] != deg[b] ? deg[a] < deg[b] : nodes[a] < nodes[b];
+              });
+    std::vector<bool> blocked(nodes.size(), false);
+    std::uint32_t size = 0;
+    for (std::uint32_t i : order) {
+      if (blocked[i]) continue;
+      ++size;
+      for (NodeId u : g_.neighbors(nodes[i])) {
+        if (pos_[u] != kAbsent) blocked[pos_[u]] = true;
+      }
+    }
+    unindex(nodes);
     return size;
   }
 
-  void recurse(std::vector<std::uint64_t>& cand, std::uint32_t current) {
-    const std::uint32_t remaining = popcount_words(cand.data(), inst_.words);
-    if (current + remaining <= best_) return;
-    if (remaining == 0) {
-      best_ = std::max(best_, current);
-      return;
-    }
+ private:
+  /// A vertex of the clique cover and the 1-based index of its clique.
+  struct Pick {
+    std::uint32_t v;
+    std::uint32_t cls;
+  };
 
-    // Pick the candidate with the highest degree inside the candidate set;
-    // isolated candidates are all taken at once.
-    std::size_t pick = inst_.k;
-    std::uint32_t pick_deg = 0;
-    std::uint32_t isolated = 0;
-    for (std::size_t v = 0; v < inst_.k; ++v) {
-      if (!((cand[v >> 6] >> (v & 63)) & 1ULL)) continue;
-      std::uint32_t deg = 0;
-      const std::uint64_t* row = inst_.row(v);
-      for (std::size_t w = 0; w < inst_.words; ++w) {
-        deg += static_cast<std::uint32_t>(
-            __builtin_popcountll(row[w] & cand[w]));
-      }
-      if (deg == 0) {
-        ++isolated;
-      } else if (pick == inst_.k || deg > pick_deg) {
-        pick = v;
-        pick_deg = deg;
-      }
-    }
-    if (pick == inst_.k) {
-      // All remaining candidates are mutually non-adjacent.
-      best_ = std::max(best_, current + isolated);
-      return;
-    }
-
-    // Branch 1: include `pick` — remove it and its neighbors.
-    std::vector<std::uint64_t> with = cand;
-    const std::uint64_t* row = inst_.row(pick);
-    for (std::size_t w = 0; w < inst_.words; ++w) with[w] &= ~row[w];
-    with[pick >> 6] &= ~(1ULL << (pick & 63));
-    recurse(with, current + 1);
-
-    // Branch 2: exclude `pick`.
-    std::vector<std::uint64_t> without = cand;
-    without[pick >> 6] &= ~(1ULL << (pick & 63));
-    recurse(without, current);
+  static void set(std::uint64_t* bits, std::size_t i) {
+    bits[i >> 6] |= 1ULL << (i & 63);
   }
 
-  const MisInstance& inst_;
+  [[nodiscard]] std::uint64_t* row(std::size_t v) {
+    return adj_.data() + v * words_;
+  }
+  [[nodiscard]] std::uint64_t* cand(std::size_t depth) {
+    return cand_.data() + depth * words_;
+  }
+  /// Makes room for the candidate set of `depth`: one per level reached.
+  void grow(std::size_t depth) {
+    cand_.resize(std::max(cand_.size(), (depth + 1) * words_));
+  }
+
+  /// pos_[nodes[i]] = i; rejects ids out of range and repeated ids.
+  void index(std::span<const NodeId> nodes) {
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      const NodeId v = nodes[i];
+      URN_CHECK_MSG(v < g_.num_nodes(), "node id " << v << " out of range, n = "
+                                                   << g_.num_nodes());
+      URN_CHECK_MSG(pos_[v] == kAbsent, "node id " << v << " repeated");
+      pos_[v] = static_cast<std::uint32_t>(i);
+    }
+  }
+  void unindex(std::span<const NodeId> nodes) {
+    for (NodeId v : nodes) pos_[v] = kAbsent;
+  }
+
+  /// Searches the candidates cand(depth), `depth` vertices taken.
+  void expand(std::uint32_t depth) {
+    best_ = std::max(best_, depth);  // the vertices taken are independent
+    // Only a vertex whose clique index reaches `need` can still beat best_.
+    const std::uint32_t need = best_ - depth + 1;
+    const std::size_t base = picks_.size();
+    std::copy_n(cand(depth), words_, left_.begin());
+    std::uint32_t cls = 0;
+    for (std::size_t first = 0; first < words_;) {
+      if (left_[first] == 0) {
+        ++first;
+        continue;
+      }
+      ++cls;
+      std::copy(left_.begin(), left_.end(), clique_.begin());
+      for (std::size_t w = first; w < words_;) {
+        if (clique_[w] == 0) {
+          ++w;
+          continue;
+        }
+        const auto v = static_cast<std::uint32_t>(
+            w * 64 + static_cast<std::size_t>(std::countr_zero(clique_[w])));
+        left_[w] &= ~(1ULL << (v & 63));
+        const std::uint64_t* r = row(v);
+        for (std::size_t x = w; x < words_; ++x) clique_[x] &= r[x];
+        if (cls >= need) picks_.push_back({v, cls});
+      }
+    }
+    // Branch in reverse cover order: take v, then leave it out.
+    grow(depth + 1);
+    for (std::size_t i = picks_.size(); i-- > base;) {
+      const Pick p = picks_[i];
+      if (depth + p.cls <= best_) break;
+      // expand() may grow cand_, so the pointers are taken afresh.
+      std::uint64_t* here = cand(depth);
+      std::uint64_t* next = cand(depth + 1);
+      here[p.v >> 6] &= ~(1ULL << (p.v & 63));
+      const std::uint64_t* r = row(p.v);
+      for (std::size_t w = 0; w < words_; ++w) next[w] = here[w] & ~r[w];
+      expand(depth + 1);
+    }
+    picks_.resize(base);
+  }
+
+  const Graph& g_;
+  std::vector<std::uint32_t> pos_;  ///< node → position, kAbsent outside
+  std::size_t words_ = 0;
+  std::vector<std::uint64_t> adj_;     ///< a row of words_ words per vertex
+  std::vector<std::uint64_t> cand_;    ///< one candidate set per depth
+  std::vector<std::uint64_t> left_;    ///< vertices not yet covered
+  std::vector<std::uint64_t> clique_;  ///< vertices the clique may still take
+  std::vector<Pick> picks_;            ///< a stack of per-depth covers
   std::uint32_t best_ = 0;
 };
-
-MisInstance induce(const Graph& g, std::span<const NodeId> nodes) {
-  MisInstance inst;
-  inst.k = nodes.size();
-  inst.words = (inst.k + 63) / 64;
-  inst.adj.assign(inst.k * inst.words, 0);
-  std::unordered_map<NodeId, std::size_t> index;
-  index.reserve(nodes.size());
-  for (std::size_t i = 0; i < nodes.size(); ++i) index[nodes[i]] = i;
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    for (NodeId u : g.neighbors(nodes[i])) {
-      const auto it = index.find(u);
-      if (it == index.end()) continue;
-      const std::size_t j = it->second;
-      inst.adj[i * inst.words + (j >> 6)] |= 1ULL << (j & 63);
-      inst.adj[j * inst.words + (i >> 6)] |= 1ULL << (i & 63);
-    }
-  }
-  return inst;
-}
-
-/// Greedy (min-degree) MIS size of an induced subgraph — lower bound used
-/// when the neighborhood is too large for exact search.
-std::uint32_t greedy_induced_mis(const Graph& g,
-                                 std::span<const NodeId> nodes) {
-  const MisInstance inst = induce(g, nodes);
-  return MisSolver(inst).solve();  // unreachable for big inputs; see caller
-}
-
-std::uint32_t neighborhood_mis(const Graph& g, std::span<const NodeId> nodes,
-                               std::size_t exact_limit, bool& exact) {
-  if (nodes.size() <= exact_limit) {
-    const MisInstance inst = induce(g, nodes);
-    return MisSolver(inst).solve();
-  }
-  exact = false;
-  // Greedy lower bound on the oversized neighborhood: min-degree first-fit
-  // over the induced subgraph, computed with hash-set adjacency.
-  std::unordered_map<NodeId, std::uint32_t> deg_in;
-  deg_in.reserve(nodes.size());
-  for (NodeId v : nodes) deg_in[v] = 0;
-  for (NodeId v : nodes) {
-    for (NodeId u : g.neighbors(v)) {
-      if (deg_in.count(u)) ++deg_in[v];
-    }
-  }
-  std::vector<NodeId> order(nodes.begin(), nodes.end());
-  std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-    return deg_in[a] < deg_in[b] || (deg_in[a] == deg_in[b] && a < b);
-  });
-  std::unordered_map<NodeId, bool> blocked;
-  for (NodeId v : nodes) blocked[v] = false;
-  std::uint32_t size = 0;
-  for (NodeId v : order) {
-    if (blocked[v]) continue;
-    ++size;
-    blocked[v] = true;
-    for (NodeId u : g.neighbors(v)) {
-      const auto it = blocked.find(u);
-      if (it != blocked.end()) it->second = true;
-    }
-  }
-  return size;
-}
 
 std::vector<NodeId> nodes_to_evaluate(const Graph& g,
                                       const KappaOptions& opts) {
@@ -275,39 +236,50 @@ std::vector<NodeId> nodes_to_evaluate(const Graph& g,
   return eval;
 }
 
+std::vector<NodeId> one_hop_closed(const Graph& g, NodeId v) {
+  std::vector<NodeId> hood{v};
+  hood.insert(hood.end(), g.neighbors(v).begin(), g.neighbors(v).end());
+  return hood;
+}
+
+std::vector<NodeId> two_hop_closed(const Graph& g, NodeId v) {
+  return g.two_hop_closed(v);
+}
+
+/// The largest independent set over hood_of(g, v) for the evaluated nodes
+/// v.  Each exact search starts from the maximum so far, which it only has
+/// to beat; hoods above `exact_limit` take the greedy lower bound.
+KappaResult kappa_over(const Graph& g, const KappaOptions& opts,
+                       std::vector<NodeId> (*hood_of)(const Graph&, NodeId)) {
+  KappaResult result;
+  MisSolver solver(g);
+  for (NodeId v : nodes_to_evaluate(g, opts)) {
+    const std::vector<NodeId> hood = hood_of(g, v);
+    if (hood.size() <= opts.exact_limit) {
+      result.value = solver.exact(hood, result.value);
+    } else {
+      result.exact = false;
+      result.value = std::max(result.value, solver.greedy(hood));
+    }
+  }
+  if (opts.sample != 0 && opts.sample < g.num_nodes()) result.exact = false;
+  return result;
+}
+
 }  // namespace
 
 std::uint32_t max_independent_set_size(const Graph& g,
                                        std::span<const NodeId> nodes) {
   URN_CHECK(nodes.size() <= 4096);
-  if (nodes.empty()) return 0;
-  return greedy_induced_mis(g, nodes);
+  return MisSolver(g).exact(nodes, 0);
 }
 
 KappaResult kappa1(const Graph& g, const KappaOptions& opts) {
-  KappaResult result;
-  for (NodeId v : nodes_to_evaluate(g, opts)) {
-    std::vector<NodeId> hood;
-    hood.push_back(v);
-    for (NodeId u : g.neighbors(v)) hood.push_back(u);
-    result.value = std::max(
-        result.value,
-        neighborhood_mis(g, hood, opts.exact_limit, result.exact));
-  }
-  if (opts.sample != 0 && opts.sample < g.num_nodes()) result.exact = false;
-  return result;
+  return kappa_over(g, opts, one_hop_closed);
 }
 
 KappaResult kappa2(const Graph& g, const KappaOptions& opts) {
-  KappaResult result;
-  for (NodeId v : nodes_to_evaluate(g, opts)) {
-    const std::vector<NodeId> hood = g.two_hop_closed(v);
-    result.value = std::max(
-        result.value,
-        neighborhood_mis(g, hood, opts.exact_limit, result.exact));
-  }
-  if (opts.sample != 0 && opts.sample < g.num_nodes()) result.exact = false;
-  return result;
+  return kappa_over(g, opts, two_hop_closed);
 }
 
 }  // namespace urn::graph

@@ -4,9 +4,14 @@
 /// The paper's model (Sect. 2) characterizes a bounded independence graph
 /// by κ₁ / κ₂ — the largest independent set in any closed 1-hop / 2-hop
 /// neighborhood.  Maximum independent set is NP-hard in general, but the
-/// neighborhoods of the graphs we study are small, so an exact
-/// branch-and-bound is feasible; a greedy fallback (lower bound) kicks in
-/// beyond a configurable subproblem size.
+/// neighborhoods of the graphs we study are small, so an exact bitset
+/// branch and bound is feasible.  It bounds a candidate set by a greedy
+/// cover with cliques of G (an independent set takes at most one vertex
+/// of each): the colouring bound of max-clique search, applied to the
+/// complement.  κ₁ / κ₂ start each neighborhood's search from the maximum
+/// so far, so a neighborhood whose cover cannot beat it stops at the root.
+/// A greedy fallback (lower bound) kicks in beyond a configurable
+/// subproblem size.
 
 #pragma once
 
@@ -36,8 +41,11 @@ namespace urn::graph {
 [[nodiscard]] std::vector<NodeId> greedy_mis_random(const Graph& g, Rng& rng);
 
 /// Exact maximum-independent-set size of the subgraph induced by `nodes`,
-/// via branch and bound.  Intended for neighborhood-sized subproblems.
+/// via branch and bound with the clique-cover bound.  Intended for
+/// neighborhood-sized subproblems.
 /// \pre nodes.size() <= 4096 (bitset-backed).
+/// \pre `nodes` holds distinct ids < g.num_nodes(); a repeated or
+///      out-of-range id throws CheckError (checked in Release too).
 [[nodiscard]] std::uint32_t max_independent_set_size(
     const Graph& g, std::span<const NodeId> nodes);
 

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <span>
@@ -11,6 +13,7 @@
 
 #include "graph/generators.hpp"
 #include "graph/independence.hpp"
+#include "support/check.hpp"
 #include "support/rng.hpp"
 
 namespace urn::graph {
@@ -139,6 +142,83 @@ TEST(ExactMis, AtLeastGreedyOnRandomGraphs) {
   }
 }
 
+TEST(ExactMis, RejectsRepeatedIds) {
+  // A repeated id has no edge to its copy, so it would count twice.
+  const Graph path = path_graph(3);
+  EXPECT_THROW((void)max_independent_set_size(path, std::vector<NodeId>{0, 0}),
+               CheckError);
+  EXPECT_THROW(
+      (void)max_independent_set_size(path, std::vector<NodeId>{1, 1, 1}),
+      CheckError);
+  const Graph clique = complete_graph(4);
+  EXPECT_THROW(
+      (void)max_independent_set_size(clique, std::vector<NodeId>{2, 2}),
+      CheckError);
+}
+
+TEST(ExactMis, RejectsOutOfRangeIds) {
+  const Graph g = path_graph(3);
+  EXPECT_THROW((void)max_independent_set_size(g, std::vector<NodeId>{3}),
+               CheckError);
+  EXPECT_THROW(
+      (void)max_independent_set_size(g, std::vector<NodeId>{0, 1000}),
+      CheckError);
+}
+
+/// α of the subgraph induced by `nodes` (at most 18), by enumerating every
+/// subset: a set is independent if its lowest member has no neighbour in
+/// the rest and the rest is independent.
+std::uint32_t brute_force_mis(const Graph& g,
+                              const std::vector<NodeId>& nodes) {
+  const std::size_t k = nodes.size();
+  std::vector<std::uint32_t> adj(k, 0);
+  for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t j = 0; j < k; ++j) {
+      if (g.has_edge(nodes[i], nodes[j])) adj[i] |= 1u << j;
+    }
+  }
+  std::vector<char> independent(std::size_t{1} << k, 0);
+  independent[0] = 1;
+  std::uint32_t best = 0;
+  for (std::uint32_t mask = 1; mask < (1u << k); ++mask) {
+    const std::uint32_t rest = mask & (mask - 1);
+    const auto low = static_cast<std::size_t>(std::countr_zero(mask));
+    independent[mask] = independent[rest] && (adj[low] & rest) == 0;
+    if (independent[mask]) {
+      best = std::max(best, static_cast<std::uint32_t>(std::popcount(mask)));
+    }
+  }
+  return best;
+}
+
+TEST(ExactMis, MatchesBruteForceOnRandomInducedSubgraphs) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 200; ++trial) {
+    Graph g;
+    switch (trial % 5) {
+      case 0: g = gnp(30, rng.uniform(0.1, 0.5), rng); break;
+      case 1: g = random_udg(100, 5.0, 1.0, rng).graph; break;
+      default:
+        g = random_unit_ball(80, static_cast<std::size_t>(trial % 5 - 1),
+                             3.0, rng)
+                .graph;
+    }
+    // Half the subsets come from one 2-hop neighbourhood (dense), half
+    // from the whole graph (sparse).
+    std::vector<NodeId> pool;
+    if (trial % 2 == 0) {
+      pool = g.two_hop_closed(static_cast<NodeId>(rng.below(g.num_nodes())));
+    } else {
+      pool.resize(g.num_nodes());
+      std::iota(pool.begin(), pool.end(), 0u);
+    }
+    rng.shuffle(pool);
+    pool.resize(std::min<std::size_t>(pool.size(), 1 + rng.below(18)));
+    EXPECT_EQ(max_independent_set_size(g, pool), brute_force_mis(g, pool))
+        << "trial " << trial << ", k = " << pool.size();
+  }
+}
+
 // ----------------------------------------------------------------- kappa --
 
 TEST(Kappa, StarGraph) {
@@ -199,6 +279,69 @@ TEST_P(UbgKappaBounds, DoublingDimensionBound) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Dims, UbgKappaBounds, ::testing::Values(1u, 2u, 3u));
+
+// κ starts each neighbourhood's search from the maximum so far; it must
+// still equal the largest per-neighbourhood exact answer.
+class KappaFloor : public ::testing::TestWithParam<int> {};
+
+TEST_P(KappaFloor, EqualsLargestNeighbourhoodMis) {
+  const int family = GetParam();
+  Rng rng(500 + static_cast<std::uint64_t>(family));
+  Graph g;
+  if (family == 0) {
+    g = random_udg(150, 6.0, 1.0, rng).graph;
+  } else if (family <= 3) {
+    g = random_unit_ball(120, static_cast<std::size_t>(family), 4.0, rng)
+            .graph;
+  } else {
+    g = gnp(60, 0.15, rng);
+  }
+  std::uint32_t one_hop = 0;
+  std::uint32_t two_hop = 0;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    std::vector<NodeId> hood = {v};
+    for (NodeId u : g.neighbors(v)) hood.push_back(u);
+    one_hop = std::max(one_hop, max_independent_set_size(g, hood));
+    two_hop =
+        std::max(two_hop, max_independent_set_size(g, g.two_hop_closed(v)));
+  }
+  const auto k1 = kappa1(g);
+  const auto k2 = kappa2(g);
+  EXPECT_TRUE(k1.exact);
+  EXPECT_TRUE(k2.exact);
+  EXPECT_EQ(k1.value, one_hop);
+  EXPECT_EQ(k2.value, two_hop);
+}
+
+// 0 = UDG, 1–3 = unit ball graph in that dimension, 4 = gnp.
+INSTANTIATE_TEST_SUITE_P(Families, KappaFloor, ::testing::Range(0, 5));
+
+// Exact κ₁/κ₂ of dense n = 256, radius 1.5 UDGs: side 9.5 is the e2_sweep
+// benchmark shape, side 8 the denser one it avoided.  Recorded once with
+// the earlier solver (pruning on the candidate count alone), which took
+// tens of seconds per side-8 graph.
+TEST(Kappa, PinnedDenseUdgValues) {
+  struct Pinned {
+    double side;
+    std::uint64_t seed;
+    std::uint32_t kappa1;
+    std::uint32_t kappa2;
+  };
+  const Pinned pinned[] = {
+      {9.5, 1, 5, 12}, {9.5, 2, 5, 12}, {9.5, 3, 5, 12}, {9.5, 4, 4, 11},
+      {8.0, 1, 5, 12}, {8.0, 2, 5, 12}, {8.0, 3, 5, 13}, {8.0, 4, 5, 12},
+  };
+  for (const Pinned& p : pinned) {
+    Rng rng(p.seed);
+    const auto net = random_udg(256, p.side, 1.5, rng);
+    const auto k1 = kappa1(net.graph);
+    const auto k2 = kappa2(net.graph);
+    EXPECT_EQ(k1.value, p.kappa1) << "side " << p.side << ", seed " << p.seed;
+    EXPECT_EQ(k2.value, p.kappa2) << "side " << p.side << ", seed " << p.seed;
+    EXPECT_TRUE(k1.exact);
+    EXPECT_TRUE(k2.exact);
+  }
+}
 
 TEST(Kappa, SampledNeverExceedsFull) {
   Rng rng(6);
