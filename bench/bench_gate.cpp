@@ -126,13 +126,8 @@ int main(int argc, char** argv) {
         Rng wrng(mix_seed(0xCA7EB, t));
         const auto ws =
             radio::WakeSchedule::uniform(n, 2 * mp.params.threshold(), wrng);
-        const auto run =
-            trace.telemetry != nullptr
-                ? core::run_leader_election_traced(net.graph, mp.params, ws,
-                                                   mix_seed(0xCA7EC, t),
-                                                   leader_opts)
-                : core::run_leader_election(net.graph, mp.params, ws,
-                                            mix_seed(0xCA7EC, t));
+        const auto run = core::run_leader_election_traced(
+            net.graph, mp.params, ws, mix_seed(0xCA7EC, t), leader_opts);
         if (run.all_covered) ++acc.covered;
         acc.ledger.add("leaders", static_cast<double>(run.leaders.size()));
         double max_cover = 0.0;
@@ -156,10 +151,10 @@ int main(int argc, char** argv) {
   leader.emit();
   std::printf("leader election: %zu/%zu fully covered\n", covered, trials);
 
-  // One representative traced run (trial 0's exact seeds) for --trace /
-  // --metrics-out / --monitor experimentation on the gate scenario;
-  // with --explain its in-memory capture is attributed to causes and
-  // lands as `explain.*` keys of BENCH_gate_coloring.json.
+  // One representative traced run (trial 0's exact seeds) for
+  // --trace-bin / --metrics-out / --monitor experimentation on the gate
+  // scenario; with --explain its in-memory capture is attributed to
+  // causes and lands as `explain.*` keys of BENCH_gate_coloring.json.
   if (trace.enabled()) {
     Rng wrng(mix_seed(0xCA7EF, 0));
     const auto ws =

@@ -11,32 +11,18 @@
 ///    `URN_BENCH_CSV` convention of analysis::Table).  Keys are dotted
 ///    paths ("scenario.n", "medium.collisions"), values JSON scalars.
 ///
-///  * `TraceArgs` — the standard `--trace` / `--trace-bin` /
-///    `--trace-bin-ring` / `--metrics-out` / `--metrics-window` /
-///    `--monitor` / `--spans-out` / `--jobs` flag set that lets any
-///    experiment record one representative run as a JSONL and/or compact
-///    binary event log (both for `urn_trace`; the binary one optionally
-///    ring-bounded), a per-window metrics CSV, check the paper's
-///    invariants online (failing the binary with exit 2 on violation),
-///    capture wall-clock span timelines (runner phases + executor
-///    workers) as Chrome trace-event JSON, and fan its trial loops out
-///    across worker threads (`--jobs`, bit-identical results for every
-///    value; the resolved count is recorded as the `jobs` key of
-///    `BENCH_<name>.json`, which the regression diff skips alongside the
-///    `.ns` wall-clock keys).  The `--telemetry-out` / `--telemetry-prom`
-///    / `--telemetry-interval` flags additionally attach the live
-///    telemetry subsystem (obs/telemetry.hpp): engine and pool probes
-///    feed the global registry, and a background snapshotter exports it
-///    as a JSONL time series (`urn_top` tails it) and/or a Prometheus
-///    exposition file while the experiment runs.  The `--postmortem-dir`
-///    / `--checkpoint-every` / `--dump-on-violation` flags add postmortem
-///    checkpointing (obs/postmortem.hpp): the traced run periodically
-///    snapshots complete engine state into a bundle directory, and a
-///    monitored violation captures checkpoint + flight-recorder ring +
-///    monitor report together (inspect/resume with `urn_postmortem`).
-///    The `--explain` flag captures the representative run in memory and
-///    exports its causal latency attribution (obs/explain.hpp) as the
-///    `explain.*` key family of `BENCH_<name>.json` via `explain_emit`.
+///  * `TraceArgs` — the standard observability + execution flag set (see
+///    `parse_trace_args` for the flags and their help).  It records one
+///    representative run as a URNB event log (`urn_trace` reads it;
+///    `--export jsonl:PATH` converts it), a per-window metrics CSV, an
+///    online invariant check (exit 2 on violation), Chrome-trace span
+///    timelines, live telemetry snapshots (obs/telemetry.hpp, `urn_top`),
+///    postmortem bundles (obs/postmortem.hpp, `urn_postmortem`) and the
+///    `explain.*` causal attribution (obs/explain.hpp), and fans trial
+///    loops out over `--jobs` workers with bit-identical results (the
+///    resolved count is the `jobs` key, which the regression diff skips
+///    with the `.ns` wall-clock keys).  Out-of-range counts are rejected
+///    with one `error:` line and exit 2 before any run starts.
 ///
 ///  * `ledger_record` / `ledger_emit` — feed each trial's `RunResult`
 ///    into an `obs::RunLedger` and export the percentile summaries
@@ -149,15 +135,15 @@ class BenchSummary {
     set(prefix + ".all_decided", s.all_decided);
   }
 
-  /// Snapshot the global profile/counter registry under "profile.*",
-  /// and — when a telemetry-enabled run populated it — the global
-  /// telemetry registry under "telemetry.*" (counters, gauges, and
+  /// Snapshot the profile registry (`obs::profile_registry`) under
+  /// "profile.*", and — when a telemetry-enabled run populated it — the
+  /// global telemetry registry under "telemetry.*" (counters, gauges, and
   /// histogram count/sum/p50/p95/max summaries).  The bench regression
   /// diff skips the whole "telemetry." class, like ".ns": telemetry
   /// totals include wall-clock and scheduling-dependent quantities, so
   /// they are reported, never gated on.
   void add_profile() {
-    for (const auto& [k, v] : obs::CounterRegistry::global().snapshot()) {
+    for (const auto& [k, v] : obs::profile_registry().snapshot().counters) {
       set("profile." + k, v);
     }
     const auto& reg = obs::telemetry::Registry::global();
@@ -213,8 +199,7 @@ class BenchSummary {
 /// The standard observability + execution flag set for experiment
 /// binaries.
 struct TraceArgs {
-  std::string trace_path;      ///< --trace: JSONL event log destination
-  std::string trace_bin_path;  ///< --trace-bin: binary event log
+  std::string trace_bin_path;  ///< --trace-bin: URNB event log
   std::size_t bin_ring = 0;    ///< --trace-bin-ring: keep last N (0 = all)
   std::string metrics_path;  ///< --metrics-out: per-window CSV destination
   std::string spans_path;    ///< --spans-out: Chrome-trace span timeline
@@ -283,15 +268,13 @@ struct TraceArgs {
   }
 
   [[nodiscard]] bool enabled() const {
-    return monitor || explain || !trace_path.empty() ||
-           !trace_bin_path.empty() || !metrics_path.empty() ||
-           postmortem().enabled();
+    return monitor || explain || !trace_bin_path.empty() ||
+           !metrics_path.empty() || postmortem().enabled();
   }
   [[nodiscard]] core::TraceOptions options() const {
     core::TraceOptions opts;
     opts.metrics = !metrics_path.empty();
     opts.metrics_window = window;
-    opts.events_jsonl = trace_path;
     opts.events_bin = trace_bin_path;
     opts.bin_ring = bin_ring;
     opts.monitor = monitor;
@@ -307,12 +290,10 @@ struct TraceArgs {
 inline TraceArgs parse_trace_args(int argc, const char* const* argv,
                                   const char* program) {
   CliFlags flags;
-  flags.add_string("trace", "",
-                   "record one representative run as a JSONL event log "
-                   "(analyze with urn_trace)");
   flags.add_string("trace-bin", "",
-                   "record that run as a compact binary event log "
-                   "(urn_trace auto-detects it)");
+                   "record one representative run as a compact binary "
+                   "event log (analyze with urn_trace; --export jsonl:PATH "
+                   "converts it)");
   flags.add_int("trace-bin-ring", 0,
                 "bound the binary log to the last N events "
                 "(flight-recorder mode; 0 = keep everything)");
@@ -361,24 +342,27 @@ inline TraceArgs parse_trace_args(int argc, const char* const* argv,
     std::printf("%s", flags.usage(program).c_str());
     std::exit(0);
   }
+  if (!flags.check_int("jobs", 0, exec::kMaxJobs) ||
+      !flags.check_int("trace-bin-ring", 0) ||
+      !flags.check_int("checkpoint-every", 0) ||
+      !flags.check_int("metrics-window", 1) ||
+      !flags.check_int("telemetry-interval", 1)) {
+    std::fprintf(stderr, "error: %s\n", flags.error().c_str());
+    std::exit(2);
+  }
   TraceArgs args;
-  args.trace_path = flags.get_string("trace");
   args.trace_bin_path = flags.get_string("trace-bin");
-  args.bin_ring = static_cast<std::size_t>(
-      std::max<std::int64_t>(0, flags.get_int("trace-bin-ring")));
+  args.bin_ring = static_cast<std::size_t>(flags.get_int("trace-bin-ring"));
   args.metrics_path = flags.get_string("metrics-out");
   args.spans_path = flags.get_string("spans-out");
-  args.window = std::max<std::int64_t>(1, flags.get_int("metrics-window"));
+  args.window = flags.get_int("metrics-window");
   args.monitor = flags.get_bool("monitor");
-  args.jobs =
-      static_cast<std::size_t>(std::max<std::int64_t>(0, flags.get_int("jobs")));
+  args.jobs = static_cast<std::size_t>(flags.get_int("jobs"));
   args.telemetry_out = flags.get_string("telemetry-out");
   args.telemetry_prom = flags.get_string("telemetry-prom");
-  args.telemetry_interval =
-      std::max<std::int64_t>(1, flags.get_int("telemetry-interval"));
+  args.telemetry_interval = flags.get_int("telemetry-interval");
   args.postmortem_dir = flags.get_string("postmortem-dir");
-  args.checkpoint_every =
-      std::max<std::int64_t>(0, flags.get_int("checkpoint-every"));
+  args.checkpoint_every = flags.get_int("checkpoint-every");
   args.dump_on_violation = flags.get_bool("dump-on-violation");
   args.explain = flags.get_bool("explain");
   if (args.explain) {
@@ -387,8 +371,8 @@ inline TraceArgs parse_trace_args(int argc, const char* const* argv,
   // Fail on unwritable destinations now, not after the (often long)
   // aggregate loops have already run.
   for (const std::string& path :
-       {args.trace_path, args.trace_bin_path, args.metrics_path,
-        args.spans_path, args.telemetry_out, args.telemetry_prom}) {
+       {args.trace_bin_path, args.metrics_path, args.spans_path,
+        args.telemetry_out, args.telemetry_prom}) {
     if (path.empty()) continue;
     std::FILE* f = std::fopen(path.c_str(), "wb");
     if (f == nullptr) {
@@ -450,8 +434,8 @@ inline core::RunResult run_traced(const TraceArgs& args,
                                   radio::MediumOptions medium = {}) {
   const core::RunResult run = core::run_coloring_traced(
       g, params, schedule, seed, args.options(), /*max_slots=*/0, medium);
-  for (const std::string& log : {args.trace_path, args.trace_bin_path}) {
-    if (log.empty()) continue;
+  if (!args.trace_bin_path.empty()) {
+    const std::string& log = args.trace_bin_path;
     std::printf("(trace: %llu events -> %s; validate with "
                 "urn_trace --log %s --kappa2 %u)\n",
                 static_cast<unsigned long long>(run.events_recorded),

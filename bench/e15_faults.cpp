@@ -79,16 +79,12 @@ int main(int argc, char** argv) {
           const auto ws = radio::WakeSchedule::uniform(
               n, 2 * mp.params.threshold(), wrng);
           // --telemetry-* probes every trial (results bit-identical);
-          // the faulty medium flows through both paths unchanged.
+          // without it this is the untraced path, faulty medium and all.
           core::TraceOptions topts;
           topts.telemetry = trace.telemetry;
-          const auto run =
-              trace.telemetry != nullptr
-                  ? core::run_coloring_traced(net.graph, mp.params, ws,
-                                              mix_seed(0xE15A, t), topts, 0,
-                                              medium)
-                  : core::run_coloring(net.graph, mp.params, ws,
-                                       mix_seed(0xE15A, t), 0, medium);
+          const auto run = core::run_coloring_traced(
+              net.graph, mp.params, ws, mix_seed(0xE15A, t), topts, 0,
+              medium);
           if (run.check.valid()) ++acc.valid;
           if (run.all_decided) ++acc.complete;
           acc.mean_t.add(run.mean_latency());
@@ -118,7 +114,7 @@ int main(int argc, char** argv) {
       summary.set(std::string(key) + ".mean_latency", mean_t.mean());
     }
 
-    // --trace / --metrics-out: record trial 0 at drop_p = 0.25, a lossy
+    // --trace-bin / --metrics-out: record trial 0 at drop_p = 0.25, a lossy
     // but fully-absorbed operating point — the log then contains "drop"
     // events for urn_trace to tally.
     if (trace.enabled() && p == 0.25) {

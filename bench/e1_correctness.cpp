@@ -57,9 +57,9 @@ int main(int argc, char** argv) {
     summary.set(prefix + ".mean_latency", agg.mean_latency.mean());
     summary.set(prefix + ".max_latency", agg.max_latency.max());
 
-    // --trace / --metrics-out: re-run trial 0 of the largest size with a
-    // live sink.  Sinks never touch the RNG streams, so this run is
-    // bit-identical to the one aggregated above.
+    // --trace-bin / --metrics-out: re-run trial 0 of the largest size
+    // with a live sink.  Sinks never touch the RNG streams, so this run
+    // is bit-identical to the one aggregated above.
     if (trace.enabled() && n == 512u) {
       const std::uint64_t trial_seed = mix_seed(mix_seed(0xE1F0, n), 0);
       const auto schedule = analysis::uniform_schedule(

@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
     summary.set(prefix + ".mean_latency", agg.mean_latency.mean());
     summary.set(prefix + ".max_latency", agg.max_latency.max());
 
-    // --trace / --metrics-out: record trial 0 of the adversarial
+    // --trace-bin / --metrics-out: record trial 0 of the adversarial
     // wavefront pattern, the most interesting schedule of the set.
     if (trace.enabled() && std::string(p.name) == "wavefront") {
       const std::uint64_t trial_seed = mix_seed(0xE6F0, 0);

@@ -218,30 +218,11 @@ void BM_AwakeScanSoA(benchmark::State& state) {
 }
 BENCHMARK(BM_AwakeScanSoA)->Arg(2048)->Arg(100000);
 
-void BM_EventSinkRecord(benchmark::State& state) {
-  // Raw sink throughput: how fast can a RingSink absorb events.
-  obs::RingSink ring(1 << 12);
-  std::int64_t recorded = 0;
-  for (auto _ : state) {
-    for (obs::Slot s = 0; s < 1024; ++s) {
-      ring.record(obs::Event::transmit(
-          s, static_cast<obs::NodeId>(s & 63),
-          static_cast<std::uint8_t>(obs::MsgCode::kCompete), /*color=*/0,
-          /*counter=*/s));
-    }
-    recorded += 1024;
-    benchmark::DoNotOptimize(ring.recorded());
-  }
-  state.SetItemsProcessed(recorded);
-}
-BENCHMARK(BM_EventSinkRecord);
-
 // ---- trace-capture overhead -----------------------------------------------
 // The BM_Sink* family drives the same synthetic event mix through every
 // sink so items/s compare directly: NullSink is the compiled-out floor,
-// MemorySink the in-memory ceiling, and JsonlSink vs BinSink is the
-// serialization gap that motivates the binary format (the PR gate cites
-// BinSink >= 5x JsonlSink events/s from these numbers).
+// MemorySink the in-memory ceiling, and BinSink (streaming, and its ring
+// as the flight recorder) the cost of the one on-line log format.
 
 /// One protocol-shaped event per call, cycling through the kinds whose
 /// serializations differ most (transmit with value, delivery, phase).
@@ -299,14 +280,6 @@ void BM_SinkMemory(benchmark::State& state) {
   benchmark::DoNotOptimize(sink.size());
 }
 BENCHMARK(BM_SinkMemory);
-
-void BM_SinkJsonl(benchmark::State& state) {
-  obs::JsonlSink sink("m1_sink_bench.jsonl");
-  sink_throughput(state, sink);
-  benchmark::DoNotOptimize(sink.written());
-  std::remove("m1_sink_bench.jsonl");
-}
-BENCHMARK(BM_SinkJsonl);
 
 void BM_SinkBin(benchmark::State& state) {
   obs::BinSink sink("m1_sink_bench.bin");

@@ -125,14 +125,9 @@ CellResult run_cell(const CellSpec& spec, std::size_t reps,
   r.delta = delta;
   for (std::size_t rep = 0; rep < reps; ++rep) {
     const auto t0 = std::chrono::steady_clock::now();
-    const core::RunResult run =
-        telemetry != nullptr
-            ? core::run_coloring_traced(g, params, schedule,
-                                        mix_seed(0x32AC5D, spec.seed), topts,
-                                        spec.max_slots)
-            : core::run_coloring(g, params, schedule,
-                                 mix_seed(0x32AC5D, spec.seed),
-                                 spec.max_slots);
+    const core::RunResult run = core::run_coloring_traced(
+        g, params, schedule, mix_seed(0x32AC5D, spec.seed), topts,
+        spec.max_slots);
     const std::chrono::duration<double> dt =
         std::chrono::steady_clock::now() - t0;
     r.slots_run = static_cast<std::int64_t>(run.medium.slots_run);
@@ -218,11 +213,15 @@ int main(int argc, char** argv) {
     std::printf("%s", flags.usage("m2_macro").c_str());
     return 0;
   }
+  if (!flags.check_int("jobs", 0, exec::kMaxJobs) ||
+      !flags.check_int("telemetry-interval", 1)) {
+    std::fprintf(stderr, "error: %s\n", flags.error().c_str());
+    return 2;
+  }
   const bool smoke = flags.get_bool("smoke");
   const auto reps = static_cast<std::size_t>(
       flags.get_int("reps") > 0 ? flags.get_int("reps") : (smoke ? 1 : 3));
-  const std::size_t jobs = static_cast<std::size_t>(
-      std::max<std::int64_t>(0, flags.get_int("jobs")));
+  const auto jobs = static_cast<std::size_t>(flags.get_int("jobs"));
   const std::string filter = flags.get_string("filter");
 
   bench::banner("M2", "whole-run engine throughput in node-slots/s "
@@ -272,8 +271,8 @@ int main(int argc, char** argv) {
     obs::telemetry::SnapshotterOptions sopts;
     sopts.jsonl_path = telemetry_out;
     sopts.prom_path = telemetry_prom;
-    sopts.interval_ms = static_cast<std::uint64_t>(
-        std::max<std::int64_t>(1, flags.get_int("telemetry-interval")));
+    sopts.interval_ms =
+        static_cast<std::uint64_t>(flags.get_int("telemetry-interval"));
     if (progress) {
       const std::size_t total_cells = grid.size();
       sopts.on_snapshot = [total_cells](

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/experiment.hpp"
@@ -28,6 +29,16 @@
 #include "support/stats.hpp"
 
 namespace {
+
+constexpr const char* kTopologies = "udg | grid | clustered | obstacles";
+constexpr const char* kWakes =
+    "sync | uniform | sequential | poisson | wavefront";
+
+/// True when `value` is one of the names in `choices` ("a | b | c").
+bool is_choice(const std::string& value, const std::string& choices) {
+  return !value.empty() && value.find_first_of(" |") == std::string::npos &&
+         (" " + choices + " ").find(" " + value + " ") != std::string::npos;
+}
 
 urn::graph::GeometricGraph build_topology(const urn::CliFlags& flags,
                                           urn::Rng& rng) {
@@ -90,11 +101,9 @@ int main(int argc, char** argv) {
   flags.add_int("n", 200, "number of nodes");
   flags.add_double("side", 10.0, "field side length");
   flags.add_double("radius", 1.5, "transmission radius");
-  flags.add_string("topology", "udg",
-                   "udg | grid | clustered | obstacles");
+  flags.add_string("topology", "udg", kTopologies);
   flags.add_int("walls", 30, "wall count for --topology obstacles");
-  flags.add_string("wake", "uniform",
-                   "sync | uniform | sequential | poisson | wavefront");
+  flags.add_string("wake", "uniform", kWakes);
   flags.add_int("trials", 1, "independent trials to run");
   flags.add_int("jobs", 1,
                 "worker threads for the trial loop (0 = all hardware "
@@ -105,11 +114,9 @@ int main(int argc, char** argv) {
   flags.add_double("scale", 1.0, "scale factor on the protocol constants");
   flags.add_bool("tdma", false, "derive and audit a TDMA schedule");
   flags.add_bool("verbose", false, "per-trial details");
-  flags.add_string("trace", "",
-                   "record trial 0 as a JSONL event log (see urn_trace)");
   flags.add_string("trace-bin", "",
-                   "record trial 0 as a compact binary event log "
-                   "(urn_trace auto-detects the format)");
+                   "record trial 0 as a compact binary event log (see "
+                   "urn_trace; --export jsonl:PATH converts it)");
   flags.add_int("trace-bin-ring", 0,
                 "bound the binary log to the most recent N events "
                 "(0 = keep every event)");
@@ -148,6 +155,28 @@ int main(int argc, char** argv) {
     std::printf("%s", flags.usage("urn_sim").c_str());
     return 0;
   }
+  // Hostile counts and names fail here, before any allocation or run.
+  if (!flags.check_int("n", 1,
+                       static_cast<std::int64_t>(
+                           radio::AlignedMedium::kMaxNodes)) ||
+      !flags.check_int("walls", 0) || !flags.check_int("trials", 1) ||
+      !flags.check_int("jobs", 0, exec::kMaxJobs) ||
+      !flags.check_int("trace-bin-ring", 0) ||
+      !flags.check_int("metrics-window", 1) ||
+      !flags.check_int("telemetry-interval", 1) ||
+      !flags.check_int("checkpoint-every", 0)) {
+    std::fprintf(stderr, "error: %s\n", flags.error().c_str());
+    return 2;
+  }
+  for (const auto& [flag, choices] :
+       {std::pair{"topology", kTopologies}, std::pair{"wake", kWakes}}) {
+    const std::string value = flags.get_string(flag);
+    if (!is_choice(value, choices)) {
+      std::fprintf(stderr, "error: unknown --%s %s (expected %s)\n", flag,
+                   value.c_str(), choices);
+      return 2;
+    }
+  }
 
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   Rng rng(seed);
@@ -172,19 +201,15 @@ int main(int argc, char** argv) {
               static_cast<long long>(params.threshold()));
 
   core::TraceOptions trace;
-  trace.events_jsonl = flags.get_string("trace");
   trace.events_bin = flags.get_string("trace-bin");
-  trace.bin_ring = static_cast<std::size_t>(
-      std::max<std::int64_t>(0, flags.get_int("trace-bin-ring")));
+  trace.bin_ring = static_cast<std::size_t>(flags.get_int("trace-bin-ring"));
   trace.metrics = !flags.get_string("metrics-out").empty();
-  trace.metrics_window =
-      std::max<std::int64_t>(1, flags.get_int("metrics-window"));
+  trace.metrics_window = flags.get_int("metrics-window");
   // Postmortem bundles: each trial writes its own subdirectory
   // (<dir>/trialNNNN) so the parallel trial loop never shares files.
   core::PostmortemOptions postmortem;
   postmortem.dir = flags.get_string("postmortem-dir");
-  postmortem.checkpoint_every =
-      std::max<std::int64_t>(0, flags.get_int("checkpoint-every"));
+  postmortem.checkpoint_every = flags.get_int("checkpoint-every");
   postmortem.dump_on_violation = flags.get_bool("dump-on-violation");
   if (postmortem.dir.empty() &&
       (postmortem.checkpoint_every > 0 || postmortem.dump_on_violation)) {
@@ -192,12 +217,11 @@ int main(int argc, char** argv) {
   }
   const bool monitor =
       flags.get_bool("monitor") || postmortem.dump_on_violation;
-  const bool tracing =
-      trace.metrics || !trace.events_jsonl.empty() || !trace.events_bin.empty();
+  const bool tracing = trace.metrics || !trace.events_bin.empty();
   // Reject unwritable destinations up front rather than aborting mid-run.
   for (const std::string& path :
-       {trace.events_jsonl, trace.events_bin,
-        flags.get_string("metrics-out"), flags.get_string("telemetry-out"),
+       {trace.events_bin, flags.get_string("metrics-out"),
+        flags.get_string("telemetry-out"),
         flags.get_string("telemetry-prom")}) {
     if (path.empty()) continue;
     std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -214,8 +238,7 @@ int main(int argc, char** argv) {
   }
 
   const auto trials = static_cast<std::size_t>(flags.get_int("trials"));
-  const auto jobs = static_cast<std::size_t>(
-      std::max<std::int64_t>(0, flags.get_int("jobs")));
+  const auto jobs = static_cast<std::size_t>(flags.get_int("jobs"));
   const bool verbose = flags.get_bool("verbose");
 
   // Live telemetry: every trial runs with an engine probe feeding the
@@ -235,8 +258,8 @@ int main(int argc, char** argv) {
     obs::telemetry::SnapshotterOptions sopts;
     sopts.jsonl_path = telemetry_out;
     sopts.prom_path = telemetry_prom;
-    sopts.interval_ms = static_cast<std::uint64_t>(
-        std::max<std::int64_t>(1, flags.get_int("telemetry-interval")));
+    sopts.interval_ms =
+        static_cast<std::uint64_t>(flags.get_int("telemetry-interval"));
     snapshotter.emplace(*telemetry, sopts);
   }
 
@@ -264,9 +287,10 @@ int main(int argc, char** argv) {
       [&](SimPartial& acc, std::size_t t) {
         Rng wrng(mix_seed(seed, 1000 + t));
         const auto schedule = build_wake(flags, net, params, wrng);
-        // Trial 0 carries the trace/metrics sinks; --monitor and
-        // --telemetry-* apply to every trial.  Sinks and probes never
-        // touch the RNG streams, so traced and monitored runs are
+        // Trial 0 carries the log/metrics; --monitor, --telemetry-* and
+        // the postmortem bundles apply to every trial, and with none of
+        // them run_coloring_traced is the untraced run.  Observers and
+        // probes never touch the RNG streams, so every trial is
         // bit-identical to what run_coloring would have produced.
         core::TraceOptions topts =
             (tracing && t == 0) ? trace : core::TraceOptions{};
@@ -278,14 +302,8 @@ int main(int argc, char** argv) {
               postmortem.dir + "/" + exec::trial_tag(t);
           topts.postmortem.trial = t;
         }
-        const bool use_traced = monitor || telemetry != nullptr ||
-                                postmortem.enabled() || (tracing && t == 0);
-        const auto run =
-            use_traced
-                ? core::run_coloring_traced(net.graph, params, schedule,
-                                            mix_seed(seed, t), topts)
-                : core::run_coloring(net.graph, params, schedule,
-                                     mix_seed(seed, t));
+        const auto run = core::run_coloring_traced(
+            net.graph, params, schedule, mix_seed(seed, t), topts);
         if (run.monitor.has_value()) {
           acc.monitored_events += run.monitor->events_seen;
           if (!run.monitor->ok() && !acc.violation.has_value()) {
@@ -356,11 +374,10 @@ int main(int argc, char** argv) {
   }
   if (tracing && sim.trial0.has_value()) {
     const core::RunResult& run = *sim.trial0;
-    for (const std::string& out : {trace.events_jsonl, trace.events_bin}) {
-      if (out.empty()) continue;
+    if (!trace.events_bin.empty()) {
       std::printf("(trace: %llu events -> %s)\n",
                   static_cast<unsigned long long>(run.events_recorded),
-                  out.c_str());
+                  trace.events_bin.c_str());
     }
     if (run.series.has_value()) {
       const std::string out = flags.get_string("metrics-out");

@@ -109,8 +109,6 @@ CoreAggregate run_core_trials(const graph::Graph& g,
   core::TraceOptions topts;
   topts.monitor = exec.monitor;
   topts.telemetry = exec.telemetry;
-  const bool traced = exec.monitor || exec.telemetry != nullptr ||
-                      exec.postmortem.enabled();
   // One pool probe for the whole trial loop; per-run engine probes are
   // constructed inside run_coloring_traced (worker-local, like the
   // monitor sink — sharded counters make the shared registry safe).
@@ -125,11 +123,11 @@ CoreAggregate run_core_trials(const graph::Graph& g,
       [&](CoreAggregate& agg, std::size_t t) {
         const std::uint64_t trial_seed = mix_seed(seed0, t);
         const radio::WakeSchedule schedule = schedules(trial_seed);
-        // Monitored trials run on the sink-templated engine path; the
-        // monitor sink is constructed per trial, so all monitor state is
-        // worker-local.  Either way the RunResult is bit-identical.
-        // Postmortem trials redirect their bundle into a per-trial
-        // subdirectory so concurrent workers never share files.
+        // All options off is the untraced path; a monitored trial's
+        // observer is per trial, so monitor state is worker-local, and
+        // the RunResult is bit-identical either way.  Postmortem trials
+        // redirect their bundle into a per-trial subdirectory so
+        // concurrent workers never share files.
         core::TraceOptions trial_topts = topts;
         if (exec.postmortem.enabled()) {
           trial_topts.postmortem = exec.postmortem;
@@ -137,13 +135,10 @@ CoreAggregate run_core_trials(const graph::Graph& g,
               exec.postmortem.dir + "/" + exec::trial_tag(t);
           trial_topts.postmortem.trial = t;
         }
-        const core::RunResult run =
-            traced ? core::run_coloring_traced(g, params, schedule,
-                                               trial_seed, trial_topts,
-                                               exec.max_slots)
-                   : core::run_coloring(g, params, schedule, trial_seed,
-                                        exec.max_slots);
-        record_run(agg, run, t);
+        record_run(agg,
+                   core::run_coloring_traced(g, params, schedule, trial_seed,
+                                             trial_topts, exec.max_slots),
+                   t);
       },
       [](CoreAggregate& into, CoreAggregate&& part) { into.merge(part); });
 }
@@ -264,7 +259,6 @@ LeaderAggregate run_leader_trials(const graph::Graph& g,
   core::TraceOptions topts;
   topts.monitor = exec.monitor;
   topts.telemetry = exec.telemetry;
-  const bool traced = exec.monitor || exec.telemetry != nullptr;
   std::optional<obs::telemetry::PoolProbe> pool_probe;
   if (exec.telemetry != nullptr) {
     pool_probe.emplace(*exec.telemetry, exec::resolve_jobs(exec.jobs));
@@ -277,12 +271,9 @@ LeaderAggregate run_leader_trials(const graph::Graph& g,
         const std::uint64_t trial_seed = mix_seed(seed0, t);
         const radio::WakeSchedule schedule = schedules(trial_seed);
         record_leader_run(
-            agg, traced ? core::run_leader_election_traced(
-                              g, params, schedule, trial_seed, topts,
-                              exec.max_slots)
-                        : core::run_leader_election(g, params, schedule,
-                                                    trial_seed,
-                                                    exec.max_slots));
+            agg, core::run_leader_election_traced(g, params, schedule,
+                                                  trial_seed, topts,
+                                                  exec.max_slots));
       },
       [](LeaderAggregate& into, LeaderAggregate&& part) {
         into.merge(part);

@@ -7,6 +7,7 @@
 #include "core/checkpoint.hpp"
 #include "obs/bintrace.hpp"
 #include "obs/profile.hpp"
+#include "obs/postmortem.hpp"
 #include "obs/sink.hpp"
 #include "obs/telemetry.hpp"
 #include "support/check.hpp"
@@ -39,18 +40,18 @@ Slot default_slot_budget(const Params& params,
 
 namespace {
 
-/// The one shared execution path: build nodes, run the (sink-templated)
-/// engine, extract everything the experiments need.  `run_coloring` calls
-/// this with the zero-overhead NullSink instantiation; the traced variant
-/// with a real sink.
-template <obs::EventSink S,
-          typename T = obs::telemetry::NullEngineProbe,
-          typename C = obs::postmortem::NullCheckpointer>
+namespace pm = obs::postmortem;
+
+/// The one shared execution path: build nodes, run the engine, extract
+/// everything the experiments need.  `S` is the run's observer (the
+/// zero-overhead NullSink when untraced), `T` the telemetry probe.
+template <obs::EventSink S = obs::NullSink,
+          typename T = obs::telemetry::NullEngineProbe>
 RunResult run_impl(const graph::Graph& g, const Params& params,
                    const radio::WakeSchedule& schedule, std::uint64_t seed,
-                   Slot max_slots, radio::MediumOptions medium, S* sink,
-                   obs::SpanSink* spans = nullptr, T* probe = nullptr,
-                   C* ckpt = nullptr) {
+                   Slot max_slots, radio::MediumOptions medium,
+                   S* sink = nullptr, obs::SpanSink* spans = nullptr,
+                   T* probe = nullptr) {
   params.validate();
   URN_CHECK(schedule.size() == g.num_nodes());
   if (max_slots == 0) max_slots = default_slot_budget(params, schedule);
@@ -62,15 +63,10 @@ RunResult run_impl(const graph::Graph& g, const Params& params,
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
     nodes.emplace_back(&params, v);
   }
-  radio::Engine<ColoringNode, S, T, C> engine(g, schedule, std::move(nodes),
-                                              seed, medium, sink);
+  using Engine = radio::Engine<ColoringNode, S, T>;
+  Engine engine(g, schedule, std::move(nodes), seed, medium, sink);
   engine.set_span_sink(spans);
-  if constexpr (T::kEnabled) {
-    engine.set_telemetry(probe);
-  }
-  if constexpr (C::kEnabled) {
-    engine.set_checkpointer(ckpt);
-  }
+  engine.set_telemetry(probe);
   const radio::RunStats stats = engine.run(max_slots);
 
   // The extraction lives in harvest_coloring so the checkpoint-resume
@@ -80,8 +76,7 @@ RunResult run_impl(const graph::Graph& g, const Params& params,
   if constexpr (T::kEnabled) {
     if (probe != nullptr) {
       for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-        if (engine.decision_slot(v) !=
-            radio::Engine<ColoringNode, S, T, C>::kUndecided) {
+        if (engine.decision_slot(v) != Engine::kUndecided) {
           probe->record_decision_latency(
               static_cast<std::uint64_t>(engine.decision_latency(v)));
         }
@@ -89,30 +84,28 @@ RunResult run_impl(const graph::Graph& g, const Params& params,
     }
   }
 
-  // Thread-safe `add`: run_impl executes concurrently under the trial
+  // Sharded counters: run_impl executes concurrently under the trial
   // executor (exec::parallel_for_trials).
-  auto& counters = obs::CounterRegistry::global();
-  counters.add("core.run_coloring.runs", 1);
-  counters.add("core.run_coloring.slots",
-               static_cast<std::uint64_t>(stats.slots_run));
-  counters.add("core.run_coloring.node_slots",
-               static_cast<std::uint64_t>(stats.slots_run) * g.num_nodes());
+  auto& profile_counters = obs::profile_registry();
+  profile_counters.counter("core.run_coloring.runs").add(1);
+  profile_counters.counter("core.run_coloring.slots")
+      .add(static_cast<std::uint64_t>(stats.slots_run));
+  profile_counters.counter("core.run_coloring.node_slots")
+      .add(static_cast<std::uint64_t>(stats.slots_run) * g.num_nodes());
   return result;
 }
 
 /// Run only the first stage (leader election + cluster association) on
-/// the same sink-templated engine path as `run_impl`: identical node
-/// construction, medium options and event emission — only the stopping
-/// rule differs (manual stepping until every node is covered).
-template <obs::EventSink S,
+/// the same engine path as `run_impl`: identical node construction,
+/// medium options and event emission — only the stopping rule differs
+/// (manual stepping until every node is covered).
+template <obs::EventSink S = obs::NullSink,
           typename T = obs::telemetry::NullEngineProbe>
-LeaderElectionResult leader_election_impl(const graph::Graph& g,
-                                          const Params& params,
-                                          const radio::WakeSchedule& schedule,
-                                          std::uint64_t seed, Slot max_slots,
-                                          radio::MediumOptions medium, S* sink,
-                                          obs::SpanSink* spans = nullptr,
-                                          T* probe = nullptr) {
+LeaderElectionResult leader_election_impl(
+    const graph::Graph& g, const Params& params,
+    const radio::WakeSchedule& schedule, std::uint64_t seed, Slot max_slots,
+    radio::MediumOptions medium, S* sink = nullptr,
+    obs::SpanSink* spans = nullptr, T* probe = nullptr) {
   params.validate();
   URN_CHECK(schedule.size() == g.num_nodes());
   if (max_slots == 0) max_slots = default_slot_budget(params, schedule);
@@ -127,8 +120,8 @@ LeaderElectionResult leader_election_impl(const graph::Graph& g,
   radio::Engine<ColoringNode, S, T> engine(g, schedule, std::move(nodes),
                                            seed, medium, sink);
   engine.set_span_sink(spans);
+  engine.set_telemetry(probe);
   if constexpr (T::kEnabled) {
-    engine.set_telemetry(probe);
     // Step()-driven loop below: run()'s automatic probe bracketing never
     // fires, so bracket the run here.
     if (probe != nullptr) probe->begin_run();
@@ -177,103 +170,120 @@ LeaderElectionResult leader_election_impl(const graph::Graph& g,
     if (probe != nullptr) probe->end_run();
   }
 
-  auto& counters = obs::CounterRegistry::global();
-  counters.add("core.run_leader_election.runs", 1);
-  counters.add("core.run_leader_election.slots",
-               static_cast<std::uint64_t>(result.medium.slots_run));
+  auto& profile_counters = obs::profile_registry();
+  profile_counters.counter("core.run_leader_election.runs").add(1);
+  profile_counters.counter("core.run_leader_election.slots")
+      .add(static_cast<std::uint64_t>(result.medium.slots_run));
   return result;
 }
 
-/// The sink stack every traced entry point shares: metrics + JSONL +
-/// binary log + online monitor + caller-owned memory capture, each
-/// optional, fanned out through nested TeeSinks.
-struct TraceSinks {
-  using Inner = obs::TeeSink<obs::MetricsSink, obs::JsonlSink>;
-  using Mid = obs::TeeSink<Inner, obs::BinSink>;
-  using Tee = obs::TeeSink<Mid, obs::InvariantMonitorSink>;
-  using Outer = obs::TeeSink<Tee, obs::MemorySink>;
+/// The run's one observer: the engine's event sink on every traced run.
+/// It fans each event out to what `trace` asked for — the metrics
+/// series, the URNB log, the invariant monitor and the caller's memory
+/// capture — and, on postmortem runs, forwards the engine's tick hook to
+/// the checkpointer and registers the log's crash flush.
+class RunObserver {
+ public:
+  static constexpr bool kEnabled = true;
 
-  obs::MetricsSink metrics;
-  std::optional<obs::JsonlSink> jsonl;
-  std::optional<obs::BinSink> bin;
-  std::optional<obs::InvariantMonitorSink> monitor;
-  std::optional<Inner> inner;
-  std::optional<Mid> mid;
-  std::optional<Tee> tee;
-  std::optional<Outer> outer;
-
-  /// Destructor-path flush: a traced runner that exits early (slot-budget
-  /// exhaustion mid-harvest, an exception from a protocol callback) must
-  /// not leave buffered tail events unwritten.  `finish_into` flushes the
-  /// same sinks first on the normal path, so this is an idempotent no-op
-  /// there.
-  ~TraceSinks() {
-    if (jsonl) jsonl->flush();
-    if (bin) bin->flush();
-  }
-
-  TraceSinks(const graph::Graph& g, const Params& params,
-             const radio::WakeSchedule& schedule, const TraceOptions& trace)
-      : metrics(trace.metrics_window) {
-    if (!trace.events_jsonl.empty()) {
-      jsonl.emplace(trace.events_jsonl);
-      URN_CHECK_MSG(jsonl->ok(),
-                    "traced run: cannot open " << trace.events_jsonl);
-    }
+  RunObserver(const graph::Graph& g, const Params& params,
+              const radio::WakeSchedule& schedule, const TraceOptions& trace,
+              pm::Checkpointer* ckpt)
+      : memory_(trace.memory), ckpt_(ckpt) {
+    if (trace.metrics) metrics_.emplace(trace.metrics_window);
     if (!trace.events_bin.empty()) {
-      bin.emplace(trace.events_bin, trace.bin_ring);
-      URN_CHECK_MSG(bin->ok(),
+      bin_.emplace(trace.events_bin, trace.bin_ring);
+      URN_CHECK_MSG(bin_->ok(),
                     "traced run: cannot open " << trace.events_bin);
     }
     if (trace.monitor) {
-      monitor.emplace(make_monitor_config(g, params, schedule));
+      monitor_.emplace(make_monitor_config(g, params, schedule));
     }
-    inner.emplace(trace.metrics ? &metrics : nullptr,
-                  jsonl ? &*jsonl : nullptr);
-    mid.emplace(&*inner, bin ? &*bin : nullptr);
-    tee.emplace(&*mid, monitor ? &*monitor : nullptr);
-    outer.emplace(&*tee, trace.memory);
+    if (ckpt_ != nullptr && bin_) {
+      pm::set_crash_flush(
+          [](void* arg) { static_cast<obs::BinSink*>(arg)->flush(); },
+          &*bin_);
+    }
+  }
+  RunObserver(const RunObserver&) = delete;
+  RunObserver& operator=(const RunObserver&) = delete;
+  // The crash handler must not reach a destroyed log; BinSink's own
+  // destructor persists the tail of a run that exits early.
+  ~RunObserver() {
+    if (ckpt_ != nullptr && bin_) pm::set_crash_flush(nullptr, nullptr);
   }
 
-  /// Harvest the artifacts into a result that carries the shared
-  /// `series` / `events_recorded` / `monitor` fields, and account the
-  /// tracing overhead under `trace.overhead.*` (deterministic event /
-  /// byte counts; final-flush wall clock lands under `.ns` keys, which
-  /// the bench regression diff ignores).
-  /// True when `trace` requests no event-consuming sink at all — the
-  /// telemetry-only case, which runs on the NullSink engine instantiation
-  /// (probe only, zero event overhead).
-  static bool event_free(const TraceOptions& trace) {
-    return !trace.metrics && trace.events_jsonl.empty() &&
-           trace.events_bin.empty() && !trace.monitor &&
-           trace.memory == nullptr;
+  void record(const obs::Event& e) {
+    if (metrics_) metrics_->record(e);
+    if (bin_) bin_->record(e);
+    if (monitor_) monitor_->record(e);
+    if (memory_ != nullptr) memory_->record(e);
+  }
+  void flush() {
+    if (bin_) bin_->flush();
   }
 
-  template <typename Result>
-  void finish_into(Result& result, Slot slots_run,
-                   const TraceOptions& trace) {
-    if (trace.metrics) result.series = metrics.finish(slots_run);
-    auto& counters = obs::CounterRegistry::global();
-    if (jsonl || bin) {
-      obs::ProfileScope flush_scope("trace.overhead.flush");
-      if (jsonl) jsonl->flush();
-      if (bin) bin->flush();
-    }
-    if (jsonl) {
-      result.events_recorded = jsonl->written();
-      counters.add("trace.overhead.jsonl.events", jsonl->written());
-      counters.add("trace.overhead.jsonl.bytes", jsonl->bytes());
-    }
-    if (bin) {
-      result.events_recorded = bin->written();
-      counters.add("trace.overhead.bin.events", bin->written());
-      counters.add("trace.overhead.bin.bytes", bin->bytes());
-    }
-    if (monitor) result.monitor = monitor->report();
+  template <typename Engine>
+  void on_tick(const Engine& engine, Slot tick) {
+    if (ckpt_ != nullptr) ckpt_->maybe_checkpoint(engine, tick);
   }
+
+  /// Harvest the artifacts of a run that lasted `slots_run` slots, and
+  /// account the log's cost under `trace.overhead.*` (deterministic event
+  /// / byte counts; the final flush's wall clock lands under `.ns` keys,
+  /// which the bench regression diff ignores).
+  void finish_into(TraceArtifacts& result, Slot slots_run) {
+    if (metrics_) result.series = metrics_->finish(slots_run);
+    if (bin_) {
+      {
+        obs::ProfileScope flush_scope("trace.overhead.flush");
+        bin_->flush();
+      }
+      result.events_recorded = bin_->written();
+      auto& profile_counters = obs::profile_registry();
+      profile_counters.counter("trace.overhead.bin.events")
+          .add(bin_->written());
+      profile_counters.counter("trace.overhead.bin.bytes").add(bin_->bytes());
+    }
+    if (monitor_) result.monitor = monitor_->report();
+  }
+
+ private:
+  std::optional<obs::MetricsSink> metrics_;
+  std::optional<obs::BinSink> bin_;
+  std::optional<obs::InvariantMonitorSink> monitor_;
+  obs::MemorySink* memory_;
+  pm::Checkpointer* ckpt_;
 };
 
-namespace pm = obs::postmortem;
+/// The one dispatch from `trace` to an engine instantiation, shared by
+/// the coloring, leader-election and postmortem paths: `impl(sink, probe)`
+/// gets a `RunObserver` only when `trace` asks for events or spans or
+/// `ckpt` is given, and an `EngineProbe` only when `trace.telemetry`
+/// names a registry.  All off is the untraced NullSink path; telemetry
+/// alone keeps it, so a probed sweep runs at untraced speed.
+template <typename Impl>
+auto run_observed(const graph::Graph& g, const Params& params,
+                  const radio::WakeSchedule& schedule,
+                  const TraceOptions& trace, pm::Checkpointer* ckpt,
+                  Impl&& impl) {
+  auto with_probe = [&](auto* sink) {
+    if (trace.telemetry == nullptr) {
+      return impl(sink,
+                  static_cast<obs::telemetry::NullEngineProbe*>(nullptr));
+    }
+    obs::telemetry::EngineProbe probe(*trace.telemetry);
+    return impl(sink, &probe);
+  };
+  const bool observed = ckpt != nullptr || trace.metrics ||
+                        !trace.events_bin.empty() || trace.monitor ||
+                        trace.memory != nullptr || trace.spans != nullptr;
+  if (!observed) return with_probe(static_cast<obs::NullSink*>(nullptr));
+  RunObserver observer(g, params, schedule, trace, ckpt);
+  auto result = with_probe(&observer);
+  observer.finish_into(result, result.medium.slots_run);
+  return result;
+}
 
 /// Render the bundle's `manifest.json`: run identity, scenario shape, and
 /// which files the bundle contains.
@@ -314,6 +324,7 @@ std::string manifest_json(const PostmortemOptions& po,
 /// bundle directory, a flight-recorder ring there by default, a crash
 /// handler armed for the duration of the run, a manifest always, and the
 /// full bundle (monitor + telemetry snapshots) on invariant violation.
+/// The run itself is the shared dispatch with the checkpointer attached.
 RunResult run_coloring_postmortem(const graph::Graph& g, const Params& params,
                                   const radio::WakeSchedule& schedule,
                                   std::uint64_t seed,
@@ -342,28 +353,13 @@ RunResult run_coloring_postmortem(const graph::Graph& g, const Params& params,
                         pm::EngineKind::kAligned, po.checkpoint_every,
                         render_scenario(scenario));
 
-  TraceSinks sinks(g, params, schedule, local);
   pm::arm_crash_handler(po.dir);
-  if (sinks.bin) {
-    pm::set_crash_flush(
-        [](void* arg) { static_cast<obs::BinSink*>(arg)->flush(); },
-        &*sinks.bin);
-  }
-
-  RunResult result;
-  if (local.telemetry != nullptr) {
-    obs::telemetry::EngineProbe probe(*local.telemetry);
-    result = run_impl(g, params, schedule, seed, max_slots, medium,
-                      &*sinks.outer, local.spans, &probe, &ckpt);
-  } else {
-    result = run_impl<typename TraceSinks::Outer,
-                      obs::telemetry::NullEngineProbe, pm::Checkpointer>(
-        g, params, schedule, seed, max_slots, medium, &*sinks.outer,
-        local.spans, nullptr, &ckpt);
-  }
-  pm::set_crash_flush(nullptr, nullptr);
+  RunResult result = run_observed(
+      g, params, schedule, local, &ckpt, [&](auto* sink, auto* probe) {
+        return run_impl(g, params, schedule, seed, max_slots, medium, sink,
+                        local.spans, probe);
+      });
   pm::disarm_crash_handler();
-  sinks.finish_into(result, result.medium.slots_run, local);
   URN_CHECK_MSG(!ckpt.failed(),
                 "postmortem: checkpoint write failed under " << po.dir);
 
@@ -411,8 +407,7 @@ RunResult run_coloring(const graph::Graph& g, const Params& params,
                        const radio::WakeSchedule& schedule,
                        std::uint64_t seed, Slot max_slots,
                        radio::MediumOptions medium) {
-  return run_impl<obs::NullSink>(g, params, schedule, seed, max_slots,
-                                 medium, nullptr);
+  return run_impl(g, params, schedule, seed, max_slots, medium);
 }
 
 RunResult run_coloring_traced(const graph::Graph& g, const Params& params,
@@ -423,27 +418,11 @@ RunResult run_coloring_traced(const graph::Graph& g, const Params& params,
     return run_coloring_postmortem(g, params, schedule, seed, trace,
                                    max_slots, medium);
   }
-  if (trace.telemetry != nullptr) {
-    obs::telemetry::EngineProbe probe(*trace.telemetry);
-    if (TraceSinks::event_free(trace)) {
-      // Telemetry-only: probe on the NullSink instantiation — no event
-      // construction, no sink fan-out, untraced throughput.
-      return run_impl<obs::NullSink, obs::telemetry::EngineProbe>(
-          g, params, schedule, seed, max_slots, medium, nullptr,
-          trace.spans, &probe);
-    }
-    TraceSinks sinks(g, params, schedule, trace);
-    RunResult result =
-        run_impl(g, params, schedule, seed, max_slots, medium, &*sinks.outer,
-                 trace.spans, &probe);
-    sinks.finish_into(result, result.medium.slots_run, trace);
-    return result;
-  }
-  TraceSinks sinks(g, params, schedule, trace);
-  RunResult result = run_impl(g, params, schedule, seed, max_slots, medium,
-                              &*sinks.outer, trace.spans);
-  sinks.finish_into(result, result.medium.slots_run, trace);
-  return result;
+  return run_observed(
+      g, params, schedule, trace, nullptr, [&](auto* sink, auto* probe) {
+        return run_impl(g, params, schedule, seed, max_slots, medium, sink,
+                        trace.spans, probe);
+      });
 }
 
 LeaderElectionResult run_leader_election(const graph::Graph& g,
@@ -451,35 +430,18 @@ LeaderElectionResult run_leader_election(const graph::Graph& g,
                                          const radio::WakeSchedule& schedule,
                                          std::uint64_t seed, Slot max_slots,
                                          radio::MediumOptions medium) {
-  return leader_election_impl<obs::NullSink>(g, params, schedule, seed,
-                                             max_slots, medium, nullptr);
+  return leader_election_impl(g, params, schedule, seed, max_slots, medium);
 }
 
 LeaderElectionResult run_leader_election_traced(
     const graph::Graph& g, const Params& params,
     const radio::WakeSchedule& schedule, std::uint64_t seed,
     const TraceOptions& trace, Slot max_slots, radio::MediumOptions medium) {
-  if (trace.telemetry != nullptr) {
-    obs::telemetry::EngineProbe probe(*trace.telemetry);
-    if (TraceSinks::event_free(trace)) {
-      return leader_election_impl<obs::NullSink,
-                                  obs::telemetry::EngineProbe>(
-          g, params, schedule, seed, max_slots, medium, nullptr,
-          trace.spans, &probe);
-    }
-    TraceSinks sinks(g, params, schedule, trace);
-    LeaderElectionResult result =
-        leader_election_impl(g, params, schedule, seed, max_slots, medium,
-                             &*sinks.outer, trace.spans, &probe);
-    sinks.finish_into(result, result.medium.slots_run, trace);
-    return result;
-  }
-  TraceSinks sinks(g, params, schedule, trace);
-  LeaderElectionResult result = leader_election_impl(
-      g, params, schedule, seed, max_slots, medium, &*sinks.outer,
-      trace.spans);
-  sinks.finish_into(result, result.medium.slots_run, trace);
-  return result;
+  return run_observed(
+      g, params, schedule, trace, nullptr, [&](auto* sink, auto* probe) {
+        return leader_election_impl(g, params, schedule, seed, max_slots,
+                                    medium, sink, trace.spans, probe);
+      });
 }
 
 LocalityReport check_locality(const graph::Graph& g,

@@ -28,8 +28,19 @@
 
 namespace urn::core {
 
+/// What a traced run's observer leaves on its result.
+struct TraceArtifacts {
+  /// Per-window medium/protocol time series; only populated with
+  /// `TraceOptions::metrics` set.
+  std::optional<obs::TimeSeries> series;
+  /// Events streamed to the URNB log (`events_bin`; 0 without one).
+  std::uint64_t events_recorded = 0;
+  /// Online invariant report; only populated with `TraceOptions::monitor`.
+  std::optional<obs::MonitorReport> monitor;
+};
+
 /// Everything measured in a single protocol execution.
-struct RunResult {
+struct RunResult : TraceArtifacts {
   /// Final colors (graph::kUncolored for undecided nodes on timeout).
   std::vector<graph::Color> colors;
   /// Wake slot per node (copied from the schedule).
@@ -55,14 +66,6 @@ struct RunResult {
   std::uint32_t max_verify_states = 0;  ///< max #A_i states any node entered
   std::uint64_t duplicate_serves = 0;
 
-  /// Per-window medium/protocol time series; only populated by
-  /// `run_coloring_traced` with `TraceOptions::metrics` set.
-  std::optional<obs::TimeSeries> series;
-  /// Events streamed to the event logs (`events_jsonl` / `events_bin`;
-  /// 0 when not tracing).
-  std::uint64_t events_recorded = 0;
-  /// Online invariant report; only populated with `TraceOptions::monitor`.
-  std::optional<obs::MonitorReport> monitor;
   /// Postmortem bundle directory; non-empty when a violation bundle was
   /// captured (`PostmortemOptions::dump_on_violation` and the monitor
   /// fired).
@@ -101,19 +104,17 @@ struct PostmortemOptions {
 };
 
 /// Observability knobs for `run_coloring_traced`.  Everything defaults to
-/// off; the plain `run_coloring` path stays on the zero-overhead
-/// `obs::NullSink` engine instantiation.
+/// off, which runs the same zero-overhead `obs::NullSink` engine as
+/// `run_coloring`; any event consumer or a postmortem bundle puts one
+/// observer on the run that fans events out to all of them.
 struct TraceOptions {
   /// Collect a per-window obs::TimeSeries into RunResult::series.
   bool metrics = false;
   /// Window width in slots for the time series (≥ 1).
   radio::Slot metrics_window = 1;
-  /// When non-empty, stream every event to this JSONL file (the format
-  /// `urn_trace` consumes).
-  std::string events_jsonl;
-  /// When non-empty, stream every event to this compact binary file
-  /// (`obs::BinSink`; ~4–5× smaller and far cheaper to write than JSONL;
-  /// `urn_trace` auto-detects it by magic).
+  /// When non-empty, stream every event to this URNB file (`obs::BinSink`,
+  /// the one on-line log format; `urn_trace` reads it, and
+  /// `urn_trace --export jsonl:PATH` converts it to JSONL).
   std::string events_bin;
   /// Ring capacity for the binary log: 0 = keep everything; N > 0 = keep
   /// only the last N events in O(N) memory ("flight recorder" mode; the
@@ -170,9 +171,10 @@ struct TraceOptions {
                                      radio::MediumOptions medium = {});
 
 /// `run_coloring` with observability: identical protocol execution (same
-/// seeds, same RNG streams, bit-identical coloring), but run on an engine
-/// instantiation that emits structured events into the sinks requested by
-/// `trace` — a per-window metrics series and/or a JSONL event log.
+/// seeds, same RNG streams, bit-identical coloring), with the observer,
+/// probe and postmortem bundle requested by `trace`.  With
+/// `TraceOptions{}` it is exactly `run_coloring`, so callers pass their
+/// options unconditionally instead of choosing an entry point.
 [[nodiscard]] RunResult run_coloring_traced(
     const graph::Graph& g, const Params& params,
     const radio::WakeSchedule& schedule, std::uint64_t seed,
@@ -204,7 +206,7 @@ struct LocalityReport {
 /// plus cluster association — an MIS-and-clustering-from-scratch primitive
 /// (the paper's C₀ layer; cf. the clustering lineage of [14] and the MIS
 /// algorithm of [21] in its related work).
-struct LeaderElectionResult {
+struct LeaderElectionResult : TraceArtifacts {
   /// Sorted node ids that entered C₀.
   std::vector<graph::NodeId> leaders;
   /// leader() per node (kInvalidNode for leaders / uncovered nodes).
@@ -214,30 +216,21 @@ struct LeaderElectionResult {
   std::vector<Slot> cover_latency;
   bool all_covered = false;
   radio::RunStats medium;
-
-  /// Per-window time series; only populated by the traced variant with
-  /// `TraceOptions::metrics` set.
-  std::optional<obs::TimeSeries> series;
-  /// Events streamed to the event logs (`events_jsonl` / `events_bin`;
-  /// 0 when not tracing).
-  std::uint64_t events_recorded = 0;
-  /// Online invariant report; only populated with `TraceOptions::monitor`.
-  std::optional<obs::MonitorReport> monitor;
 };
 
 /// Run the protocol only until every node is a leader or knows one
 /// (i.e. left A₀), then stop.  The leader set is, with high probability,
-/// a maximal independent set of g.  Runs on the same sink-templated
-/// engine path as `run_coloring`, so failure injection (`medium`) and —
-/// via the traced variant — sinks apply to leader-election runs too.
+/// a maximal independent set of g.  Runs on the same engine path as
+/// `run_coloring`, so failure injection (`medium`) and — via the traced
+/// variant — the run's observer apply to leader-election runs too.
 [[nodiscard]] LeaderElectionResult run_leader_election(
     const graph::Graph& g, const Params& params,
     const radio::WakeSchedule& schedule, std::uint64_t seed,
     Slot max_slots = 0, radio::MediumOptions medium = {});
 
 /// `run_leader_election` with observability: identical execution (same
-/// seeds and RNG streams), plus the metrics / JSONL / monitor sinks
-/// requested by `trace`.
+/// seeds and RNG streams), plus the metrics / log / monitor / telemetry
+/// requested by `trace` (postmortem options are ignored).
 [[nodiscard]] LeaderElectionResult run_leader_election_traced(
     const graph::Graph& g, const Params& params,
     const radio::WakeSchedule& schedule, std::uint64_t seed,

@@ -9,6 +9,8 @@
 namespace urn::exec {
 
 std::size_t resolve_jobs(std::size_t jobs) {
+  URN_CHECK_MSG(jobs <= kMaxJobs,
+                "jobs " << jobs << " exceeds the limit of " << kMaxJobs);
   if (jobs != 0) return jobs;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;

@@ -27,8 +27,14 @@ struct TrialRange {
   [[nodiscard]] bool operator==(const TrialRange&) const = default;
 };
 
+/// Largest explicit jobs request: each worker beyond the caller is an OS
+/// thread, so a request is bounded before any thread starts.  CLIs check
+/// it first to print a clean error.
+inline constexpr std::size_t kMaxJobs = 256;
+
 /// Resolve a jobs request: 0 means "all hardware threads"; the result is
-/// always at least 1.
+/// always at least 1.  Throws `CheckError` when `jobs > kMaxJobs` (a
+/// Release-build check).
 [[nodiscard]] std::size_t resolve_jobs(std::size_t jobs);
 
 /// Default trials-per-chunk for a (trials, jobs) workload: several chunks

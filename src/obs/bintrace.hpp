@@ -2,12 +2,12 @@
 /// \brief Compact binary trace capture: a fixed-record little-endian
 ///        event writer (`BinSink`) and its reader (`read_bin_file`).
 ///
-/// JSONL (sink.hpp) is the human-greppable interchange format, but
-/// serializing ~80 text bytes per event is what keeps always-on tracing
-/// off the table for the dense large-Δ sweeps (E2–E4).  The binary form
-/// writes each `Event` as one fixed 32-byte little-endian record behind
-/// a 24-byte versioned header — a bounded `memcpy`-grade cost per event
-/// (m1_micro's `BM_Sink*` family quantifies the gap against JSONL).
+/// URNB is the one on-line log format: each `Event` is one fixed 32-byte
+/// little-endian record behind a 24-byte versioned header, a bounded
+/// `memcpy`-grade cost per event (m1_micro's `BM_Sink*` family measures
+/// it) where JSONL's ~80 text bytes kept always-on tracing off the dense
+/// sweeps.  JSONL is a converter output (`write_jsonl_file` in trace.hpp,
+/// `urn_trace --export jsonl:PATH`).
 ///
 /// ## File format (version 1, all integers little-endian)
 ///
@@ -32,8 +32,7 @@
 /// unchanged on events read back from a `.bin` capture.
 ///
 /// `BinSink` has two modes:
-///  * **streaming** — append every record, buffered in 64 KiB chunks
-///    (the binary twin of `JsonlSink`);
+///  * **streaming** — append every record, buffered in 64 KiB chunks;
 ///  * **bounded ring** — retain only the most recent `ring_capacity`
 ///    events in O(1) memory and persist that suffix on `flush()` /
 ///    destruction (an always-on flight recorder: the file is rewritten
@@ -71,7 +70,7 @@ class BinSink {
   /// Opens `path` (truncating) and writes the header.  `ring_capacity`
   /// of 0 streams every event; > 0 bounds retention to the most recent
   /// `ring_capacity` events.  `ok()` reports open failure; records on a
-  /// failed sink are silently discarded (same contract as JsonlSink).
+  /// failed sink are silently discarded.
   explicit BinSink(const std::string& path, std::size_t ring_capacity = 0);
   BinSink(const BinSink&) = delete;
   BinSink& operator=(const BinSink&) = delete;

@@ -7,9 +7,11 @@
 /// injected drop, a Fig. 2 phase transition, a counter reset (Alg. 1
 /// l. 29), an irrevocable decision, or a leader completing an assignment
 /// window (Alg. 3).  Events are plain data — 32 bytes, no ownership —
-/// so the engines can emit millions per second into a sink; the JSONL
-/// form (one object per line, see `append_jsonl`) is the on-disk
-/// interchange format consumed by `urn_trace` and the trace analyzer.
+/// so the engines can emit millions per second into a sink.  On disk a
+/// run is captured as URNB (bintrace.hpp, one 32-byte record per event);
+/// the JSONL form (one object per line, see `append_jsonl`) is the
+/// human-readable interchange format `urn_trace --export jsonl:` writes
+/// and every trace consumer also reads.
 ///
 /// This layer deliberately sits *below* radio/core: it knows nothing of
 /// `radio::Message` or `core::Phase`; message types and phases are

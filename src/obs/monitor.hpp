@@ -17,9 +17,10 @@
 ///  * **latency** — Theorem 3: T_v = decision − wake stays within the
 ///    configured O(κ₂⁴ Δ log n) slot budget.
 ///
-/// The sink is composable through `TeeSink`, so a run can stream metrics,
-/// a JSONL log, and the monitor simultaneously; it never touches RNG
-/// streams, so monitored runs stay bit-identical to unmonitored ones.
+/// A traced run's observer (core/runner.cpp) fans each event out to the
+/// monitor next to the metrics series and the URNB log; the monitor
+/// never touches RNG streams, so monitored runs stay bit-identical to
+/// unmonitored ones.
 /// Graph-dependent checks (conflict / leader independence / locality)
 /// activate only when the `MonitorConfig` carries adjacency / θ data;
 /// with an empty config the monitor still checks phase legality, which is

@@ -30,9 +30,11 @@
 /// The obs layer deliberately knows nothing about graphs or protocols:
 /// `Checkpointer` takes the scenario section as an opaque pre-rendered
 /// byte string and the engine state through the engine's own
-/// `save_state(Writer&)`.  Engines gain a checkpointer template parameter
-/// with a `NullCheckpointer` default, the same zero-overhead `if
-/// constexpr` seam as the event sinks and telemetry probes.
+/// `save_state(Writer&)`.  It reaches the engine through the run's
+/// observer (the engine's sink parameter): an observer that defines
+/// `on_tick(engine, tick)` is called at the top of every `run()`
+/// iteration and forwards to `maybe_checkpoint`; sinks without the hook
+/// (`NullSink` and every plain sink) compile it away.
 
 #pragma once
 
@@ -194,20 +196,12 @@ struct CheckpointFile {
 // ---------------------------------------------------------------------------
 // Engine hooks.
 
-/// Default checkpointer: disables the hook at compile time.  The engine's
-/// run loop tests `C::kEnabled` under `if constexpr`, so instantiations
-/// with this type carry zero overhead — the same seam as `NullSink` and
-/// `NullEngineProbe`.
-struct NullCheckpointer {
-  static constexpr bool kEnabled = false;
-};
-
-/// Periodic checkpoint writer.  Attach to an engine via
-/// `set_checkpointer`; the engine calls `maybe_checkpoint(*this, pos)` at
-/// the top of each run-loop iteration, and the checkpointer serializes a
-/// full snapshot every `every` position units (slots for the aligned
-/// engine, half-slots for the misaligned one).  `every <= 0` means a
-/// single snapshot at the first opportunity (the run start), so
+/// Periodic checkpoint writer.  The run's observer calls
+/// `maybe_checkpoint(engine, pos)` from its `on_tick` hook at the top of
+/// each run-loop iteration, and the checkpointer serializes a full
+/// snapshot every `every` position units (slots for the aligned engine,
+/// half-slots for the misaligned one).  `every <= 0` means a single
+/// snapshot at the first opportunity (the run start), so
 /// `--dump-on-violation` alone still leaves a resumable checkpoint.
 ///
 /// Each snapshot atomically replaces `path` (write to `path.tmp`, then
@@ -216,8 +210,6 @@ struct NullCheckpointer {
 /// bit-identical to an unhooked one.
 class Checkpointer {
  public:
-  static constexpr bool kEnabled = true;
-
   /// \param path destination file (conventionally `<dir>/checkpoint.urnc`)
   /// \param kind engine flavor recorded in the header
   /// \param every snapshot period in position units; <= 0 = once at start

@@ -1,125 +1,37 @@
 /// \file profile.hpp
-/// \brief Lightweight wall-clock profiling scopes and a named-counter
-///        registry for the runner and the bench harness.
+/// \brief Wall-clock profiling scopes and the runner's profile counters.
 ///
-/// `ProfileScope` measures the wall-clock time of a block (RAII) and
-/// accumulates it, by name, into a `CounterRegistry`: each scope `name`
-/// maintains `<name>.ns` (total nanoseconds) and `<name>.calls`.
-/// Free-form counters (`registry.add("engine.runs", 1)`) share the same
-/// namespace, so one report covers both.
-///
-/// Thread-safety: counters are the per-thread-sharded
-/// `telemetry::Counter` cells living in a node-based map, so every
-/// operation is safe from concurrent trial workers (exec::TrialPool) on
-/// the shared `global()` instance — including hammering one counter from
-/// every worker at once, which lands on distinct cache-line-private
-/// shards.  The registry distinguishes two cost tiers:
-///
-///  * `add` / `add_duration` / `value` lock the map mutex only to find
-///    (or insert) the cell, then update it shard-locally.  Counter *sums*
-///    commute, so count-type counters stay deterministic under parallel
-///    execution (the `.ns` wall-clock totals never were, and are
-///    excluded from the bench regression diff).
-///  * `handle(name)` resolves the cell *once* and returns a
-///    `CounterCell` whose `add()` is a single relaxed `fetch_add` into
-///    the calling thread's shard — no lock, no string lookup.  This is
-///    the form for hot paths (sinks, per-slot loops).  Handles stay
-///    valid until `clear()`, which is documented to invalidate them.
-///
-/// (Historical note: the registry once exposed `counter()`, a raw
-/// reference to a bare atomic "for single-threaded reporting only".
-/// That footgun is gone — sharded cells have no single atomic to hand
-/// out, and every remaining entry point is safe under concurrency.)
+/// `profile_registry()` is a `telemetry::Registry` of its own.  The
+/// runner adds its run counters there (`core.run_coloring.runs`, ...),
+/// and a `ProfileScope` named `name` adds `<name>.ns` (wall-clock total)
+/// and `<name>.calls` on destruction.  Bench binaries export it as the
+/// `profile.*` keys of `BENCH_<name>.json`, whose counts the regression
+/// diff gates exactly (it ignores `.ns`); keeping it apart from the live
+/// `Registry::global()`, which binaries clear and snapshot threads
+/// sample, keeps those keys to what the runner adds.
 
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <map>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 #include "obs/telemetry.hpp"
 
 namespace urn::obs {
 
-/// A resolved counter cell: lock-free increments without re-hashing the
-/// counter name.  Obtain via `CounterRegistry::handle`; valid until the
-/// owning registry is cleared or destroyed.  Default-constructed cells
-/// discard adds (safe placeholder before wiring).
-class CounterCell {
- public:
-  CounterCell() = default;
-  explicit CounterCell(telemetry::Counter* cell) : cell_(cell) {}
-
-  void add(std::uint64_t delta) {
-    if (cell_ != nullptr) cell_->add(delta);
-  }
-  [[nodiscard]] std::uint64_t value() const {
-    return cell_ != nullptr ? cell_->value() : 0;
-  }
-  [[nodiscard]] bool attached() const { return cell_ != nullptr; }
-
- private:
-  telemetry::Counter* cell_ = nullptr;
-};
-
-/// Ordered name → value counter map (see file comment for the
-/// thread-safety contract).
-class CounterRegistry {
- public:
-  /// The process-wide registry.
-  static CounterRegistry& global();
-
-  CounterRegistry() = default;
-  CounterRegistry(const CounterRegistry&) = delete;
-  CounterRegistry& operator=(const CounterRegistry&) = delete;
-
-  /// Resolve `name` once and return a lock-free increment handle (the
-  /// hot-path form; see file comment).  Invalidated by `clear()`.
-  [[nodiscard]] CounterCell handle(std::string_view name);
-
-  /// Add `delta` to `name` (thread-safe, shard-local).
-  void add(std::string_view name, std::uint64_t delta);
-
-  /// Read-only lookup; 0 if absent.
-  [[nodiscard]] std::uint64_t value(std::string_view name) const;
-
-  /// Accumulate a duration under `<name>.ns` / `<name>.calls`
-  /// (thread-safe).
-  void add_duration(std::string_view name, std::uint64_t ns);
-
-  /// Snapshot of all counters, name-sorted.
-  [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> snapshot()
-      const;
-
-  /// Print `name value` lines (durations rendered in ms alongside ns).
-  void report(std::FILE* out) const;
-
-  /// Drop every counter.  Invalidates all `CounterCell` handles handed
-  /// out so far.
-  void clear();
-  [[nodiscard]] bool empty() const;
-
- private:
-  /// Lookup-or-insert without locking; callers hold `mu_`.
-  telemetry::Counter& cell(std::string_view name);
-
-  mutable std::mutex mu_;
-  /// Node-based map: cell addresses are stable across insertions, which
-  /// is what makes `CounterCell` handles safe to cache.
-  std::map<std::string, telemetry::Counter, std::less<>> counters_;
-};
+/// The process-wide profile registry (see the file comment).
+[[nodiscard]] inline telemetry::Registry& profile_registry() {
+  static telemetry::Registry instance;
+  return instance;
+}
 
 /// RAII wall-clock timer; records into the registry on destruction.
 class ProfileScope {
  public:
   explicit ProfileScope(std::string_view name,
-                        CounterRegistry* registry = &CounterRegistry::global())
+                        telemetry::Registry* registry = &profile_registry())
       : name_(name),
         registry_(registry),
         start_(std::chrono::steady_clock::now()) {}
@@ -127,7 +39,10 @@ class ProfileScope {
   ProfileScope(const ProfileScope&) = delete;
   ProfileScope& operator=(const ProfileScope&) = delete;
 
-  ~ProfileScope() { registry_->add_duration(name_, elapsed_ns()); }
+  ~ProfileScope() {
+    registry_->counter(name_ + ".ns").add(elapsed_ns());
+    registry_->counter(name_ + ".calls").add(1);
+  }
 
   /// Nanoseconds since construction (scope still open).
   [[nodiscard]] std::uint64_t elapsed_ns() const {
@@ -138,7 +53,7 @@ class ProfileScope {
 
  private:
   std::string name_;
-  CounterRegistry* registry_;
+  telemetry::Registry* registry_;
   std::chrono::steady_clock::time_point start_;
 };
 

@@ -5,20 +5,15 @@
 /// `NullSink`, compiles to *nothing* — every emission site is guarded by
 /// `if constexpr (S::kEnabled)`, so the hot loop of `Engine<P, NullSink>`
 /// is bit- and instruction-identical to an engine with no tracing at all
-/// (benchmarked in m1_micro).  Buffering sinks:
-///
-///  * `MemorySink`  — unbounded in-memory vector (tests, the analyzer);
-///  * `RingSink`    — fixed-capacity ring keeping the *last* N events
-///                    ("flight recorder" for post-mortem of long runs);
-///  * `JsonlSink`   — buffered JSONL file writer (the interchange format
-///                    `urn_trace` consumes);
-///  * `TeeSink`     — fan-out to two optional sinks (e.g. metrics + file).
+/// (benchmarked in m1_micro).  A traced run hands the engine one sink, its
+/// observer (core/runner.cpp), which fans events out to `MetricsSink`,
+/// `BinSink` (the one on-line log format), `InvariantMonitorSink` and a
+/// `MemorySink`; a sink that also defines `on_tick(engine, tick)` is
+/// called at the top of every run-loop iteration (postmortem checkpoints).
 
 #pragma once
 
 #include <concepts>
-#include <cstdio>
-#include <string>
 #include <vector>
 
 #include "obs/event.hpp"
@@ -57,108 +52,7 @@ class MemorySink {
   std::vector<Event> events_;
 };
 
-/// Fixed-capacity ring buffer retaining the most recent `capacity` events.
-class RingSink {
- public:
-  static constexpr bool kEnabled = true;
-
-  explicit RingSink(std::size_t capacity) : capacity_(capacity) {
-    ring_.reserve(capacity);
-  }
-
-  void record(const Event& e) {
-    ++recorded_;
-    if (ring_.size() < capacity_) {
-      ring_.push_back(e);
-      return;
-    }
-    ring_[next_] = e;
-    next_ = (next_ + 1) % capacity_;
-  }
-  void flush() {}
-
-  /// Total events ever offered (≥ size()).
-  [[nodiscard]] std::uint64_t recorded() const { return recorded_; }
-  [[nodiscard]] std::size_t size() const { return ring_.size(); }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-
-  /// The retained events, oldest first.
-  [[nodiscard]] std::vector<Event> snapshot() const {
-    std::vector<Event> out;
-    out.reserve(ring_.size());
-    for (std::size_t i = 0; i < ring_.size(); ++i) {
-      out.push_back(ring_[(next_ + i) % ring_.size()]);
-    }
-    return out;
-  }
-
- private:
-  std::size_t capacity_;
-  std::size_t next_ = 0;  ///< overwrite cursor once full (oldest entry)
-  std::uint64_t recorded_ = 0;
-  std::vector<Event> ring_;
-};
-
-/// Buffered JSONL file writer.  Serialization happens at record time into
-/// an in-memory buffer flushed in large chunks, so per-event cost stays
-/// far from the syscall path.
-class JsonlSink {
- public:
-  static constexpr bool kEnabled = true;
-
-  /// Opens `path` for writing (truncating).  `ok()` reports failure;
-  /// records on a failed sink are silently discarded.
-  explicit JsonlSink(const std::string& path);
-  JsonlSink(const JsonlSink&) = delete;
-  JsonlSink& operator=(const JsonlSink&) = delete;
-  ~JsonlSink();
-
-  void record(const Event& e);
-  void flush();
-
-  [[nodiscard]] bool ok() const { return file_ != nullptr; }
-  [[nodiscard]] std::uint64_t written() const { return written_; }
-  /// File bytes emitted so far (flushed serializations).
-  [[nodiscard]] std::uint64_t bytes() const { return bytes_; }
-  [[nodiscard]] const std::string& path() const { return path_; }
-
- private:
-  static constexpr std::size_t kFlushThreshold = 1 << 16;
-
-  std::string path_;
-  std::FILE* file_ = nullptr;
-  std::string buffer_;
-  std::uint64_t written_ = 0;  ///< events serialized so far
-  std::uint64_t bytes_ = 0;    ///< file bytes emitted so far
-};
-
-/// Fan-out to two sinks; either pointer may be null.  Useful to collect
-/// per-slot metrics and a JSONL log from the same run.
-template <EventSink A, EventSink B>
-class TeeSink {
- public:
-  static constexpr bool kEnabled = A::kEnabled || B::kEnabled;
-
-  TeeSink(A* a, B* b) : a_(a), b_(b) {}
-
-  void record(const Event& e) {
-    if (a_ != nullptr) a_->record(e);
-    if (b_ != nullptr) b_->record(e);
-  }
-  void flush() {
-    if (a_ != nullptr) a_->flush();
-    if (b_ != nullptr) b_->flush();
-  }
-
- private:
-  A* a_;
-  B* b_;
-};
-
 static_assert(EventSink<NullSink>);
 static_assert(EventSink<MemorySink>);
-static_assert(EventSink<RingSink>);
-static_assert(EventSink<JsonlSink>);
-static_assert(EventSink<TeeSink<MemorySink, JsonlSink>>);
 
 }  // namespace urn::obs

@@ -1,7 +1,7 @@
 /// \file span.hpp
 /// \brief Wall-clock span timelines: who was doing what, when.
 ///
-/// `CounterRegistry` (profile.hpp) answers "how much time in total"; a
+/// `ProfileScope` (profile.hpp) answers "how much time in total"; a
 /// `SpanSink` answers "when exactly, and on which track" — the data a
 /// timeline viewer needs.  Two producers feed it:
 ///

@@ -19,9 +19,11 @@
 ///    sample stream, in any order, is bit-identical to recording the whole
 ///    stream into one histogram — the same partition-invariant algebra the
 ///    trial executor relies on for `Samples`/`RunLedger` (test-pinned).
-///  * `Registry` — the named-metric namespace.  Metric objects have stable
-///    addresses for the process lifetime of the registry, so probes
-///    resolve names once and keep raw pointers (the `CounterCell` idiom).
+///  * `Registry` — the named-metric namespace, and the repo's one
+///    registry type (the profile counters of profile.hpp are an instance
+///    of it).  Metric objects have stable addresses for the process
+///    lifetime of the registry, so probes resolve names once and keep raw
+///    pointers.
 ///  * `Snapshot` — a point-in-time reading of every metric, and the unit
 ///    of export: Prometheus text exposition (`write_prometheus_file`) and
 ///    an append-only flat-JSON line (`append_jsonl_file`, the stream

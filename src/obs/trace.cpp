@@ -1,6 +1,7 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <istream>
 #include <map>
@@ -33,6 +34,22 @@ ParsedLogFile read_jsonl_file(const std::string& path) {
   static_cast<ParsedLog&>(out) = read_jsonl(is);
   out.ok = true;
   return out;
+}
+
+bool write_jsonl_file(const std::string& path,
+                      const std::vector<Event>& events) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return false;
+  std::string buffer;  // written in ~64 KiB chunks, not per event
+  bool ok = true;
+  for (std::size_t i = 0; i < events.size() && ok; ++i) {
+    append_jsonl(buffer, events[i]);
+    if (buffer.size() >= (std::size_t{1} << 16) || i + 1 == events.size()) {
+      ok = std::fwrite(buffer.data(), 1, buffer.size(), f) == buffer.size();
+      buffer.clear();
+    }
+  }
+  return std::fclose(f) == 0 && ok;
 }
 
 std::vector<NodeTimeline> build_timelines(const std::vector<Event>& events) {

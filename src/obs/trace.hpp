@@ -12,8 +12,8 @@
 /// event stream, plus monotone slots and wake-before-anything ordering;
 /// `build_timelines` condenses the stream into one record per node.
 /// Both operate on `std::vector<Event>` — in-memory (MemorySink) or
-/// parsed back from a JSONL file (`read_jsonl_file`), which is what the
-/// `urn_trace` CLI drives.
+/// read back from a log file (`read_trace_file` in bintrace.hpp, URNB or
+/// JSONL), which is what the `urn_trace` CLI drives.
 
 #pragma once
 
@@ -47,6 +47,15 @@ struct ParsedLogFile : ParsedLog {
   bool ok = false;
 };
 [[nodiscard]] ParsedLogFile read_jsonl_file(const std::string& path);
+
+/// Write `events` as a JSONL log (one `append_jsonl` line each, in order),
+/// truncating `path`.  This is the only JSONL writer: on-line capture is
+/// URNB (`BinSink`), whose records are field-for-field images of `Event`,
+/// so exporting a read-back `.bin` (`urn_trace --export jsonl:PATH`)
+/// yields the bytes a JSONL capture of the same run would have.  Returns
+/// false on I/O failure.
+[[nodiscard]] bool write_jsonl_file(const std::string& path,
+                                    const std::vector<Event>& events);
 
 /// One node's condensed history.
 struct NodeTimeline {

@@ -29,15 +29,18 @@
 /// slot alignment: it is the `Medium` policy (`AlignedMedium` here, the
 /// half-slot medium in misaligned_engine.hpp) of one shared engine core.
 ///
-/// **Observability.**  The engine takes a second template parameter, an
-/// `obs::EventSink`, defaulting to `obs::NullSink`.  With the default every
-/// engine emission site is discarded at compile time (`if constexpr`) and
-/// protocols see a null hook, so the hot loop is the pre-tracing loop plus
-/// at most a null test per transmission — m1_micro pins this.  With a real
-/// sink the engine emits wake / transmit / delivery / collision / drop /
-/// decision events, and hands protocols a hook in `SlotContext` through
-/// which they emit their own (phase transitions, counter resets, serves,
-/// and the transmit events of a `batch_slots` pass).
+/// **Observability.**  The engine takes a second template parameter, the
+/// run's observer: an `obs::EventSink`, defaulting to `obs::NullSink`.
+/// With the default every engine emission site is discarded at compile
+/// time (`if constexpr`) and protocols see a null hook, so the hot loop is
+/// the pre-tracing loop plus at most a null test per transmission —
+/// m1_micro pins this.  With a real sink the engine emits wake / transmit
+/// / delivery / collision / drop / decision events, and hands protocols a
+/// hook in `SlotContext` through which they emit their own (phase
+/// transitions, counter resets, serves, and the transmit events of a
+/// `batch_slots` pass).  An observer that also defines `on_tick(engine,
+/// tick)` is offered the engine at the top of every `run()` iteration;
+/// the runner's postmortem checkpoints ride on that hook.
 
 #pragma once
 
@@ -309,15 +312,16 @@ class AlignedMedium {
 /// reports receptions through `deliver` / `collide`.
 ///
 /// Holds the graph **by reference** (hot-loop performance): the graph
-/// must outlive the engine.  `S` is the event sink; the default
+/// must outlive the engine.  `S` is the run's observer: an event sink,
+/// optionally with an `on_tick(engine, tick)` hook that `run()` calls at
+/// the top of every loop iteration (positions are ticks); the default
 /// `obs::NullSink` compiles all tracing away.  `T` is the telemetry probe
-/// (`obs::telemetry::EngineProbe`); the default `NullEngineProbe`
-/// compiles the per-tick aggregate sampling away the same way.  `C` is
-/// the checkpointer (`obs::postmortem::Checkpointer`); the default
-/// `NullCheckpointer` compiles the run-loop checkpoint hook away.
+/// (`obs::telemetry::EngineProbe`), the count-only seam: the default
+/// `NullEngineProbe` compiles the per-tick aggregate sampling away the
+/// same way, and an enabled probe on a NullSink engine samples counts at
+/// untraced speed.
 template <NodeProtocol P, obs::EventSink S = obs::NullSink,
           typename T = obs::telemetry::NullEngineProbe,
-          typename C = obs::postmortem::NullCheckpointer,
           typename Medium = AlignedMedium>
 class Engine {
   static constexpr std::size_t kLanes = Medium::kLanes;
@@ -355,15 +359,6 @@ class Engine {
   /// brackets execution with `begin_run`/`end_run`; step()-driven users
   /// bracket it themselves.
   void set_telemetry(T* probe) { probe_ = probe; }
-
-  /// Attach a postmortem checkpointer: `run()` then offers a snapshot at
-  /// the top of every loop iteration (the checkpointer decides whether
-  /// the period elapsed).  Positions handed to it are ticks.  Only
-  /// meaningful on checkpointer-enabled instantiations; with the default
-  /// `NullCheckpointer` the hook compiles away.  Snapshots only read
-  /// state, so a checkpointed run is bit-identical to an unhooked one.
-  /// The checkpointer must outlive the engine.
-  void set_checkpointer(C* ckpt) { ckpt_ = ckpt; }
 
   /// The track id engine phase spans are recorded under.
   static constexpr std::uint32_t kSpanTrack = 0;
@@ -523,8 +518,10 @@ class Engine {
     }
     const Slot cap = Medium::tick_cap(max_slots);
     while (tick_ < cap) {
-      if constexpr (C::kEnabled) {
-        if (ckpt_ != nullptr) ckpt_->maybe_checkpoint(*this, tick_);
+      // The observer's tick hook (postmortem checkpoints), if it has one;
+      // it only reads state, so a hooked run stays bit-identical.
+      if constexpr (requires { sink_->on_tick(*this, tick_); }) {
+        if (sink_ != nullptr) sink_->on_tick(*this, tick_);
       }
       const bool idle = std::all_of(awake_.begin(), awake_.end(),
                                     [](const auto& a) { return a.empty(); });
@@ -838,7 +835,6 @@ class Engine {
   S* sink_;
   obs::SpanSink* spans_ = nullptr;  ///< wall-clock phase spans (optional)
   T* probe_ = nullptr;              ///< telemetry probe (optional)
-  C* ckpt_ = nullptr;               ///< postmortem checkpointer (optional)
   std::vector<Rng> rngs_;
 
   Slot tick_ = 0;

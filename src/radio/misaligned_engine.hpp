@@ -150,16 +150,15 @@ class HalfSlotMedium {
 
 /// The engine on the half-slot medium.
 template <NodeProtocol P, obs::EventSink S = obs::NullSink,
-          typename T = obs::telemetry::NullEngineProbe,
-          typename C = obs::postmortem::NullCheckpointer>
-class MisalignedEngine : public Engine<P, S, T, C, HalfSlotMedium> {
+          typename T = obs::telemetry::NullEngineProbe>
+class MisalignedEngine : public Engine<P, S, T, HalfSlotMedium> {
  public:
   /// \param offsets per-node phase offset in half-slots (each 0 or 1)
   /// \param sink    optional event sink (slots in events are *local* slots)
   MisalignedEngine(const graph::Graph& g, WakeSchedule schedule,
                    std::vector<P> nodes, std::vector<std::uint8_t> offsets,
                    std::uint64_t seed, S* sink = nullptr)
-      : Engine<P, S, T, C, HalfSlotMedium>(
+      : Engine<P, S, T, HalfSlotMedium>(
             g, std::move(schedule), std::move(nodes), seed, sink,
             HalfSlotMedium(g.num_nodes(), std::move(offsets))) {}
 

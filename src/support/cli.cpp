@@ -177,6 +177,22 @@ bool CliFlags::get_bool(const std::string& name) const {
   return v;
 }
 
+bool CliFlags::check_int(const std::string& name, std::int64_t lo,
+                         std::int64_t hi) {
+  const std::int64_t v = get_int(name);
+  if (v >= lo && v <= hi) return true;
+  std::ostringstream os;
+  os << "flag --" << name << " must be ";
+  if (hi == INT64_MAX) {
+    os << ">= " << lo;
+  } else {
+    os << "in [" << lo << ", " << hi << "]";
+  }
+  os << ", got " << v;
+  error_ = os.str();
+  return false;
+}
+
 std::string CliFlags::usage(const std::string& program) const {
   std::ostringstream os;
   os << "usage: " << program << " [flags]\n";

@@ -36,6 +36,11 @@ class CliFlags {
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] bool get_bool(const std::string& name) const;
 
+  /// False (with error() set) unless integer flag `name` lies in
+  /// [lo, hi]: the hostile-input check a CLI runs before any work.
+  [[nodiscard]] bool check_int(const std::string& name, std::int64_t lo,
+                               std::int64_t hi = INT64_MAX);
+
   [[nodiscard]] bool help_requested() const { return help_requested_; }
   [[nodiscard]] const std::string& error() const { return error_; }
 

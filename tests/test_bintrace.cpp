@@ -27,6 +27,7 @@
 #include "obs/monitor.hpp"
 #include "obs/sink.hpp"
 #include "obs/span.hpp"
+#include "obs/trace.hpp"
 #include "radio/engine.hpp"
 #include "support/rng.hpp"
 
@@ -294,9 +295,8 @@ TEST(ReadTraceFile, AutoDetectsBinaryAndJsonl) {
   {
     BinSink bin(bin_path);
     bin.record(e);
-    JsonlSink jsonl(jsonl_path);
-    jsonl.record(e);
   }
+  ASSERT_TRUE(write_jsonl_file(jsonl_path, {e}));
   const ParsedTraceFile from_bin = read_trace_file(bin_path);
   ASSERT_TRUE(from_bin.ok) << from_bin.error;
   EXPECT_TRUE(from_bin.binary);
@@ -345,10 +345,7 @@ TEST(ReadTraceFile, TrailingPartialJsonlLineIsToleratedAsBad) {
   // keep every complete record and count the tail as malformed.
   const std::string path = ::testing::TempDir() + "bintrace_partial.jsonl";
   const Event e = Event::decision(42, 7, 3, 40);
-  {
-    JsonlSink jsonl(path);
-    jsonl.record(e);
-  }
+  ASSERT_TRUE(write_jsonl_file(path, {e}));
   {
     std::ofstream out(path, std::ios::app);
     out << "{\"slot\":43,\"kind\":\"dec";  // cut off mid-record, no newline

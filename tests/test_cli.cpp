@@ -128,6 +128,16 @@ TEST(Cli, DuplicateDeclarationRejected) {
   EXPECT_THROW(flags.add_int("n", 2, "y"), CheckError);
 }
 
+TEST(Cli, CheckIntRejectsOutOfRangeValues) {
+  CliFlags flags = demo_flags();
+  ASSERT_TRUE(parse(flags, {"--n=-5"}));
+  EXPECT_FALSE(flags.check_int("n", 1));
+  EXPECT_EQ(flags.error(), "flag --n must be >= 1, got -5");
+  EXPECT_FALSE(flags.check_int("n", 0, 4));
+  EXPECT_EQ(flags.error(), "flag --n must be in [0, 4], got -5");
+  EXPECT_TRUE(flags.check_int("n", -5, -5));
+}
+
 TEST(Cli, LastAssignmentWins) {
   CliFlags flags = demo_flags();
   ASSERT_TRUE(parse(flags, {"--n=1", "--n=2"}));

@@ -81,6 +81,13 @@ TEST(ChunkPlan, ResolveJobs) {
   EXPECT_EQ(resolve_jobs(1), 1u);
   EXPECT_EQ(resolve_jobs(7), 7u);
   EXPECT_GE(resolve_jobs(0), 1u);  // hardware count, at least 1
+  EXPECT_EQ(resolve_jobs(kMaxJobs), kMaxJobs);
+}
+
+TEST(ChunkPlan, ResolveJobsRejectsRequestsOverTheLimit) {
+  // Checked before any worker thread could start, in Release builds too.
+  EXPECT_THROW((void)resolve_jobs(kMaxJobs + 1), CheckError);
+  EXPECT_THROW((void)resolve_jobs(static_cast<std::size_t>(-1)), CheckError);
 }
 
 TEST(ChunkPlan, DefaultChunkNeverZero) {

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -14,10 +16,12 @@
 #include "core/protocol.hpp"
 #include "core/runner.hpp"
 #include "graph/generators.hpp"
+#include "obs/bintrace.hpp"
 #include "obs/event.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/sink.hpp"
+#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "radio/engine.hpp"
 #include "support/rng.hpp"
@@ -143,53 +147,10 @@ TEST(Sinks, MemorySinkStoresInOrder) {
   EXPECT_EQ(sink.events()[1].slot, 2);
 }
 
-TEST(Sinks, RingSinkKeepsLastEventsAfterWraparound) {
-  RingSink ring(4);
-  for (Slot s = 0; s < 10; ++s) ring.record(Event::collision(s, 0));
-  EXPECT_EQ(ring.recorded(), 10u);
-  EXPECT_EQ(ring.size(), 4u);
-  const auto snap = ring.snapshot();
-  ASSERT_EQ(snap.size(), 4u);
-  for (std::size_t i = 0; i < snap.size(); ++i) {
-    EXPECT_EQ(snap[i].slot, static_cast<Slot>(6 + i)) << i;  // oldest first
-  }
-}
-
-TEST(Sinks, RingSinkBelowCapacityKeepsEverything) {
-  RingSink ring(8);
-  for (Slot s = 0; s < 3; ++s) ring.record(Event::collision(s, 0));
-  EXPECT_EQ(ring.recorded(), 3u);
-  const auto snap = ring.snapshot();
-  ASSERT_EQ(snap.size(), 3u);
-  EXPECT_EQ(snap.front().slot, 0);
-  EXPECT_EQ(snap.back().slot, 2);
-}
-
-TEST(Sinks, TeeSinkFansOutAndToleratesNullBranches) {
-  MemorySink a;
-  MemorySink b;
-  TeeSink<MemorySink, MemorySink> both(&a, &b);
-  both.record(Event::wake(5, 1));
-  EXPECT_EQ(a.size(), 1u);
-  EXPECT_EQ(b.size(), 1u);
-
-  TeeSink<MemorySink, MemorySink> left_only(&a, nullptr);
-  left_only.record(Event::wake(6, 2));
-  left_only.flush();
-  EXPECT_EQ(a.size(), 2u);
-  EXPECT_EQ(b.size(), 1u);
-}
-
-TEST(Sinks, JsonlSinkWritesParseableFile) {
-  const std::string path = ::testing::TempDir() + "obs_jsonl_sink.jsonl";
-  {
-    JsonlSink sink(path);
-    ASSERT_TRUE(sink.ok());
-    sink.record(Event::wake(0, 0));
-    sink.record(Event::decision(9, 0, 3, 9));
-    sink.flush();
-    EXPECT_EQ(sink.written(), 2u);
-  }
+TEST(JsonlExport, WritesParseableFile) {
+  const std::string path = ::testing::TempDir() + "obs_jsonl_export.jsonl";
+  ASSERT_TRUE(write_jsonl_file(
+      path, {Event::wake(0, 0), Event::decision(9, 0, 3, 9)}));
   const ParsedLogFile log = read_jsonl_file(path);
   ASSERT_TRUE(log.ok);
   EXPECT_EQ(log.bad_lines, 0u);
@@ -199,12 +160,31 @@ TEST(Sinks, JsonlSinkWritesParseableFile) {
   std::remove(path.c_str());
 }
 
-TEST(Sinks, JsonlSinkReportsUnopenablePath) {
-  JsonlSink sink("/nonexistent-dir-xyz/trace.jsonl");
-  EXPECT_FALSE(sink.ok());
-  sink.record(Event::wake(0, 0));  // silently discarded, no crash
-  sink.flush();
-  EXPECT_EQ(sink.written(), 0u);
+TEST(JsonlExport, ReportsUnopenablePath) {
+  EXPECT_FALSE(write_jsonl_file("/nonexistent-dir-xyz/trace.jsonl",
+                                {Event::wake(0, 0)}));
+}
+
+TEST(JsonlExport, ChunkedWriteEqualsOneAppendPerEvent) {
+  // More than one 64 KiB chunk: the file is exactly the append_jsonl
+  // concatenation, the bytes a per-event JSONL writer produced.
+  std::vector<Event> events;
+  std::string expected;
+  for (Slot s = 0; s < 5000; ++s) {
+    events.push_back(Event::transmit(
+        s, static_cast<NodeId>(s % 97),
+        static_cast<std::uint8_t>(MsgCode::kCompete), /*color=*/3,
+        /*counter=*/s * 7));
+    append_jsonl(expected, events.back());
+  }
+  ASSERT_GT(expected.size(), std::size_t{1} << 17);
+  const std::string path = ::testing::TempDir() + "obs_jsonl_chunks.jsonl";
+  ASSERT_TRUE(write_jsonl_file(path, events));
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(bytes, expected);
+  std::remove(path.c_str());
 }
 
 // ------------------------------- metrics ---------------------------------
@@ -433,11 +413,11 @@ TEST(TracedRunner, ProducesSeriesAndLogAndMatchesUntracedRun) {
       core::Params::practical(net.graph.num_nodes(), delta, 5, 12);
   const auto ws = radio::WakeSchedule::synchronous(net.graph.num_nodes());
 
-  const std::string path = ::testing::TempDir() + "obs_traced_run.jsonl";
+  const std::string path = ::testing::TempDir() + "obs_traced_run.bin";
   core::TraceOptions trace;
   trace.metrics = true;
   trace.metrics_window = 32;
-  trace.events_jsonl = path;
+  trace.events_bin = path;
 
   const auto plain = core::run_coloring(net.graph, params, ws, 9);
   const auto traced =
@@ -468,11 +448,11 @@ TEST(TracedRunner, ProducesSeriesAndLogAndMatchesUntracedRun) {
   EXPECT_EQ(series.rows().back().decided_end, 50u);
   EXPECT_EQ(series.rows().back().active_end(), 0u);
 
-  // The JSONL log parses back and is a legal Fig. 2 execution.
+  // The log reads back and is a legal Fig. 2 execution.
   EXPECT_GT(traced.events_recorded, 0u);
-  const ParsedLogFile log = read_jsonl_file(path);
-  ASSERT_TRUE(log.ok);
-  EXPECT_EQ(log.bad_lines, 0u);
+  const ParsedTraceFile log = read_trace_file(path);
+  ASSERT_TRUE(log.ok) << log.error;
+  EXPECT_EQ(log.bad, 0u);
   EXPECT_EQ(log.events.size(), traced.events_recorded);
   EXPECT_TRUE(validate_fig2(log.events, params.kappa2).ok());
   std::remove(path.c_str());
@@ -488,21 +468,163 @@ TEST(TracedRunner, MetricsOnlyNeedsNoFile) {
       g, params, radio::WakeSchedule::synchronous(2), 1, trace);
   ASSERT_TRUE(run.all_decided);
   ASSERT_TRUE(run.series.has_value());
-  EXPECT_EQ(run.events_recorded, 0u);  // no JSONL sink attached
+  EXPECT_EQ(run.events_recorded, 0u);  // no log attached
   EXPECT_EQ(run.series->rows().back().decided_end, 2u);
+}
+
+/// The profile counters one run adds (`core.<entry>.*`).
+struct ProfileDeltas {
+  std::uint64_t runs = 0, slots = 0, node_slots = 0;
+};
+ProfileDeltas profile_counts(const std::string& entry) {
+  auto& reg = profile_registry();
+  return {reg.counter(entry + ".runs").value(),
+          reg.counter(entry + ".slots").value(),
+          reg.counter(entry + ".node_slots").value()};
+}
+ProfileDeltas operator-(const ProfileDeltas& a, const ProfileDeltas& b) {
+  return {a.runs - b.runs, a.slots - b.slots, a.node_slots - b.node_slots};
+}
+
+TEST(TracedRunner, EmptyOptionsAreThePlainRunFieldForField) {
+  Rng rng(31);
+  const auto net = graph::random_udg(60, 5.0, 1.4, rng);
+  const core::Params params = core::Params::practical(
+      net.graph.num_nodes(), std::max(2u, net.graph.max_closed_degree()), 5,
+      12);
+  Rng wrng(32);
+  const auto ws = radio::WakeSchedule::uniform(net.graph.num_nodes(),
+                                               2 * params.threshold(), wrng);
+  const std::string entry = "core.run_coloring";
+
+  const ProfileDeltas p0 = profile_counts(entry);
+  const core::RunResult plain = core::run_coloring(net.graph, params, ws, 5);
+  const ProfileDeltas p1 = profile_counts(entry);
+  const core::RunResult traced = core::run_coloring_traced(
+      net.graph, params, ws, 5, core::TraceOptions{});
+  const ProfileDeltas p2 = profile_counts(entry);
+
+  ASSERT_TRUE(plain.all_decided);
+  EXPECT_EQ(traced.medium.slots_run, plain.medium.slots_run);
+  EXPECT_EQ(traced.medium.transmissions, plain.medium.transmissions);
+  EXPECT_EQ(traced.medium.deliveries, plain.medium.deliveries);
+  EXPECT_EQ(traced.medium.collisions, plain.medium.collisions);
+  EXPECT_EQ(traced.medium.dropped, plain.medium.dropped);
+  EXPECT_EQ(traced.medium.all_decided, plain.medium.all_decided);
+  EXPECT_EQ(traced.colors, plain.colors);
+  EXPECT_EQ(traced.wake_slot, plain.wake_slot);
+  EXPECT_EQ(traced.decision_slot, plain.decision_slot);
+  EXPECT_EQ(traced.latency, plain.latency);
+  EXPECT_EQ(traced.num_leaders, plain.num_leaders);
+  EXPECT_EQ(traced.leader_of, plain.leader_of);
+  EXPECT_EQ(traced.intra_cluster, plain.intra_cluster);
+  EXPECT_EQ(traced.total_resets, plain.total_resets);
+  EXPECT_EQ(traced.max_verify_states, plain.max_verify_states);
+  EXPECT_EQ(traced.duplicate_serves, plain.duplicate_serves);
+  EXPECT_FALSE(traced.series.has_value());
+  EXPECT_EQ(traced.events_recorded, 0u);
+  EXPECT_FALSE(traced.monitor.has_value());
+
+  // Both entry points feed the profile registry the same deltas.
+  const ProfileDeltas plain_delta = p1 - p0;
+  const ProfileDeltas traced_delta = p2 - p1;
+  EXPECT_EQ(plain_delta.runs, 1u);
+  EXPECT_EQ(traced_delta.runs, plain_delta.runs);
+  EXPECT_EQ(traced_delta.slots, plain_delta.slots);
+  EXPECT_EQ(traced_delta.node_slots, plain_delta.node_slots);
+  EXPECT_EQ(plain_delta.slots,
+            static_cast<std::uint64_t>(plain.medium.slots_run));
+}
+
+TEST(TracedRunner, EmptyOptionsAreThePlainLeaderElection) {
+  Rng rng(41);
+  const auto net = graph::random_udg(60, 5.0, 1.4, rng);
+  const core::Params params = core::Params::practical(
+      net.graph.num_nodes(), std::max(2u, net.graph.max_closed_degree()), 5,
+      12);
+  const auto ws = radio::WakeSchedule::synchronous(net.graph.num_nodes());
+  const std::string entry = "core.run_leader_election";
+
+  const ProfileDeltas p0 = profile_counts(entry);
+  const core::LeaderElectionResult plain =
+      core::run_leader_election(net.graph, params, ws, 6);
+  const ProfileDeltas p1 = profile_counts(entry);
+  const core::LeaderElectionResult traced = core::run_leader_election_traced(
+      net.graph, params, ws, 6, core::TraceOptions{});
+  const ProfileDeltas p2 = profile_counts(entry);
+
+  ASSERT_TRUE(plain.all_covered);
+  EXPECT_EQ(traced.leaders, plain.leaders);
+  EXPECT_EQ(traced.leader_of, plain.leader_of);
+  EXPECT_EQ(traced.cover_latency, plain.cover_latency);
+  EXPECT_EQ(traced.all_covered, plain.all_covered);
+  EXPECT_EQ(traced.medium.slots_run, plain.medium.slots_run);
+  EXPECT_EQ(traced.medium.transmissions, plain.medium.transmissions);
+  EXPECT_EQ(traced.medium.deliveries, plain.medium.deliveries);
+  EXPECT_EQ(traced.medium.collisions, plain.medium.collisions);
+  EXPECT_EQ(traced.events_recorded, 0u);
+  EXPECT_EQ((p1 - p0).runs, 1u);
+  EXPECT_EQ((p2 - p1).runs, (p1 - p0).runs);
+  EXPECT_EQ((p2 - p1).slots, (p1 - p0).slots);
+}
+
+TEST(TracedRunner, ObserverFansOutToEverySink) {
+  // One run with metrics, the URNB log, the monitor and a memory capture
+  // all on: each consumer sees the same event stream.
+  Rng rng(51);
+  const auto net = graph::random_udg(50, 5.0, 1.4, rng);
+  const core::Params params = core::Params::practical(
+      net.graph.num_nodes(), std::max(2u, net.graph.max_closed_degree()), 5,
+      12);
+  Rng wrng(52);
+  const auto ws = radio::WakeSchedule::uniform(net.graph.num_nodes(),
+                                               2 * params.threshold(), wrng);
+  const std::string path = ::testing::TempDir() + "obs_fan_out.bin";
+  MemorySink memory;
+  core::TraceOptions trace;
+  trace.metrics = true;
+  trace.metrics_window = 16;
+  trace.events_bin = path;
+  trace.monitor = true;
+  trace.memory = &memory;
+  const core::RunResult run =
+      core::run_coloring_traced(net.graph, params, ws, 3, trace);
+  ASSERT_TRUE(run.all_decided);
+  ASSERT_GT(memory.size(), 0u);
+
+  // The log read back equals the memory capture.
+  const ParsedTraceFile log = read_trace_file(path);
+  ASSERT_TRUE(log.ok) << log.error;
+  EXPECT_EQ(log.events, memory.events());
+
+  // A MetricsSink fed the capture reproduces the run's series.
+  MetricsSink metrics(16);
+  for (const Event& e : memory.events()) metrics.record(e);
+  ASSERT_TRUE(run.series.has_value());
+  std::ostringstream want;
+  std::ostringstream got;
+  metrics.finish(run.medium.slots_run).write_csv(want);
+  run.series->write_csv(got);
+  EXPECT_EQ(got.str(), want.str());
+
+  // The monitor and the log both saw every event.
+  ASSERT_TRUE(run.monitor.has_value());
+  EXPECT_TRUE(run.monitor->ok());
+  EXPECT_EQ(run.monitor->events_seen, memory.size());
+  EXPECT_EQ(run.events_recorded, memory.size());
+  std::remove(path.c_str());
 }
 
 // ------------------------------- profiling --------------------------------
 
 TEST(Profiling, CountersAccumulateAndSnapshotSorted) {
-  CounterRegistry reg;
-  reg.add("b.two", 2);
-  reg.add("a.one", 1);
-  reg.add("b.two", 3);
-  EXPECT_EQ(reg.value("b.two"), 5u);
-  EXPECT_EQ(reg.value("a.one"), 1u);
-  EXPECT_EQ(reg.value("absent"), 0u);
-  const auto snap = reg.snapshot();
+  telemetry::Registry reg;
+  reg.counter("b.two").add(2);
+  reg.counter("a.one").add(1);
+  reg.counter("b.two").add(3);
+  EXPECT_EQ(reg.counter("b.two").value(), 5u);
+  EXPECT_EQ(reg.counter("a.one").value(), 1u);
+  const auto snap = reg.snapshot().counters;
   ASSERT_EQ(snap.size(), 2u);
   EXPECT_EQ(snap[0].first, "a.one");
   EXPECT_EQ(snap[1].first, "b.two");
@@ -510,50 +632,26 @@ TEST(Profiling, CountersAccumulateAndSnapshotSorted) {
   EXPECT_TRUE(reg.empty());
 }
 
-TEST(Profiling, HandlesAreLockFreeCellsIntoTheRegistry) {
-  CounterRegistry reg;
-  CounterCell cell = reg.handle("hot.path");
-  EXPECT_TRUE(cell.attached());
-  cell.add(3);
-  cell.add(4);
-  EXPECT_EQ(cell.value(), 7u);
-  EXPECT_EQ(reg.value("hot.path"), 7u);
-  // `add` and a cached handle hit the same cell.
-  reg.add("hot.path", 1);
-  EXPECT_EQ(cell.value(), 8u);
-  // Handles stay valid across later insertions (node-based map).
-  for (int i = 0; i < 100; ++i) {
-    (void)reg.handle("other." + std::to_string(i));
-  }
-  cell.add(1);
-  EXPECT_EQ(reg.value("hot.path"), 9u);
-}
-
-TEST(Profiling, DetachedHandleDiscardsAdds) {
-  CounterCell cell;
-  EXPECT_FALSE(cell.attached());
-  cell.add(5);  // no crash, no effect
-  EXPECT_EQ(cell.value(), 0u);
-}
-
 TEST(Profiling, ScopeRecordsDurationAndCallCount) {
-  CounterRegistry reg;
+  telemetry::Registry reg;
   for (int i = 0; i < 3; ++i) {
     ProfileScope scope("work", &reg);
     EXPECT_GE(scope.elapsed_ns(), 0u);
   }
-  EXPECT_EQ(reg.value("work.calls"), 3u);
-  EXPECT_GT(reg.value("work.ns"), 0u);
+  EXPECT_EQ(reg.counter("work.calls").value(), 3u);
+  EXPECT_GT(reg.counter("work.ns").value(), 0u);
 }
 
 TEST(Profiling, RunnerFeedsTheGlobalRegistry) {
-  auto& reg = CounterRegistry::global();
-  const std::uint64_t before = reg.value("core.run_coloring.runs");
+  auto& reg = profile_registry();
+  const std::uint64_t before = reg.counter("core.run_coloring.runs").value();
   const graph::Graph g = graph::empty_graph(1);
   const core::Params params = core::Params::practical(16, 2, 2, 3);
   (void)core::run_coloring(g, params, radio::WakeSchedule::synchronous(1), 1);
-  EXPECT_EQ(reg.value("core.run_coloring.runs"), before + 1);
-  EXPECT_GT(reg.value("core.run_coloring.slots"), 0u);
+  EXPECT_EQ(reg.counter("core.run_coloring.runs").value(), before + 1);
+  EXPECT_GT(reg.counter("core.run_coloring.slots").value(), 0u);
+  // The live telemetry registry is a separate instance.
+  EXPECT_NE(&reg, &telemetry::Registry::global());
 }
 
 }  // namespace

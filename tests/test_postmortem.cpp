@@ -424,13 +424,25 @@ TEST(RunnerPostmortem, CheckpointedRunMatchesPlainRunAndResumes) {
   EXPECT_FALSE(file_exists(dir + "/" + pm::kMonitorFileName));
   EXPECT_TRUE(traced.bundle.empty());
 
+  // The checkpoint cadence, pinned to the values recorded while the hook
+  // was still an engine parameter of its own: every 500 slots from slot
+  // 0 through the 15742-slot run, the last one at slot 15500.
+  std::ifstream manifest_in(dir + "/" + pm::kManifestFileName);
+  const std::string manifest((std::istreambuf_iterator<char>(manifest_in)),
+                             std::istreambuf_iterator<char>());
+  EXPECT_NE(manifest.find("\"checkpoints_written\":32,"), std::string::npos)
+      << manifest;
+  EXPECT_NE(manifest.find("\"last_checkpoint_position\":15500,"),
+            std::string::npos)
+      << manifest;
+
   // The last periodic checkpoint resumes to the straight-through result.
   const core::LoadedCheckpoint ck =
       core::load_checkpoint(dir + "/" + pm::kCkptFileName);
   ASSERT_TRUE(ck.ok) << ck.error;
   EXPECT_EQ(ck.kind, pm::EngineKind::kAligned);
   EXPECT_EQ(ck.version, pm::kCkptVersion);
-  EXPECT_GT(ck.position, 0);
+  EXPECT_EQ(ck.position, 15500);
   EXPECT_EQ(ck.scenario.max_slots, fx.budget);
 
   const core::ResumeResult resumed = core::resume_coloring(ck);

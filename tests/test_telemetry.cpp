@@ -571,15 +571,16 @@ TEST(TelemetryTrialLoop, TelemetryNeverPerturbsAggregates) {
 
 // ----------------------------------- shared-registry concurrency (TSan) --
 
-// Hammer one telemetry Registry and one obs::CounterRegistry from trial
-// pool workers simultaneously — the run most likely to surface a data
-// race under `URN_SANITIZE=thread` (the CI tsan leg runs this label).
+// Hammer the live telemetry registry's type and a profile-style registry
+// (the same type, as obs::profile_registry is) from trial pool workers
+// simultaneously — the run most likely to surface a data race under
+// `URN_SANITIZE=thread` (the CI tsan leg runs this label).
 TEST(TelemetryThreading, PoolWorkersHammerSharedRegistries) {
   Registry reg;
-  CounterRegistry prof;
+  Registry prof;
   Counter& telemetry_hits = reg.counter("hammer.hits");
   Histogram& hist = reg.histogram("hammer.values");
-  CounterCell prof_hits = prof.handle("prof.hits");
+  Counter& prof_hits = prof.counter("prof.hits");
   constexpr std::size_t kChunks = 64;
   constexpr std::uint64_t kPerChunk = 500;
   exec::TrialPool pool(8);
@@ -588,19 +589,23 @@ TEST(TelemetryThreading, PoolWorkersHammerSharedRegistries) {
       telemetry_hits.add(1);
       hist.record(chunk * kPerChunk + i);
       prof_hits.add(1);
-      // Lookup-or-create races on the registry maps as well.
+      // Lookup-or-create races on the registry maps as well, including
+      // the two counters a ProfileScope adds on destruction.
       reg.counter("hammer.chunk" + std::to_string(chunk % 4)).add(1);
-      prof.add("prof.chunk" + std::to_string(chunk % 4), 1);
+      prof.counter("prof.chunk" + std::to_string(chunk % 4)).add(1);
+      if (i % 100 == 0) ProfileScope scope("prof.scope", &prof);
     }
   });
   EXPECT_EQ(telemetry_hits.value(), kChunks * kPerChunk);
   EXPECT_EQ(hist.snapshot().count, kChunks * kPerChunk);
-  EXPECT_EQ(prof.value("prof.hits"), kChunks * kPerChunk);
+  EXPECT_EQ(prof_hits.value(), kChunks * kPerChunk);
+  EXPECT_EQ(prof.counter("prof.scope.calls").value(),
+            kChunks * kPerChunk / 100);
   std::uint64_t spread = 0;
   std::uint64_t prof_spread = 0;
   for (int i = 0; i < 4; ++i) {
     spread += reg.counter("hammer.chunk" + std::to_string(i)).value();
-    prof_spread += prof.value("prof.chunk" + std::to_string(i));
+    prof_spread += prof.counter("prof.chunk" + std::to_string(i)).value();
   }
   EXPECT_EQ(spread, kChunks * kPerChunk);
   EXPECT_EQ(prof_spread, kChunks * kPerChunk);

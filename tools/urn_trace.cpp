@@ -3,16 +3,17 @@
 ///        run (JSONL or compact binary, auto-detected) and (a) validate
 ///        every node's Fig. 2 walk, (b) print per-node timelines,
 ///        (c) re-derive the per-window metrics CSV, (d) export a
-///        Perfetto / chrome://tracing timeline.
+///        Perfetto / chrome://tracing timeline or the JSONL form.
 ///
 /// Examples:
-///   urn_trace --log run.jsonl                      # summary + validation
-///   urn_trace --log run.bin                        # binary, auto-detected
-///   urn_trace --log run.jsonl --kappa2 12          # also check tc(κ₂+1)
-///   urn_trace --log run.jsonl --timelines          # per-node histories
-///   urn_trace --log run.jsonl --metrics-out m.csv --window 64
-///   urn_trace --log run.jsonl --latency-budget 40000   # Thm 3 replay
+///   urn_trace --log run.bin                        # summary + validation
+///   urn_trace --log run.jsonl                      # JSONL, auto-detected
+///   urn_trace --log run.bin --kappa2 12            # also check tc(κ₂+1)
+///   urn_trace --log run.bin --timelines            # per-node histories
+///   urn_trace --log run.bin --metrics-out m.csv --window 64
+///   urn_trace --log run.bin --latency-budget 40000     # Thm 3 replay
 ///   urn_trace --log run.bin --export chrome:run.json   # open in Perfetto
+///   urn_trace --log run.bin --export jsonl:run.jsonl   # URNB -> JSONL
 ///
 /// Exit status: 0 when the log passes every enabled check, 1 when
 /// violations were found, 2 on usage / I/O errors (unreadable log,
@@ -52,9 +53,9 @@ int main(int argc, char** argv) {
                 "per-node Theorem 3 slot budget; replays the online "
                 "invariant monitor over the log (0 = skip)");
   flags.add_string("export", "",
-                   "export the log as a timeline; format chrome:PATH "
-                   "writes Chrome trace-event JSON for Perfetto / "
-                   "chrome://tracing");
+                   "export the log: chrome:PATH writes Chrome trace-event "
+                   "JSON for Perfetto / chrome://tracing, jsonl:PATH the "
+                   "JSONL event log");
 
   if (!flags.parse(argc, argv)) {
     std::fprintf(stderr, "error: %s\n%s", flags.error().c_str(),
@@ -165,26 +166,34 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(series.peak_collisions()));
   }
 
-  // ---- optional timeline export ------------------------------------------
+  // ---- optional export ----------------------------------------------------
   const std::string export_spec = flags.get_string("export");
   if (!export_spec.empty()) {
-    const std::string kChrome = "chrome:";
-    if (export_spec.rfind(kChrome, 0) != 0 ||
-        export_spec.size() == kChrome.size()) {
+    const std::size_t colon = export_spec.find(':');
+    const std::string format = export_spec.substr(0, colon);
+    const std::string out =
+        colon == std::string::npos ? "" : export_spec.substr(colon + 1);
+    if ((format != "chrome" && format != "jsonl") || out.empty()) {
       std::fprintf(stderr,
                    "error: unknown --export format '%s' "
-                   "(expected chrome:PATH)\n",
+                   "(expected chrome:PATH or jsonl:PATH)\n",
                    export_spec.c_str());
       return 2;
     }
-    const std::string out = export_spec.substr(kChrome.size());
-    if (!obs::write_chrome_trace_file(out, log.events)) {
+    const bool jsonl = format == "jsonl";
+    if (!(jsonl ? obs::write_jsonl_file(out, log.events)
+                : obs::write_chrome_trace_file(out, log.events))) {
       std::fprintf(stderr, "error: cannot write %s\n", out.c_str());
       return 2;
     }
-    std::printf("chrome trace: %zu events -> %s (open in ui.perfetto.dev "
-                "or chrome://tracing)\n",
-                log.events.size(), out.c_str());
+    if (jsonl) {
+      std::printf("jsonl: %zu events -> %s\n", log.events.size(),
+                  out.c_str());
+    } else {
+      std::printf("chrome trace: %zu events -> %s (open in ui.perfetto.dev "
+                  "or chrome://tracing)\n",
+                  log.events.size(), out.c_str());
+    }
   }
 
   // ---- online-monitor replay ---------------------------------------------
