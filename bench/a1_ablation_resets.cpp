@@ -7,21 +7,16 @@
 /// the latency tail tight; the naive rule resets massively and stretches
 /// the tail; never resetting is fast but loses the correctness guarantee.
 
-#include "analysis/experiment.hpp"
-#include "analysis/table.hpp"
 #include "bench_util.hpp"
-#include "graph/generators.hpp"
-#include "support/rng.hpp"
 
-int main() {
-  using namespace urn;
-  bench::banner("A1", "reset-policy ablation: critical-range vs naive vs "
-                      "none");
+int urn::bench::a1_ablation_resets(const Args& args) {
+  banner("A1", "reset-policy ablation: critical-range vs naive vs "
+               "none");
 
   const std::size_t n = 144;
   Rng rng(0xA1);
   const auto net = graph::random_udg(n, 7.0, 1.5, rng);  // dense
-  const auto mp = bench::measured_params(net.graph, 48);
+  const auto mp = measured_params(net.graph, 48);
   std::printf("deployment: n=%zu Delta=%u k2=%u avg_deg=%.1f\n\n", n,
               mp.delta, mp.kappa2, net.graph.average_degree());
 
@@ -42,8 +37,8 @@ int main() {
   for (const auto& [name, policy] : policies) {
     core::Params p = mp.params;
     p.reset_policy = policy;
-    const auto agg =
-        analysis::run_core_trials(net.graph, p, sched, trials, 0xA1F0);
+    const auto agg = analysis::run_core_trials(net.graph, p, sched, trials,
+                                               0xA1F0, args.exec());
     table.add_row({name, analysis::Table::num(agg.valid_fraction(), 2),
                    analysis::Table::num(agg.completed_fraction(), 2),
                    analysis::Table::num(agg.resets_per_node.mean(), 2),

@@ -7,21 +7,16 @@
 /// downward under asynchronous wake-up: with α → 0 newly awake nodes go
 /// active blind, reset established climbers, and correctness decays.
 
-#include "analysis/experiment.hpp"
-#include "analysis/table.hpp"
 #include "bench_util.hpp"
-#include "graph/generators.hpp"
-#include "support/rng.hpp"
 
-int main() {
-  using namespace urn;
-  bench::banner("A2", "passive-phase ablation: shrink alpha under "
-                      "asynchronous wake-up");
+int urn::bench::a2_ablation_alpha(const Args& args) {
+  banner("A2", "passive-phase ablation: shrink alpha under "
+               "asynchronous wake-up");
 
   const std::size_t n = 144;
   Rng rng(0xA2);
   const auto net = graph::random_udg(n, 7.5, 1.5, rng);
-  const auto mp = bench::measured_params(net.graph, 48);
+  const auto mp = measured_params(net.graph, 48);
   std::printf("deployment: n=%zu Delta=%u k2=%u (default alpha=%.0f)\n\n", n,
               mp.delta, mp.kappa2, mp.params.alpha);
 
@@ -36,8 +31,8 @@ int main() {
   for (double factor : {0.0, 0.1, 0.25, 0.5, 1.0, 2.0}) {
     core::Params p = mp.params;
     p.alpha = std::max(1e-9, mp.params.alpha * factor);
-    const auto agg =
-        analysis::run_core_trials(net.graph, p, sched, trials, 0xA2F0);
+    const auto agg = analysis::run_core_trials(net.graph, p, sched, trials,
+                                               0xA2F0, args.exec());
     table.add_row({analysis::Table::num(mp.params.alpha * factor, 1),
                    analysis::Table::num(agg.valid_fraction(), 2),
                    analysis::Table::num(agg.completed_fraction(), 2),

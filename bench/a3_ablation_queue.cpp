@@ -7,23 +7,17 @@
 /// final colors).  The `remember_served` extension suppresses re-serves.
 /// We make assignment loss likely by shrinking β and compare.
 
-#include "analysis/experiment.hpp"
-#include "analysis/table.hpp"
 #include "bench_util.hpp"
-#include "core/runner.hpp"
-#include "graph/generators.hpp"
-#include "support/rng.hpp"
 #include "support/stats.hpp"
 
-int main() {
-  using namespace urn;
-  bench::banner("A3", "leader-queue ablation: re-serve vs remember_served "
-                      "under lossy assignment broadcasts");
+int urn::bench::a3_ablation_queue(const Args& args) {
+  banner("A3", "leader-queue ablation: re-serve vs remember_served "
+               "under lossy assignment broadcasts");
 
   const std::size_t n = 144;
   Rng rng(0xA3);
   const auto net = graph::random_udg(n, 7.0, 1.5, rng);
-  const auto mp = bench::measured_params(net.graph, 48);
+  const auto mp = measured_params(net.graph, 48);
   std::printf("deployment: n=%zu Delta=%u k2=%u (default beta=%.1f)\n\n", n,
               mp.delta, mp.kappa2, mp.params.beta);
 
@@ -39,18 +33,21 @@ int main() {
       core::Params p = mp.params;
       p.beta = mp.params.beta * beta_factor;
       p.remember_served = remember;
+      const auto runs =
+          exec::map_trials(trials, args.executor(), [&](std::size_t t) {
+            Rng wrng(mix_seed(0xA3F0, t));
+            const auto ws = radio::WakeSchedule::uniform(
+                n, 2 * p.threshold(), wrng);
+            // Tight slot cap: with remember_served a node whose only
+            // window was lost can never finish, and we don't want to wait
+            // for the full default budget to observe that.
+            const radio::Slot cap = ws.latest() + 60 * p.threshold();
+            return core::run_coloring(net.graph, p, ws, mix_seed(0xA3A0, t),
+                                      cap);
+          });
       Samples dup, maxc, meant;
       std::size_t valid = 0;
-      for (std::uint64_t t = 0; t < trials; ++t) {
-        Rng wrng(mix_seed(0xA3F0, t));
-        const auto ws = radio::WakeSchedule::uniform(
-            n, 2 * p.threshold(), wrng);
-        // Tight slot cap: with remember_served a node whose only window
-        // was lost can never finish, and we don't want to wait for the
-        // full default budget to observe that.
-        const radio::Slot cap = ws.latest() + 60 * p.threshold();
-        const auto run = core::run_coloring(net.graph, p, ws,
-                                            mix_seed(0xA3A0, t), cap);
+      for (const core::RunResult& run : runs) {
         if (run.check.valid()) ++valid;
         dup.add(static_cast<double>(run.duplicate_serves));
         maxc.add(static_cast<double>(run.max_color));

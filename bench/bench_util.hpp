@@ -1,5 +1,6 @@
 /// \file bench_util.hpp
-/// \brief Shared helpers for the experiment binaries (E1–E15, A1–A3).
+/// \brief Shared helpers for the experiments behind `urn_repro` (E1–E15,
+///        A1–A3 and the regression gate) and for m2_macro.
 ///
 /// Besides parameter measurement and the banner, this provides the two
 /// observability hooks every experiment shares:
@@ -11,18 +12,16 @@
 ///    `URN_BENCH_CSV` convention of analysis::Table).  Keys are dotted
 ///    paths ("scenario.n", "medium.collisions"), values JSON scalars.
 ///
-///  * `TraceArgs` — the standard observability + execution flag set (see
-///    `parse_trace_args` for the flags and their help).  It records one
-///    representative run as a URNB event log (`urn_trace` reads it;
-///    `--export jsonl:PATH` converts it), a per-window metrics CSV, an
-///    online invariant check (exit 2 on violation), Chrome-trace span
-///    timelines, live telemetry snapshots (obs/telemetry.hpp, `urn_top`),
-///    postmortem bundles (obs/postmortem.hpp, `urn_postmortem`) and the
-///    `explain.*` causal attribution (obs/explain.hpp), and fans trial
-///    loops out over `--jobs` workers with bit-identical results (the
-///    resolved count is the `jobs` key, which the regression diff skips
-///    with the `.ns` wall-clock keys).  Out-of-range counts are rejected
-///    with one `error:` line and exit 2 before any run starts.
+///  * `Args` — the parsed flags every experiment receives (urn_repro's
+///    `--help` lists them).  It records one representative run as a URNB
+///    event log (`urn_trace` reads it; `--export jsonl:PATH` converts it),
+///    a per-window metrics CSV, an online invariant check (exit 2 on
+///    violation), postmortem bundles (obs/postmortem.hpp, `urn_postmortem`)
+///    and the `explain.*` causal attribution (obs/explain.hpp), feeds
+///    Chrome-trace span timelines and live telemetry (obs/telemetry.hpp,
+///    `urn_top`), and fans trial loops out over `--jobs` workers with
+///    bit-identical results (the resolved count is the `jobs` key, which
+///    the regression diff skips with the `.ns` wall-clock keys).
 ///
 ///  * `ledger_record` / `ledger_emit` — feed each trial's `RunResult`
 ///    into an `obs::RunLedger` and export the percentile summaries
@@ -34,34 +33,34 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "analysis/experiment.hpp"
+#include "analysis/run_flags.hpp"
 #include "analysis/table.hpp"
 #include "core/params.hpp"
 #include "core/runner.hpp"
 #include "exec/chunk.hpp"
+#include "exec/parallel.hpp"
 #include "graph/generators.hpp"
 #include "graph/independence.hpp"
-#include "obs/chrome.hpp"
 #include "obs/explain.hpp"
 #include "obs/ledger.hpp"
 #include "obs/monitor.hpp"
-#include "obs/postmortem.hpp"
 #include "obs/profile.hpp"
 #include "obs/telemetry.hpp"
-#include "support/cli.hpp"
 #include "support/rng.hpp"
 
 namespace urn::bench {
 
 /// Measure Δ, κ₁, κ₂ on a graph and build the calibrated practical
-/// parameter set.  κ is computed exactly when the graph is small, sampled
-/// otherwise (sampling only ever under-estimates κ; we take the family
-/// bound max(2, measured)).
+/// parameter set.  κ is the maximum over every node's neighbourhood when
+/// `kappa_sample` is 0, and over that many sampled nodes (plus the
+/// highest-degree one) otherwise — the caller's argument decides, not the
+/// graph's size.  Sampling can only under-estimate κ; we take the family
+/// bound max(2, measured).
 struct MeasuredParams {
   std::uint32_t delta = 0;
   std::uint32_t kappa1 = 0;
@@ -174,8 +173,9 @@ class BenchSummary {
   }
 
   /// Write `<dir>/BENCH_<name>.json` when URN_BENCH_JSON names a
-  /// directory; silently a no-op otherwise (text output stands alone).
-  void emit() const {
+  /// directory, and say so on `note`; silently a no-op otherwise (text
+  /// output stands alone).
+  void emit(std::FILE* note = stdout) const {
     const char* dir = std::getenv("URN_BENCH_JSON");
     if (dir == nullptr || *dir == '\0') return;
     const std::string path =
@@ -188,7 +188,7 @@ class BenchSummary {
     const std::string json = to_json();
     std::fwrite(json.data(), 1, json.size(), f);
     std::fclose(f);
-    std::printf("(json summary -> %s)\n", path.c_str());
+    std::fprintf(note, "(json summary -> %s)\n", path.c_str());
   }
 
  private:
@@ -196,261 +196,78 @@ class BenchSummary {
   std::vector<std::pair<std::string, std::string>> entries_;
 };
 
-/// The standard observability + execution flag set for experiment
-/// binaries.
-struct TraceArgs {
-  std::string trace_bin_path;  ///< --trace-bin: URNB event log
-  std::size_t bin_ring = 0;    ///< --trace-bin-ring: keep last N (0 = all)
-  std::string metrics_path;  ///< --metrics-out: per-window CSV destination
-  std::string spans_path;    ///< --spans-out: Chrome-trace span timeline
-  std::int64_t window = 16;  ///< --metrics-window
-  bool monitor = false;      ///< --monitor: online invariant checks
-  std::size_t jobs = 1;      ///< --jobs: trial-loop workers (0 = all cores)
-  std::string telemetry_out;   ///< --telemetry-out: JSONL snapshot stream
-  std::string telemetry_prom;  ///< --telemetry-prom: Prometheus exposition
-  std::int64_t telemetry_interval = 1000;  ///< --telemetry-interval (ms)
-  std::string postmortem_dir;        ///< --postmortem-dir: bundle directory
-  std::int64_t checkpoint_every = 0; ///< --checkpoint-every (slots; 0 = once)
-  bool dump_on_violation = false;    ///< --dump-on-violation: full bundle
-  bool explain = false;              ///< --explain: causal attribution
-
-  /// In-memory event capture of the representative traced run, created
-  /// when --explain is set; `explain_emit` replays it through
-  /// obs::explain_trace and exports the `explain.*` key family.
-  std::shared_ptr<obs::MemorySink> explain_events;
-
-  /// Global telemetry registry when --telemetry-out / --telemetry-prom is
-  /// set, null otherwise.  Non-null turns on the engine/pool probes via
-  /// `options()` / `exec()` without enabling event tracing.
+/// The parsed command line every experiment receives from `urn_repro`:
+/// the flags shared with urn_sim plus `--spans-out` and `--explain`, and
+/// the collectors `main` owns for them (null when off).
+struct Args {
+  analysis::RunFlags run;
+  obs::SpanSink* spans = nullptr;
   obs::telemetry::Registry* telemetry = nullptr;
-
-  /// Background snapshotter sampling `telemetry` every
-  /// `telemetry_interval` ms.  Shared like `spans`: every copy of the
-  /// args keeps it alive; the last copy's destruction stops it, which
-  /// writes one final snapshot — so the stream's last line is the
-  /// process's final counter state.
-  std::shared_ptr<obs::telemetry::Snapshotter> snapshotter;
-
-  /// Shared wall-clock span collector, created when --spans-out is set.
-  /// Every copy of the parsed args feeds the same sink (runner phases
-  /// via `options()`, executor chunks via `exec()`); the Chrome-trace
-  /// file is written when the last copy goes out of scope, so capture
-  /// order never matters.
-  std::shared_ptr<obs::SpanSink> spans;
+  obs::telemetry::PoolProbe* pool = nullptr;
+  obs::MemorySink* explain_events = nullptr;  ///< --explain capture
 
   /// Resolved worker count (0 expanded to the hardware thread count).
   [[nodiscard]] std::size_t resolved_jobs() const {
-    return exec::resolve_jobs(jobs);
+    return exec::resolve_jobs(run.jobs);
   }
-  /// Postmortem options assembled from the --postmortem-dir /
-  /// --checkpoint-every / --dump-on-violation flags.  Asking for either
-  /// checkpoints or violation dumps without naming a directory defaults
-  /// the bundle to ./postmortem.
-  [[nodiscard]] core::PostmortemOptions postmortem() const {
-    core::PostmortemOptions po;
-    po.dir = postmortem_dir;
-    if (po.dir.empty() && (checkpoint_every > 0 || dump_on_violation)) {
-      po.dir = "postmortem";
-    }
-    po.checkpoint_every = checkpoint_every;
-    po.dump_on_violation = dump_on_violation;
-    return po;
-  }
-
   /// Executor options for analysis::run_core_trials and friends.
   [[nodiscard]] analysis::TrialExecOptions exec() const {
     analysis::TrialExecOptions opts;
-    opts.jobs = jobs;
-    opts.spans = spans.get();
+    opts.jobs = run.jobs;
+    opts.spans = spans;
     opts.telemetry = telemetry;
-    opts.postmortem = postmortem();
+    opts.postmortem = run.postmortem();
     return opts;
   }
-
+  /// Executor options for an experiment's own loop (exec::map_trials).
+  [[nodiscard]] exec::ExecOptions executor() const {
+    return {run.jobs, 0, spans, pool};
+  }
+  /// True when a flag asks for the representative run: a log, a metrics
+  /// series, the monitor, a postmortem bundle or the attribution.
   [[nodiscard]] bool enabled() const {
-    return monitor || explain || !trace_bin_path.empty() ||
-           !metrics_path.empty() || postmortem().enabled();
-  }
-  [[nodiscard]] core::TraceOptions options() const {
-    core::TraceOptions opts;
-    opts.metrics = !metrics_path.empty();
-    opts.metrics_window = window;
-    opts.events_bin = trace_bin_path;
-    opts.bin_ring = bin_ring;
-    opts.monitor = monitor;
-    opts.spans = spans.get();
-    opts.telemetry = telemetry;
-    opts.postmortem = postmortem();
-    opts.memory = explain_events.get();
-    return opts;
+    return explain_events != nullptr || run.monitor ||
+           !run.trace_bin.empty() || !run.metrics_out.empty() ||
+           run.postmortem().enabled();
   }
 };
 
-/// Parse the standard flags; exits(2) on bad flags, exits(0) on --help.
-inline TraceArgs parse_trace_args(int argc, const char* const* argv,
-                                  const char* program) {
-  CliFlags flags;
-  flags.add_string("trace-bin", "",
-                   "record one representative run as a compact binary "
-                   "event log (analyze with urn_trace; --export jsonl:PATH "
-                   "converts it)");
-  flags.add_int("trace-bin-ring", 0,
-                "bound the binary log to the last N events "
-                "(flight-recorder mode; 0 = keep everything)");
-  flags.add_string("metrics-out", "",
-                   "write that run's per-window metrics series as CSV");
-  flags.add_string("spans-out", "",
-                   "record wall-clock span timelines (runner phases, "
-                   "executor workers) as Chrome trace-event JSON");
-  flags.add_int("metrics-window", 16, "metrics window width in slots");
-  flags.add_bool("monitor", false,
-                 "check the paper's invariants online on the traced run; "
-                 "any violation fails the binary with exit 2");
-  flags.add_int("jobs", 1,
-                "worker threads for the trial loops (0 = all hardware "
-                "threads); results are bit-identical for every value");
-  flags.add_string("telemetry-out", "",
-                   "stream live telemetry snapshots to this JSONL file "
-                   "(watch with urn_top --in <file>)");
-  flags.add_string("telemetry-prom", "",
-                   "write the latest telemetry snapshot to this file in "
-                   "Prometheus text exposition format (atomic rewrite per "
-                   "snapshot)");
-  flags.add_int("telemetry-interval", 1000,
-                "telemetry snapshot period in milliseconds");
-  flags.add_string("postmortem-dir", "",
-                   "write a postmortem bundle (periodic checkpoint + "
-                   "flight-recorder ring + manifest) into this directory; "
-                   "inspect/resume with urn_postmortem");
-  flags.add_int("checkpoint-every", 0,
-                "checkpoint period in slots for the postmortem bundle "
-                "(0 = one snapshot at the start of the run)");
-  flags.add_bool("dump-on-violation", false,
-                 "capture a full postmortem bundle (checkpoint + ring + "
-                 "monitor report) when an invariant violation is detected; "
-                 "implies --monitor on the traced run");
-  flags.add_bool("explain", false,
-                 "attribute the representative traced run's per-node "
-                 "decision latency to causes (obs/explain) and export the "
-                 "explain.* key family into BENCH_<name>.json");
-  if (!flags.parse(argc, argv)) {
-    std::fprintf(stderr, "error: %s\n%s", flags.error().c_str(),
-                 flags.usage(program).c_str());
-    std::exit(2);
-  }
-  if (flags.help_requested()) {
-    std::printf("%s", flags.usage(program).c_str());
-    std::exit(0);
-  }
-  if (!flags.check_int("jobs", 0, exec::kMaxJobs) ||
-      !flags.check_int("trace-bin-ring", 0) ||
-      !flags.check_int("checkpoint-every", 0) ||
-      !flags.check_int("metrics-window", 1) ||
-      !flags.check_int("telemetry-interval", 1)) {
-    std::fprintf(stderr, "error: %s\n", flags.error().c_str());
-    std::exit(2);
-  }
-  TraceArgs args;
-  args.trace_bin_path = flags.get_string("trace-bin");
-  args.bin_ring = static_cast<std::size_t>(flags.get_int("trace-bin-ring"));
-  args.metrics_path = flags.get_string("metrics-out");
-  args.spans_path = flags.get_string("spans-out");
-  args.window = flags.get_int("metrics-window");
-  args.monitor = flags.get_bool("monitor");
-  args.jobs = static_cast<std::size_t>(flags.get_int("jobs"));
-  args.telemetry_out = flags.get_string("telemetry-out");
-  args.telemetry_prom = flags.get_string("telemetry-prom");
-  args.telemetry_interval = flags.get_int("telemetry-interval");
-  args.postmortem_dir = flags.get_string("postmortem-dir");
-  args.checkpoint_every = flags.get_int("checkpoint-every");
-  args.dump_on_violation = flags.get_bool("dump-on-violation");
-  args.explain = flags.get_bool("explain");
-  if (args.explain) {
-    args.explain_events = std::make_shared<obs::MemorySink>();
-  }
-  // Fail on unwritable destinations now, not after the (often long)
-  // aggregate loops have already run.
-  for (const std::string& path :
-       {args.trace_bin_path, args.metrics_path, args.spans_path,
-        args.telemetry_out, args.telemetry_prom}) {
-    if (path.empty()) continue;
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-      std::exit(2);
-    }
-    std::fclose(f);
-  }
-  if (args.postmortem().enabled() &&
-      !obs::postmortem::ensure_dir(args.postmortem().dir)) {
-    std::fprintf(stderr, "error: cannot write %s\n",
-                 args.postmortem().dir.c_str());
-    std::exit(2);
-  }
-  if (!args.spans_path.empty()) {
-    const std::string out = args.spans_path;
-    args.spans = std::shared_ptr<obs::SpanSink>(
-        new obs::SpanSink(), [out](obs::SpanSink* s) {
-          if (obs::write_chrome_spans_file(out, *s)) {
-            std::printf("(spans: %zu -> %s; open in ui.perfetto.dev)\n",
-                        s->size(), out.c_str());
-          } else {
-            std::fprintf(stderr, "cannot write %s\n", out.c_str());
-          }
-          delete s;
-        });
-  }
-  if (!args.telemetry_out.empty() || !args.telemetry_prom.empty()) {
-    args.telemetry = &obs::telemetry::Registry::global();
-    args.telemetry->clear();  // one binary invocation = one time series
-    obs::telemetry::SnapshotterOptions sopts;
-    sopts.jsonl_path = args.telemetry_out;
-    sopts.prom_path = args.telemetry_prom;
-    sopts.interval_ms = static_cast<std::uint64_t>(args.telemetry_interval);
-    const std::string jsonl = args.telemetry_out;
-    args.snapshotter = std::shared_ptr<obs::telemetry::Snapshotter>(
-        new obs::telemetry::Snapshotter(*args.telemetry, sopts),
-        [jsonl](obs::telemetry::Snapshotter* s) {
-          s->stop();  // emits the final snapshot
-          if (!jsonl.empty()) {
-            std::printf(
-                "(telemetry: %llu snapshots -> %s; watch live with "
-                "urn_top --in %s)\n",
-                static_cast<unsigned long long>(s->snapshots_taken()),
-                jsonl.c_str(), jsonl.c_str());
-          }
-          delete s;
-        });
-  }
-  return args;
-}
+/// The experiments of urn_repro's table, one per file of bench/; each
+/// returns its exit status.
+int e1_correctness(const Args& args);
+int e2_time_vs_delta(const Args& args);
+int e3_time_vs_n(const Args& args);
+int e4_colors(const Args& args);
+int e5_locality(const Args& args);
+int e6_wakeup(const Args& args);
+int e7_constants(const Args& args);
+int e8_big(const Args& args);
+int e9_baselines(const Args& args);
+int e10_estimates(const Args& args);
+int e11_message_cost(const Args& args);
+int e12_misaligned(const Args& args);
+int e13_tdma(const Args& args);
+int e14_leader_election(const Args& args);
+int e15_faults(const Args& args);
+int a1_ablation_resets(const Args& args);
+int a2_ablation_alpha(const Args& args);
+int a3_ablation_queue(const Args& args);
+int bench_gate(const Args& args);
 
 /// Run one traced execution and write the requested artifacts.
-inline core::RunResult run_traced(const TraceArgs& args,
+inline core::RunResult run_traced(const Args& args,
                                   const graph::Graph& g,
                                   const core::Params& params,
                                   const radio::WakeSchedule& schedule,
                                   std::uint64_t seed,
                                   radio::MediumOptions medium = {}) {
+  core::TraceOptions opts = args.run.trace_options();
+  opts.spans = args.spans;
+  opts.telemetry = args.telemetry;
+  opts.memory = args.explain_events;
   const core::RunResult run = core::run_coloring_traced(
-      g, params, schedule, seed, args.options(), /*max_slots=*/0, medium);
-  if (!args.trace_bin_path.empty()) {
-    const std::string& log = args.trace_bin_path;
-    std::printf("(trace: %llu events -> %s; validate with "
-                "urn_trace --log %s --kappa2 %u)\n",
-                static_cast<unsigned long long>(run.events_recorded),
-                log.c_str(), log.c_str(), params.kappa2);
-  }
-  if (!args.metrics_path.empty() && run.series.has_value()) {
-    if (run.series->write_csv_file(args.metrics_path)) {
-      std::printf("(metrics: %zu windows of %lld slots -> %s)\n",
-                  run.series->size(),
-                  static_cast<long long>(run.series->window()),
-                  args.metrics_path.c_str());
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", args.metrics_path.c_str());
-    }
-  }
+      g, params, schedule, seed, opts, /*max_slots=*/0, medium);
+  analysis::report_artifacts(args.run, run, params.kappa2);
   if (run.monitor.has_value()) {
     if (!run.monitor->ok()) {
       std::fprintf(stderr, "monitor: INVARIANT VIOLATIONS\n");
@@ -478,7 +295,7 @@ inline core::RunResult run_traced(const TraceArgs& args,
 /// the whole key family into its own tolerance class (`--explain-tol`,
 /// default exact) — the attribution is a pure function of the trace, so
 /// fixed-seed baselines stay bit-identical.
-inline void explain_emit(BenchSummary& summary, const TraceArgs& args,
+inline void explain_emit(BenchSummary& summary, const Args& args,
                          const core::Params& params) {
   if (args.explain_events == nullptr || args.explain_events->events().empty()) {
     return;

@@ -10,22 +10,17 @@
 /// protocol with the Δ̂ produced by our geometric-probing estimator
 /// (core/estimation) instead of the true Δ.
 
-#include "analysis/experiment.hpp"
-#include "analysis/table.hpp"
 #include "bench_util.hpp"
 #include "core/estimation.hpp"
-#include "graph/generators.hpp"
-#include "support/rng.hpp"
 
-int main() {
-  using namespace urn;
-  bench::banner("E10", "estimate sensitivity + measured-degree variant "
-                       "(extension; Sect. 6)");
+int urn::bench::e10_estimates(const Args& args) {
+  banner("E10", "estimate sensitivity + measured-degree variant "
+                "(extension; Sect. 6)");
 
   const std::size_t n = 160;
   Rng rng(0xE10);
   const auto net = graph::random_udg(n, 8.0, 1.5, rng);
-  const auto mp = bench::measured_params(net.graph, 48);
+  const auto mp = measured_params(net.graph, 48);
   std::printf("deployment: n=%zu true Delta=%u k2=%u\n\n", n, mp.delta,
               mp.kappa2);
   const auto sched = analysis::uniform_schedule(n, 2 * mp.params.threshold());
@@ -41,7 +36,7 @@ int main() {
     p.delta = std::max(2u, static_cast<std::uint32_t>(mp.delta * f));
     const auto agg = analysis::run_core_trials(
         net.graph, p, sched, trials,
-        mix_seed(0xE10F, static_cast<std::uint64_t>(f * 100)));
+        mix_seed(0xE10F, static_cast<std::uint64_t>(f * 100)), args.exec());
     t1.add_row({analysis::Table::num(f, 2),
                 analysis::Table::num(static_cast<std::uint64_t>(p.delta)),
                 analysis::Table::num(agg.valid_fraction(), 2),
@@ -61,7 +56,7 @@ int main() {
         2, static_cast<std::uint64_t>(static_cast<double>(n) * f));
     const auto agg = analysis::run_core_trials(
         net.graph, p, sched, trials,
-        mix_seed(0xE10A, static_cast<std::uint64_t>(f * 100)));
+        mix_seed(0xE10A, static_cast<std::uint64_t>(f * 100)), args.exec());
     t2.add_row({analysis::Table::num(f, 2),
                 analysis::Table::num(agg.valid_fraction(), 2),
                 analysis::Table::num(agg.completed_fraction(), 2),
@@ -80,8 +75,8 @@ int main() {
   const std::uint32_t delta_used = std::max(2u, delta_hat);
   core::Params p = mp.params;
   p.delta = delta_used;
-  const auto agg =
-      analysis::run_core_trials(net.graph, p, sched, trials, 0xE10D);
+  const auto agg = analysis::run_core_trials(net.graph, p, sched, trials,
+                                             0xE10D, args.exec());
   std::printf("E10c: probing estimator pre-phase (%lld slots): max local "
               "degree estimate %u (true Delta %u); protocol with "
               "Delta_hat=%u -> valid %.2f, mean_T %.0f\n",

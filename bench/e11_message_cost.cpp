@@ -9,18 +9,12 @@
 /// transmissions per node should scale like T/(κ₂Δ) ≈ O(κ₂ log n)
 /// per color state.
 
-#include "analysis/experiment.hpp"
-#include "analysis/table.hpp"
 #include "baselines/rand_verify.hpp"
 #include "bench_util.hpp"
-#include "core/runner.hpp"
-#include "graph/generators.hpp"
-#include "support/rng.hpp"
 
-int main() {
-  using namespace urn;
-  bench::banner("E11", "channel usage: transmissions / deliveries / "
-                       "collisions per node");
+int urn::bench::e11_message_cost(const Args& args) {
+  banner("E11", "channel usage: transmissions / deliveries / "
+                "collisions per node");
 
   const std::size_t n = 160;
   analysis::Table table(
@@ -33,48 +27,46 @@ int main() {
   for (double side : {11.0, 8.0, 6.3}) {
     Rng rng(mix_seed(0xE11, static_cast<std::uint64_t>(side * 10)));
     const auto net = graph::random_udg(n, side, 1.5, rng);
-    const auto mp = bench::measured_params(net.graph, 48);
+    const auto mp = measured_params(net.graph, 48);
+    // One row per algorithm: per-node event counts and slots, averaged
+    // over its four runs in trial order.
+    auto row = [&](const char* algo,
+                   const std::vector<radio::RunStats>& runs) {
+      double tx = 0, rx = 0, coll = 0, slots = 0;
+      for (const radio::RunStats& m : runs) {
+        tx += static_cast<double>(m.transmissions) / n / 4.0;
+        rx += static_cast<double>(m.deliveries) / n / 4.0;
+        coll += static_cast<double>(m.collisions) / n / 4.0;
+        slots += static_cast<double>(m.slots_run) / 4.0;
+      }
+      table.add_row(
+          {analysis::Table::num(static_cast<std::uint64_t>(mp.delta)),
+           analysis::Table::num(static_cast<std::uint64_t>(mp.kappa2)), algo,
+           analysis::Table::num(tx, 0), analysis::Table::num(rx, 0),
+           analysis::Table::num(coll, 0), analysis::Table::num(tx / slots, 5),
+           analysis::Table::num(slots, 0)});
+    };
 
-    double tx = 0, rx = 0, coll = 0, slots = 0;
-    for (std::uint64_t t = 0; t < 4; ++t) {
-      Rng wrng(mix_seed(0xE11F, t));
-      const auto ws = radio::WakeSchedule::uniform(
-          n, 2 * mp.params.threshold(), wrng);
-      const auto run = core::run_coloring(net.graph, mp.params, ws,
-                                          mix_seed(0xE11A, t));
-      tx += static_cast<double>(run.medium.transmissions) / n / 4.0;
-      rx += static_cast<double>(run.medium.deliveries) / n / 4.0;
-      coll += static_cast<double>(run.medium.collisions) / n / 4.0;
-      slots += static_cast<double>(run.medium.slots_run) / 4.0;
-    }
-    table.add_row(
-        {analysis::Table::num(static_cast<std::uint64_t>(mp.delta)),
-         analysis::Table::num(static_cast<std::uint64_t>(mp.kappa2)),
-         "this paper", analysis::Table::num(tx, 0),
-         analysis::Table::num(rx, 0), analysis::Table::num(coll, 0),
-         analysis::Table::num(tx / slots, 5),
-         analysis::Table::num(slots, 0)});
+    row("this paper",
+        exec::map_trials(4, args.executor(), [&](std::size_t t) {
+          Rng wrng(mix_seed(0xE11F, t));
+          const auto ws = radio::WakeSchedule::uniform(
+              n, 2 * mp.params.threshold(), wrng);
+          return core::run_coloring(net.graph, mp.params, ws,
+                                    mix_seed(0xE11A, t))
+              .medium;
+        }));
 
     baselines::RandVerifyParams rv;
     rv.n = n;
     rv.delta = mp.delta;
-    double rtx = 0, rrx = 0, rcoll = 0, rslots = 0;
-    for (std::uint64_t t = 0; t < 4; ++t) {
-      const auto r = baselines::run_rand_verify(
-          net.graph, rv, radio::WakeSchedule::synchronous(n),
-          mix_seed(0xE11B, t), 60000000);
-      rtx += static_cast<double>(r.medium.transmissions) / n / 4.0;
-      rrx += static_cast<double>(r.medium.deliveries) / n / 4.0;
-      rcoll += static_cast<double>(r.medium.collisions) / n / 4.0;
-      rslots += static_cast<double>(r.medium.slots_run) / 4.0;
-    }
-    table.add_row(
-        {analysis::Table::num(static_cast<std::uint64_t>(mp.delta)),
-         analysis::Table::num(static_cast<std::uint64_t>(mp.kappa2)),
-         "rand-verify", analysis::Table::num(rtx, 0),
-         analysis::Table::num(rrx, 0), analysis::Table::num(rcoll, 0),
-         analysis::Table::num(rtx / rslots, 5),
-         analysis::Table::num(rslots, 0)});
+    row("rand-verify",
+        exec::map_trials(4, args.executor(), [&](std::size_t t) {
+          return baselines::run_rand_verify(
+                     net.graph, rv, radio::WakeSchedule::synchronous(n),
+                     mix_seed(0xE11B, t), 60000000)
+              .medium;
+        }));
   }
   table.emit();
   std::printf("Shape: the protocol's per-slot duty cycle stays ~1/(k2*D) "

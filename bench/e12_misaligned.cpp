@@ -8,20 +8,17 @@
 /// half-slot-offset engine (random phases) and compare validity and
 /// latency; the ratio is the measured constant factor.
 
-#include "analysis/table.hpp"
+#include <tuple>
+
 #include "bench_util.hpp"
 #include "core/protocol.hpp"
-#include "core/runner.hpp"
 #include "graph/coloring.hpp"
-#include "graph/generators.hpp"
 #include "radio/misaligned_engine.hpp"
-#include "support/rng.hpp"
 #include "support/stats.hpp"
 
-int main() {
-  using namespace urn;
-  bench::banner("E12", "aligned vs non-aligned slots: the constant-factor "
-                       "claim of Sect. 2");
+int urn::bench::e12_misaligned(const Args& args) {
+  banner("E12", "aligned vs non-aligned slots: the constant-factor "
+                "claim of Sect. 2");
 
   analysis::Table table(
       "e12_misaligned",
@@ -33,46 +30,45 @@ int main() {
   for (double side : {10.0, 8.0}) {
     Rng rng(mix_seed(0xE12, static_cast<std::uint64_t>(side * 10)));
     const auto net = graph::random_udg(128, side, 1.5, rng);
-    const auto mp = bench::measured_params(net.graph, 48);
+    const auto mp = measured_params(net.graph, 48);
     const std::size_t n = net.graph.num_nodes();
     const std::size_t trials = 6;
 
-    Samples aligned_mean, aligned_max, mis_mean, mis_max;
-    std::size_t aligned_valid = 0, mis_valid = 0;
-    for (std::uint64_t t = 0; t < trials; ++t) {
-      const auto ws = radio::WakeSchedule::synchronous(n);
-      // Aligned.
-      const auto run = core::run_coloring(net.graph, mp.params, ws,
-                                          mix_seed(0xE12A, t));
-      if (run.check.valid()) ++aligned_valid;
-      Samples lat;
-      for (radio::Slot s : run.latency) lat.add(static_cast<double>(s));
-      aligned_mean.add(lat.mean());
-      aligned_max.add(lat.max());
-
-      // Misaligned (random half-slot phases).
-      std::vector<core::ColoringNode> nodes;
-      for (graph::NodeId v = 0; v < n; ++v) {
-        nodes.emplace_back(&mp.params, v);
-      }
-      Rng orng(mix_seed(0xE12B, t));
-      auto offsets =
-          radio::MisalignedEngine<core::ColoringNode>::random_offsets(n,
-                                                                      orng);
-      radio::MisalignedEngine<core::ColoringNode> eng(
-          net.graph, ws, std::move(nodes), std::move(offsets),
-          mix_seed(0xE12A, t));
-      const auto stats = eng.run(80 * mp.params.threshold());
-      URN_CHECK(stats.all_decided);
-      std::vector<graph::Color> colors(n);
-      Samples mlat;
-      for (graph::NodeId v = 0; v < n; ++v) {
-        colors[v] = eng.node(v).color();
-        mlat.add(static_cast<double>(eng.decision_latency(v)));
-      }
-      if (graph::validate(net.graph, colors).valid()) ++mis_valid;
-      mis_mean.add(mlat.mean());
-      mis_max.add(mlat.max());
+    const auto aligned = analysis::run_core_trials(
+        net.graph, mp.params, analysis::synchronous_schedule(n), trials,
+        0xE12A, args.exec());
+    // The same trials on random half-slot phases: each one's validity and
+    // mean and max latency.
+    const auto runs =
+        exec::map_trials(trials, args.executor(), [&](std::size_t t) {
+          std::vector<core::ColoringNode> nodes;
+          for (graph::NodeId v = 0; v < n; ++v) {
+            nodes.emplace_back(&mp.params, v);
+          }
+          Rng orng(mix_seed(0xE12B, t));
+          auto offsets =
+              radio::MisalignedEngine<core::ColoringNode>::random_offsets(
+                  n, orng);
+          radio::MisalignedEngine<core::ColoringNode> eng(
+              net.graph, radio::WakeSchedule::synchronous(n),
+              std::move(nodes), std::move(offsets), mix_seed(0xE12A, t));
+          const auto stats = eng.run(80 * mp.params.threshold());
+          URN_CHECK(stats.all_decided);
+          std::vector<graph::Color> colors(n);
+          Samples mlat;
+          for (graph::NodeId v = 0; v < n; ++v) {
+            colors[v] = eng.node(v).color();
+            mlat.add(static_cast<double>(eng.decision_latency(v)));
+          }
+          return std::tuple{graph::validate(net.graph, colors).valid(),
+                            mlat.mean(), mlat.max()};
+        });
+    Samples mis_mean, mis_max;
+    std::size_t mis_valid = 0;
+    for (const auto& [valid, mean, max] : runs) {
+      if (valid) ++mis_valid;
+      mis_mean.add(mean);
+      mis_max.add(max);
     }
 
     auto row = [&](const char* medium, std::size_t valid,
@@ -87,9 +83,10 @@ int main() {
            analysis::Table::num(mx.max(), 0),
            slow > 0 ? analysis::Table::num(slow, 2) : "-"});
     };
-    row("aligned", aligned_valid, aligned_mean, aligned_max, -1.0);
+    row("aligned", aligned.valid, aligned.mean_latency, aligned.max_latency,
+        -1.0);
     row("half-slot phases", mis_valid, mis_mean, mis_max,
-        mis_mean.mean() / aligned_mean.mean());
+        mis_mean.mean() / aligned.mean_latency.mean());
   }
   table.emit();
   std::printf(

@@ -11,18 +11,13 @@
 /// coloring, audited for direct interference, residual 2-hop conflicts,
 /// frame length, and the bandwidth/robustness trade-off.
 
-#include "analysis/table.hpp"
 #include "bench_util.hpp"
-#include "core/runner.hpp"
 #include "core/tdma.hpp"
 #include "graph/coloring.hpp"
-#include "graph/generators.hpp"
-#include "support/rng.hpp"
 
-int main() {
-  using namespace urn;
-  bench::banner("E13", "TDMA schedules from colorings: 1-hop vs "
-                       "distance-2 (Sect. 1)");
+int urn::bench::e13_tdma(const Args& /*args*/) {
+  banner("E13", "TDMA schedules from colorings: 1-hop vs "
+                "distance-2 (Sect. 1)");
 
   analysis::Table table(
       "e13_tdma",
@@ -33,7 +28,7 @@ int main() {
   for (double side : {10.0, 7.5}) {
     Rng rng(mix_seed(0xE13, static_cast<std::uint64_t>(side * 10)));
     const auto net = graph::random_udg(160, side, 1.5, rng);
-    const auto mp = bench::measured_params(net.graph, 48);
+    const auto mp = measured_params(net.graph, 48);
 
     const auto run = core::run_coloring(
         net.graph, mp.params,

@@ -9,18 +9,14 @@
 /// quality (MIS size vs. greedy and Luby references) and its cost
 /// (cover latency vs. the full coloring run).
 
-#include "analysis/table.hpp"
 #include "baselines/message_passing.hpp"
+#include <tuple>
+
 #include "bench_util.hpp"
-#include "core/runner.hpp"
-#include "graph/generators.hpp"
-#include "graph/independence.hpp"
-#include "support/rng.hpp"
 #include "support/stats.hpp"
 
-int main() {
-  using namespace urn;
-  bench::banner("E14", "leader election: MIS-from-scratch quality and cost");
+int urn::bench::e14_leader_election(const Args& args) {
+  banner("E14", "leader election: MIS-from-scratch quality and cost");
 
   analysis::Table table(
       "e14_leader_election",
@@ -32,30 +28,36 @@ int main() {
   for (double side : {11.0, 8.0}) {
     Rng rng(mix_seed(0xE14, static_cast<std::uint64_t>(side * 10)));
     const auto net = graph::random_udg(160, side, 1.5, rng);
-    const auto mp = bench::measured_params(net.graph, 48);
+    const auto mp = measured_params(net.graph, 48);
     const std::size_t n = net.graph.num_nodes();
 
+    // Per trial: leaders, maximality, mean cover and coloring latency.
+    const auto runs =
+        exec::map_trials(6, args.executor(), [&](std::size_t t) {
+          Rng wrng(mix_seed(0xE14F, t));
+          const auto ws = radio::WakeSchedule::uniform(
+              n, 2 * mp.params.threshold(), wrng);
+          const auto election = core::run_leader_election(
+              net.graph, mp.params, ws, mix_seed(0xE14A, t));
+          URN_CHECK(election.all_covered);
+          Samples cov;
+          for (radio::Slot s : election.cover_latency) {
+            cov.add(static_cast<double>(s));
+          }
+          const auto full = core::run_coloring(net.graph, mp.params, ws,
+                                               mix_seed(0xE14A, t));
+          return std::tuple{
+              static_cast<double>(election.leaders.size()),
+              graph::is_maximal_independent_set(net.graph, election.leaders),
+              cov.mean(), full.mean_latency()};
+        });
     Samples leaders, cover_mean, color_mean;
     bool all_maximal = true;
-    for (std::uint64_t t = 0; t < 6; ++t) {
-      Rng wrng(mix_seed(0xE14F, t));
-      const auto ws = radio::WakeSchedule::uniform(
-          n, 2 * mp.params.threshold(), wrng);
-      const auto election = core::run_leader_election(
-          net.graph, mp.params, ws, mix_seed(0xE14A, t));
-      URN_CHECK(election.all_covered);
-      leaders.add(static_cast<double>(election.leaders.size()));
-      all_maximal = all_maximal && graph::is_maximal_independent_set(
-                                       net.graph, election.leaders);
-      Samples cov;
-      for (radio::Slot s : election.cover_latency) {
-        cov.add(static_cast<double>(s));
-      }
-      cover_mean.add(cov.mean());
-
-      const auto full = core::run_coloring(net.graph, mp.params, ws,
-                                           mix_seed(0xE14A, t));
-      color_mean.add(full.mean_latency());
+    for (const auto& [size, maximal, cover, color] : runs) {
+      leaders.add(size);
+      all_maximal = all_maximal && maximal;
+      cover_mean.add(cover);
+      color_mean.add(color);
     }
 
     Rng mrng(mix_seed(0xE14B, static_cast<std::uint64_t>(side)));

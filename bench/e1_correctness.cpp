@@ -7,17 +7,10 @@
 /// random unit disk graphs of roughly constant density (the failure rate
 /// should stay at/near zero and not grow with n).
 
-#include "analysis/experiment.hpp"
-#include "analysis/table.hpp"
 #include "bench_util.hpp"
-#include "graph/generators.hpp"
-#include "support/rng.hpp"
 
-int main(int argc, char** argv) {
-  using namespace urn;
-  const bench::TraceArgs trace = bench::parse_trace_args(argc, argv, "e1");
-  bench::banner("E1",
-                "correct coloring w.h.p. (Thm 2/5): valid fraction vs n");
+int urn::bench::e1_correctness(const Args& args) {
+  banner("E1", "correct coloring w.h.p. (Thm 2/5): valid fraction vs n");
 
   analysis::Table table("e1_correctness",
                         "E1: validity rate vs network size (random UDG, "
@@ -25,7 +18,7 @@ int main(int argc, char** argv) {
   table.set_header({"n", "Delta", "k1", "k2", "valid", "complete",
                     "max_color", "bound k2*Delta", "mean_T", "max_T"});
 
-  bench::BenchSummary summary("e1_correctness");
+  BenchSummary summary("e1_correctness");
   obs::RunLedger ledger;
   const std::size_t trials = 20;
   for (std::size_t n : {64u, 128u, 256u, 512u}) {
@@ -33,11 +26,11 @@ int main(int argc, char** argv) {
     const double side = 1.5 * std::sqrt(static_cast<double>(n) / 2.8);
     Rng rng(mix_seed(0xE1, n));
     const auto net = graph::random_udg(n, side, 1.5, rng);
-    const auto mp = bench::measured_params(net.graph, n > 300 ? 64 : 0);
+    const auto mp = measured_params(net.graph, n > 300 ? 64 : 0);
     const auto agg = analysis::run_core_trials(
         net.graph, mp.params,
         analysis::uniform_schedule(n, 2 * mp.params.threshold()), trials,
-        mix_seed(0xE1F0, n), trace.exec());
+        mix_seed(0xE1F0, n), args.exec());
     table.add_row({analysis::Table::num(static_cast<std::uint64_t>(n)),
                    analysis::Table::num(static_cast<std::uint64_t>(mp.delta)),
                    analysis::Table::num(static_cast<std::uint64_t>(mp.kappa1)),
@@ -49,7 +42,7 @@ int main(int argc, char** argv) {
                        mp.kappa2 * mp.delta)),
                    analysis::Table::num(agg.mean_latency.mean(), 0),
                    analysis::Table::num(agg.max_latency.max(), 0)});
-    bench::ledger_from_aggregate(ledger, agg);
+    ledger_from_aggregate(ledger, agg);
     const std::string prefix = "n" + std::to_string(n);
     summary.set(prefix + ".valid_fraction", agg.valid_fraction());
     summary.set(prefix + ".completed_fraction", agg.completed_fraction());
@@ -60,21 +53,21 @@ int main(int argc, char** argv) {
     // --trace-bin / --metrics-out: re-run trial 0 of the largest size
     // with a live sink.  Sinks never touch the RNG streams, so this run
     // is bit-identical to the one aggregated above.
-    if (trace.enabled() && n == 512u) {
+    if (args.enabled() && n == 512u) {
       const std::uint64_t trial_seed = mix_seed(mix_seed(0xE1F0, n), 0);
       const auto schedule = analysis::uniform_schedule(
           n, 2 * mp.params.threshold())(trial_seed);
-      const auto run = bench::run_traced(trace, net.graph, mp.params,
-                                         schedule, trial_seed);
+      const auto run = run_traced(args, net.graph, mp.params,
+                                  schedule, trial_seed);
       summary.set("traced.valid", run.check.valid());
       summary.set_medium("traced", run.medium);
-      bench::explain_emit(summary, trace, mp.params);
+      explain_emit(summary, args, mp.params);
     }
   }
   table.emit();
   summary.set("trials", static_cast<std::uint64_t>(trials));
-  summary.set("jobs", static_cast<std::uint64_t>(trace.resolved_jobs()));
-  bench::ledger_emit(summary, ledger);
+  summary.set("jobs", static_cast<std::uint64_t>(args.resolved_jobs()));
+  ledger_emit(summary, ledger);
   summary.add_profile();
   summary.emit();
   std::printf("Paper: failure probability <= 2/n^3 (with analytical "

@@ -7,17 +7,11 @@
 
 #include <cmath>
 
-#include "analysis/experiment.hpp"
-#include "analysis/table.hpp"
 #include "bench_util.hpp"
-#include "graph/generators.hpp"
-#include "support/rng.hpp"
 #include "support/stats.hpp"
 
-int main(int argc, char** argv) {
-  using namespace urn;
-  const bench::TraceArgs trace = bench::parse_trace_args(argc, argv, "e2");
-  bench::banner("E2", "decision time vs Delta at fixed n (Thm 3 / Cor 2)");
+int urn::bench::e2_time_vs_delta(const Args& args) {
+  banner("E2", "decision time vs Delta at fixed n (Thm 3 / Cor 2)");
 
   const std::size_t n = 256;
   const std::size_t trials = 8;
@@ -32,12 +26,12 @@ int main(int argc, char** argv) {
   for (double side : {16.0, 13.0, 11.0, 9.5, 8.0, 7.0}) {
     Rng rng(mix_seed(0xE2, static_cast<std::uint64_t>(side * 10)));
     const auto net = graph::random_udg(n, side, 1.5, rng);
-    const auto mp = bench::measured_params(net.graph, 48);
+    const auto mp = measured_params(net.graph, 48);
     const auto agg = analysis::run_core_trials(
         net.graph, mp.params,
         analysis::uniform_schedule(n, 2 * mp.params.threshold()), trials,
         mix_seed(0xE2F0, static_cast<std::uint64_t>(side * 10)),
-        trace.exec());
+        args.exec());
     const double logn = std::log(static_cast<double>(n));
     const double normalized =
         agg.mean_latency.mean() / (mp.delta * logn);
@@ -59,11 +53,11 @@ int main(int argc, char** argv) {
   std::printf("Linear fit of mean T against Delta*ln n: slope=%.1f "
               "intercept=%.0f R^2=%.3f\n",
               fit.slope, fit.intercept, fit.r_squared);
-  bench::BenchSummary summary("e2_time_vs_delta");
+  BenchSummary summary("e2_time_vs_delta");
   summary.set("fit.slope", fit.slope);
   summary.set("fit.r_squared", fit.r_squared);
   summary.set("trials", static_cast<std::uint64_t>(trials));
-  summary.set("jobs", static_cast<std::uint64_t>(trace.resolved_jobs()));
+  summary.set("jobs", static_cast<std::uint64_t>(args.resolved_jobs()));
   summary.add_profile();
   summary.emit();
   std::printf("Paper shape: T = O(Delta log n) on UDGs -> expect R^2 near 1 "

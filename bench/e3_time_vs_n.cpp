@@ -8,17 +8,11 @@
 
 #include <cmath>
 
-#include "analysis/experiment.hpp"
-#include "analysis/table.hpp"
 #include "bench_util.hpp"
-#include "graph/generators.hpp"
-#include "support/rng.hpp"
 #include "support/stats.hpp"
 
-int main(int argc, char** argv) {
-  using namespace urn;
-  const bench::TraceArgs trace = bench::parse_trace_args(argc, argv, "e3");
-  bench::banner("E3", "decision time vs n at fixed density (Thm 3 / Cor 2)");
+int urn::bench::e3_time_vs_n(const Args& args) {
+  banner("E3", "decision time vs n at fixed density (Thm 3 / Cor 2)");
 
   const std::size_t trials = 6;
   analysis::Table table(
@@ -33,11 +27,11 @@ int main(int argc, char** argv) {
     const double side = 1.5 * std::sqrt(static_cast<double>(n) / 2.8);
     Rng rng(mix_seed(0xE3, n));
     const auto net = graph::random_udg(n, side, 1.5, rng);
-    const auto mp = bench::measured_params(net.graph, n > 300 ? 48 : 0);
+    const auto mp = measured_params(net.graph, n > 300 ? 48 : 0);
     const auto agg = analysis::run_core_trials(
         net.graph, mp.params,
         analysis::uniform_schedule(n, 2 * mp.params.threshold()), trials,
-        mix_seed(0xE3F0, n), trace.exec());
+        mix_seed(0xE3F0, n), args.exec());
     const double logn = std::log(static_cast<double>(n));
     xs.push_back(static_cast<double>(mp.delta) * logn);
     ys.push_back(agg.mean_latency.mean());
@@ -56,11 +50,11 @@ int main(int argc, char** argv) {
   const LinearFit fit = fit_line(xs, ys);
   std::printf("Linear fit of mean T against Delta*ln n: slope=%.1f R^2=%.3f\n",
               fit.slope, fit.r_squared);
-  bench::BenchSummary summary("e3_time_vs_n");
+  BenchSummary summary("e3_time_vs_n");
   summary.set("fit.slope", fit.slope);
   summary.set("fit.r_squared", fit.r_squared);
   summary.set("trials", static_cast<std::uint64_t>(trials));
-  summary.set("jobs", static_cast<std::uint64_t>(trace.resolved_jobs()));
+  summary.set("jobs", static_cast<std::uint64_t>(args.resolved_jobs()));
   summary.add_profile();
   summary.emit();
   std::printf("Paper shape: at constant density a 16x larger network only "

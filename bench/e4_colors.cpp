@@ -8,18 +8,13 @@
 /// highest color grows linearly in Δ (within the κ₂Δ bound); message
 /// passing achieves Δ+1 only because its model ignores collisions.
 
-#include "analysis/experiment.hpp"
-#include "analysis/table.hpp"
 #include "baselines/message_passing.hpp"
 #include "baselines/rand_verify.hpp"
 #include "bench_util.hpp"
 #include "graph/coloring.hpp"
-#include "graph/generators.hpp"
-#include "support/rng.hpp"
 
-int main() {
-  using namespace urn;
-  bench::banner("E4", "colors used vs Delta (Thm 5 / Cor 2) + baselines");
+int urn::bench::e4_colors(const Args& args) {
+  banner("E4", "colors used vs Delta (Thm 5 / Cor 2) + baselines");
 
   const std::size_t n = 128;
   analysis::Table table(
@@ -32,12 +27,12 @@ int main() {
   for (double side : {12.0, 9.5, 8.0, 6.6, 5.6}) {
     Rng rng(mix_seed(0xE4, static_cast<std::uint64_t>(side * 10)));
     const auto net = graph::random_udg(n, side, 1.5, rng);
-    const auto mp = bench::measured_params(net.graph);
+    const auto mp = measured_params(net.graph);
 
     const auto agg = analysis::run_core_trials(
         net.graph, mp.params,
         analysis::uniform_schedule(n, 2 * mp.params.threshold()), 6,
-        mix_seed(0xE4F0, static_cast<std::uint64_t>(side)));
+        mix_seed(0xE4F0, static_cast<std::uint64_t>(side)), args.exec());
 
     Rng crng(mix_seed(0xE4C0, static_cast<std::uint64_t>(side)));
     const auto greedy = graph::greedy_coloring_random(net.graph, crng);

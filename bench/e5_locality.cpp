@@ -10,19 +10,14 @@
 #include <algorithm>
 #include <map>
 
-#include "analysis/table.hpp"
 #include "bench_util.hpp"
-#include "core/runner.hpp"
 #include "geom/spatial_grid.hpp"
 #include "graph/coloring.hpp"
-#include "graph/generators.hpp"
-#include "support/rng.hpp"
 #include "support/stats.hpp"
 
-int main() {
-  using namespace urn;
-  bench::banner("E5", "locality: highest neighborhood color vs local "
-                      "density theta_v (Thm 4)");
+int urn::bench::e5_locality(const Args& /*args*/) {
+  banner("E5", "locality: highest neighborhood color vs local "
+               "density theta_v (Thm 4)");
 
   // Clustered deployment: dense blobs in a large sparse field, connected
   // by scattered background nodes.
@@ -45,7 +40,7 @@ int main() {
     net.graph = builder.build();
   }
 
-  const auto mp = bench::measured_params(net.graph, 64);
+  const auto mp = measured_params(net.graph, 64);
   std::printf("deployment: n=%zu Delta=%u k2=%u (clustered + background)\n\n",
               net.graph.num_nodes(), mp.delta, mp.kappa2);
 

@@ -7,22 +7,16 @@
 /// and show per-node latency statistics stay in the same band while
 /// validity stays at 1.
 
-#include "analysis/experiment.hpp"
-#include "analysis/table.hpp"
 #include "bench_util.hpp"
-#include "graph/generators.hpp"
-#include "support/rng.hpp"
 
-int main(int argc, char** argv) {
-  using namespace urn;
-  const bench::TraceArgs trace = bench::parse_trace_args(argc, argv, "e6");
-  bench::banner("E6", "per-node latency under wake-up patterns (model "
-                      "claim, Sect. 2)");
+int urn::bench::e6_wakeup(const Args& args) {
+  banner("E6", "per-node latency under wake-up patterns (model "
+               "claim, Sect. 2)");
 
   const std::size_t n = 192;
   Rng rng(0xE6);
   const auto net = graph::random_udg(n, 9.0, 1.5, rng);
-  const auto mp = bench::measured_params(net.graph, 48);
+  const auto mp = measured_params(net.graph, 48);
   std::printf("deployment: n=%zu Delta=%u k2=%u\n\n", n, mp.delta,
               mp.kappa2);
 
@@ -68,17 +62,17 @@ int main(int argc, char** argv) {
       "E6: per-node decision latency by wake-up pattern (8 trials each)");
   table.set_header(
       {"pattern", "valid", "mean_T", "p95_T", "max_T", "resets/node"});
-  bench::BenchSummary summary("e6_wakeup");
+  BenchSummary summary("e6_wakeup");
   obs::RunLedger ledger;
   summary.set("n", static_cast<std::uint64_t>(n));
   summary.set("delta", mp.delta);
   summary.set("kappa2", mp.kappa2);
-  summary.set("jobs", static_cast<std::uint64_t>(trace.resolved_jobs()));
+  summary.set("jobs", static_cast<std::uint64_t>(args.resolved_jobs()));
   for (const Pattern& p : patterns) {
     const auto agg = analysis::run_core_trials(net.graph, mp.params,
                                                p.factory, trials, 0xE6F0,
-                                               trace.exec());
-    bench::ledger_from_aggregate(ledger, agg);
+                                               args.exec());
+    ledger_from_aggregate(ledger, agg);
     table.add_row({p.name, analysis::Table::num(agg.valid_fraction(), 2),
                    analysis::Table::num(agg.mean_latency.mean(), 0),
                    analysis::Table::num(agg.p95_latency.mean(), 0),
@@ -91,18 +85,18 @@ int main(int argc, char** argv) {
 
     // --trace-bin / --metrics-out: record trial 0 of the adversarial
     // wavefront pattern, the most interesting schedule of the set.
-    if (trace.enabled() && std::string(p.name) == "wavefront") {
+    if (args.enabled() && std::string(p.name) == "wavefront") {
       const std::uint64_t trial_seed = mix_seed(0xE6F0, 0);
-      const auto run = bench::run_traced(trace, net.graph, mp.params,
-                                         p.factory(trial_seed), trial_seed);
+      const auto run = run_traced(args, net.graph, mp.params,
+                                  p.factory(trial_seed), trial_seed);
       summary.set("traced.pattern", p.name);
       summary.set("traced.valid", run.check.valid());
       summary.set_medium("traced", run.medium);
-      bench::explain_emit(summary, trace, mp.params);
+      explain_emit(summary, args, mp.params);
     }
   }
   table.emit();
-  bench::ledger_emit(summary, ledger);
+  ledger_emit(summary, ledger);
   summary.add_profile();
   summary.emit();
   std::printf("Paper shape: latency (measured from each node's own wake-up) "

@@ -8,20 +8,15 @@
 /// trade-off, and we run the full analytical constants on a smaller
 /// instance to show they work but cost ~2 orders of magnitude more time.
 
-#include "analysis/experiment.hpp"
-#include "analysis/table.hpp"
 #include "bench_util.hpp"
-#include "graph/generators.hpp"
-#include "support/rng.hpp"
 
-int main() {
-  using namespace urn;
-  bench::banner("E7", "constants trade-off: correctness vs running time");
+int urn::bench::e7_constants(const Args& args) {
+  banner("E7", "constants trade-off: correctness vs running time");
 
   const std::size_t n = 192;
   Rng rng(0xE7);
   const auto net = graph::random_udg(n, 9.0, 1.5, rng);
-  const auto mp = bench::measured_params(net.graph, 48);
+  const auto mp = measured_params(net.graph, 48);
   std::printf("deployment: n=%zu Delta=%u k1=%u k2=%u\n", n, mp.delta,
               mp.kappa1, mp.kappa2);
   std::printf("practical constants: alpha=%.0f beta=%.0f gamma=%.0f "
@@ -39,8 +34,10 @@ int main() {
       analysis::uniform_schedule(n, 2 * mp.params.threshold());
   for (double scale : {0.25, 0.5, 0.75, 1.0, 1.5}) {
     const core::Params p = mp.params.scaled(scale);
-    const auto agg = analysis::run_core_trials(net.graph, p, sched, 20,
-                                               mix_seed(0xE7F0, static_cast<std::uint64_t>(scale * 100)));
+    const auto agg = analysis::run_core_trials(
+        net.graph, p, sched, 20,
+        mix_seed(0xE7F0, static_cast<std::uint64_t>(scale * 100)),
+        args.exec());
     table.add_row({analysis::Table::num(scale, 2),
                    analysis::Table::num(agg.valid_fraction(), 2),
                    analysis::Table::num(agg.completed_fraction(), 2),
@@ -53,7 +50,7 @@ int main() {
   // The paper's analytical constants on a smaller instance.
   Rng rng2(0xE7A);
   const auto small = graph::random_udg(64, 5.2, 1.5, rng2);
-  const auto smp = bench::measured_params(small.graph);
+  const auto smp = measured_params(small.graph);
   const core::Params analytical = core::Params::analytical(
       64, smp.delta, smp.kappa1, smp.kappa2);
   const core::Params practical = core::Params::practical(
@@ -68,7 +65,7 @@ int main() {
        {std::pair{"analytical", analytical}, std::pair{"practical", practical}}) {
     const auto agg = analysis::run_core_trials(
         small.graph, params, analysis::uniform_schedule(64, 1000), 3,
-        0xE7B0);
+        0xE7B0, args.exec());
     t2.add_row({name, analysis::Table::num(params.alpha, 0),
                 analysis::Table::num(params.gamma, 0),
                 analysis::Table::num(params.sigma, 0),

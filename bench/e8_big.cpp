@@ -9,16 +9,10 @@
 /// growing dimension, run the protocol with the measured κ, and report
 /// validity, colors, and latency.
 
-#include "analysis/experiment.hpp"
-#include "analysis/table.hpp"
 #include "bench_util.hpp"
-#include "graph/generators.hpp"
-#include "support/rng.hpp"
 
-int main(int argc, char** argv) {
-  using namespace urn;
-  const bench::TraceArgs trace = bench::parse_trace_args(argc, argv, "e8");
-  bench::banner("E8", "obstacle BIGs and unit ball graphs (Cor 3, Lemma 9)");
+int urn::bench::e8_big(const Args& args) {
+  banner("E8", "obstacle BIGs and unit ball graphs (Cor 3, Lemma 9)");
 
   const std::size_t trials = 6;
 
@@ -32,11 +26,11 @@ int main(int argc, char** argv) {
     auto segs = graph::random_walls(walls, 10.0, 1.0, 4.0, rng);
     const auto net =
         graph::random_obstacle_big(160, 10.0, 1.5, std::move(segs), rng);
-    const auto mp = bench::measured_params(net.graph);
+    const auto mp = measured_params(net.graph);
     const auto agg = analysis::run_core_trials(
         net.graph, mp.params,
         analysis::uniform_schedule(160, 2 * mp.params.threshold()), trials,
-        mix_seed(0xE8F0, walls), trace.exec());
+        mix_seed(0xE8F0, walls), args.exec());
     t1.add_row(
         {analysis::Table::num(static_cast<std::uint64_t>(walls)),
          analysis::Table::num(static_cast<std::uint64_t>(net.graph.num_edges())),
@@ -59,11 +53,11 @@ int main(int argc, char** argv) {
     // Volume scaled so the degree stays moderate in each dimension.
     const double side = dim == 1 ? 16.0 : (dim == 2 ? 5.2 : 3.1);
     const auto ball = graph::random_unit_ball(110, dim, side, rng);
-    const auto mp = bench::measured_params(ball.graph);
+    const auto mp = measured_params(ball.graph);
     const auto agg = analysis::run_core_trials(
         ball.graph, mp.params,
         analysis::uniform_schedule(110, 2 * mp.params.threshold()), trials,
-        mix_seed(0xE8C0, dim), trace.exec());
+        mix_seed(0xE8C0, dim), args.exec());
     t2.add_row(
         {analysis::Table::num(static_cast<std::uint64_t>(dim)),
          analysis::Table::num(static_cast<std::uint64_t>(mp.delta)),
@@ -76,9 +70,9 @@ int main(int argc, char** argv) {
              static_cast<std::uint64_t>(mp.kappa2 * mp.delta))});
   }
   t2.emit();
-  bench::BenchSummary summary("e8_big");
+  BenchSummary summary("e8_big");
   summary.set("trials", static_cast<std::uint64_t>(trials));
-  summary.set("jobs", static_cast<std::uint64_t>(trace.resolved_jobs()));
+  summary.set("jobs", static_cast<std::uint64_t>(args.resolved_jobs()));
   summary.add_profile();
   summary.emit();
   std::printf("Paper shape: walls shrink edges but kappa stays a small "

@@ -10,21 +10,17 @@
 /// Δ.  The idealized message-passing coloring is listed (in rounds, not
 /// slots) as the collision-free reference.
 
+#include <array>
 #include <cmath>
 
-#include "analysis/experiment.hpp"
-#include "analysis/table.hpp"
 #include "baselines/message_passing.hpp"
 #include "baselines/rand_verify.hpp"
 #include "bench_util.hpp"
-#include "graph/generators.hpp"
-#include "support/rng.hpp"
 #include "support/stats.hpp"
 
-int main() {
-  using namespace urn;
-  bench::banner("E9", "this paper vs rand-verify (Busch-style) vs "
-                      "message passing");
+int urn::bench::e9_baselines(const Args& args) {
+  banner("E9", "this paper vs rand-verify (Busch-style) vs "
+               "message passing");
 
   const std::size_t n = 128;
   analysis::Table table(
@@ -39,26 +35,33 @@ int main() {
   for (double side : {13.0, 10.0, 8.0, 6.6, 5.6}) {
     Rng rng(mix_seed(0xE9, static_cast<std::uint64_t>(side * 10)));
     const auto net = graph::random_udg(n, side, 1.5, rng);
-    const auto mp = bench::measured_params(net.graph);
+    const auto mp = measured_params(net.graph);
 
     const auto agg = analysis::run_core_trials(
         net.graph, mp.params, analysis::synchronous_schedule(n), 4,
-        mix_seed(0xE9F0, static_cast<std::uint64_t>(side)));
+        mix_seed(0xE9F0, static_cast<std::uint64_t>(side)), args.exec());
 
     baselines::RandVerifyParams rv;
     rv.n = n;
     rv.delta = mp.delta;
+    // Mean latency, max latency and highest color of each baseline run.
+    const auto rv_runs =
+        exec::map_trials(4, args.executor(), [&](std::size_t t) {
+          const auto r = baselines::run_rand_verify(
+              net.graph, rv, radio::WakeSchedule::synchronous(n),
+              mix_seed(0xE9A0 + t, static_cast<std::uint64_t>(side)),
+              60000000);
+          URN_CHECK(r.all_decided);
+          Samples lat;
+          for (radio::Slot s : r.latency) lat.add(static_cast<double>(s));
+          return std::array{lat.mean(), lat.max(),
+                            static_cast<double>(r.max_color)};
+        });
     Samples rv_lat, rv_max, rv_colors;
-    for (std::uint64_t t = 0; t < 4; ++t) {
-      const auto r = baselines::run_rand_verify(
-          net.graph, rv, radio::WakeSchedule::synchronous(n),
-          mix_seed(0xE9A0 + t, static_cast<std::uint64_t>(side)), 60000000);
-      URN_CHECK(r.all_decided);
-      Samples lat;
-      for (radio::Slot s : r.latency) lat.add(static_cast<double>(s));
-      rv_lat.add(lat.mean());
-      rv_max.add(lat.max());
-      rv_colors.add(static_cast<double>(r.max_color));
+    for (const auto& [mean, max, colors] : rv_runs) {
+      rv_lat.add(mean);
+      rv_max.add(max);
+      rv_colors.add(colors);
     }
 
     Rng mrng(mix_seed(0xE9B0, static_cast<std::uint64_t>(side)));

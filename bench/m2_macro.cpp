@@ -295,17 +295,12 @@ int main(int argc, char** argv) {
 
   // One grid cell per "trial": exact keys are bit-identical for every
   // jobs value (fixed per-cell seeds); only the rates vary with load.
-  struct Partial {
-    std::vector<CellResult> cells;
-  };
-  const Partial all = exec::parallel_for_trials<Partial>(
+  const std::vector<CellResult> cells = exec::map_trials(
       grid.size(), {jobs, 1, nullptr, pool_probe ? &*pool_probe : nullptr},
-      [&](Partial& acc, std::size_t i) {
-        acc.cells.push_back(run_cell(grid[i], reps, telemetry));
+      [&](std::size_t i) {
+        CellResult r = run_cell(grid[i], reps, telemetry);
         if (cells_done != nullptr) cells_done->add(1);
-      },
-      [](Partial& into, Partial&& chunk) {
-        for (CellResult& r : chunk.cells) into.cells.push_back(std::move(r));
+        return r;
       });
 
   if (snapshotter.has_value()) {
@@ -325,14 +320,14 @@ int main(int argc, char** argv) {
   }
 
   bench::BenchSummary summary(smoke ? "m2_smoke" : "m2_macro");
-  summary.set("cells", static_cast<std::uint64_t>(all.cells.size()));
+  summary.set("cells", static_cast<std::uint64_t>(cells.size()));
   summary.set("reps", static_cast<std::uint64_t>(reps));
   summary.set("jobs", static_cast<std::uint64_t>(resolved));
 
   std::printf("%-24s %8s %10s %12s %10s\n", "cell", "Delta", "slots",
               "node-slots", "Mns/s");
   double high_delta_rate = 0.0;
-  for (const CellResult& r : all.cells) {
+  for (const CellResult& r : cells) {
     std::printf("%-24s %8u %10lld %12lld %10.1f\n", r.id.c_str(), r.delta,
                 static_cast<long long>(r.slots_run),
                 static_cast<long long>(r.node_slots), r.best_rate / 1e6);

@@ -15,12 +15,11 @@
 #include <vector>
 
 #include "analysis/experiment.hpp"
+#include "analysis/run_flags.hpp"
 #include "core/runner.hpp"
 #include "core/tdma.hpp"
 #include "exec/chunk.hpp"
 #include "exec/parallel.hpp"
-#include "obs/postmortem.hpp"
-#include "obs/telemetry.hpp"
 #include "geom/spatial_grid.hpp"
 #include "graph/generators.hpp"
 #include "graph/independence.hpp"
@@ -105,46 +104,16 @@ int main(int argc, char** argv) {
   flags.add_int("walls", 30, "wall count for --topology obstacles");
   flags.add_string("wake", "uniform", kWakes);
   flags.add_int("trials", 1, "independent trials to run");
-  flags.add_int("jobs", 1,
-                "worker threads for the trial loop (0 = all hardware "
-                "threads); results are bit-identical for every value");
   flags.add_int("seed", 1, "master seed");
   flags.add_bool("analytical", false,
                  "use the paper's analytical constants (slow!)");
   flags.add_double("scale", 1.0, "scale factor on the protocol constants");
   flags.add_bool("tdma", false, "derive and audit a TDMA schedule");
   flags.add_bool("verbose", false, "per-trial details");
-  flags.add_string("trace-bin", "",
-                   "record trial 0 as a compact binary event log (see "
-                   "urn_trace; --export jsonl:PATH converts it)");
-  flags.add_int("trace-bin-ring", 0,
-                "bound the binary log to the most recent N events "
-                "(0 = keep every event)");
-  flags.add_string("metrics-out", "",
-                   "write trial 0's per-window metrics series as CSV");
-  flags.add_int("metrics-window", 16, "metrics window width in slots");
-  flags.add_bool("monitor", false,
-                 "check the paper's invariants online on every trial; any "
-                 "violation fails the run with exit 2");
-  flags.add_string("telemetry-out", "",
-                   "stream live telemetry snapshots to this JSONL file "
-                   "(watch with urn_top --in FILE)");
-  flags.add_string("telemetry-prom", "",
-                   "rewrite this file as Prometheus text exposition on "
-                   "every telemetry snapshot");
-  flags.add_int("telemetry-interval", 1000,
-                "telemetry snapshot period in milliseconds");
-  flags.add_string("postmortem-dir", "",
-                   "write per-trial postmortem bundles (checkpoint + "
-                   "flight-recorder ring + manifest) under this directory; "
-                   "inspect/resume with urn_postmortem");
-  flags.add_int("checkpoint-every", 0,
-                "checkpoint period in slots for the postmortem bundles "
-                "(0 = one snapshot at the start of each trial)");
-  flags.add_bool("dump-on-violation", false,
-                 "capture a full postmortem bundle (checkpoint + ring + "
-                 "monitor report) for a trial whose invariant monitor "
-                 "fires; implies --monitor");
+  // --jobs, the trial-0 log and metrics (--trace-bin, --metrics-out),
+  // --monitor on every trial, live telemetry and per-trial postmortem
+  // bundles: the flag set shared with urn_repro.
+  analysis::RunFlags::declare(flags);
 
   if (!flags.parse(argc, argv)) {
     std::fprintf(stderr, "error: %s\n%s", flags.error().c_str(),
@@ -156,15 +125,12 @@ int main(int argc, char** argv) {
     return 0;
   }
   // Hostile counts and names fail here, before any allocation or run.
+  std::optional<analysis::RunFlags> run_flags;
   if (!flags.check_int("n", 1,
                        static_cast<std::int64_t>(
                            radio::AlignedMedium::kMaxNodes)) ||
       !flags.check_int("walls", 0) || !flags.check_int("trials", 1) ||
-      !flags.check_int("jobs", 0, exec::kMaxJobs) ||
-      !flags.check_int("trace-bin-ring", 0) ||
-      !flags.check_int("metrics-window", 1) ||
-      !flags.check_int("telemetry-interval", 1) ||
-      !flags.check_int("checkpoint-every", 0)) {
+      !(run_flags = analysis::RunFlags::read(flags))) {
     std::fprintf(stderr, "error: %s\n", flags.error().c_str());
     return 2;
   }
@@ -200,45 +166,19 @@ int main(int argc, char** argv) {
               params.alpha, params.beta, params.gamma, params.sigma,
               static_cast<long long>(params.threshold()));
 
-  core::TraceOptions trace;
-  trace.events_bin = flags.get_string("trace-bin");
-  trace.bin_ring = static_cast<std::size_t>(flags.get_int("trace-bin-ring"));
-  trace.metrics = !flags.get_string("metrics-out").empty();
-  trace.metrics_window = flags.get_int("metrics-window");
   // Postmortem bundles: each trial writes its own subdirectory
   // (<dir>/trialNNNN) so the parallel trial loop never shares files.
-  core::PostmortemOptions postmortem;
-  postmortem.dir = flags.get_string("postmortem-dir");
-  postmortem.checkpoint_every = flags.get_int("checkpoint-every");
-  postmortem.dump_on_violation = flags.get_bool("dump-on-violation");
-  if (postmortem.dir.empty() &&
-      (postmortem.checkpoint_every > 0 || postmortem.dump_on_violation)) {
-    postmortem.dir = "postmortem";
-  }
-  const bool monitor =
-      flags.get_bool("monitor") || postmortem.dump_on_violation;
-  const bool tracing = trace.metrics || !trace.events_bin.empty();
+  const analysis::RunFlags& rf = *run_flags;
+  const core::PostmortemOptions postmortem = rf.postmortem();
+  const bool monitor = rf.monitor || postmortem.dump_on_violation;
+  const bool tracing = !rf.trace_bin.empty() || !rf.metrics_out.empty();
   // Reject unwritable destinations up front rather than aborting mid-run.
-  for (const std::string& path :
-       {trace.events_bin, flags.get_string("metrics-out"),
-        flags.get_string("telemetry-out"),
-        flags.get_string("telemetry-prom")}) {
-    if (path.empty()) continue;
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-      return 2;
-    }
-    std::fclose(f);
-  }
-  if (postmortem.enabled() &&
-      !obs::postmortem::ensure_dir(postmortem.dir)) {
-    std::fprintf(stderr, "error: cannot write %s\n", postmortem.dir.c_str());
+  if (const std::string bad = rf.unwritable(); !bad.empty()) {
+    std::fprintf(stderr, "error: cannot write %s\n", bad.c_str());
     return 2;
   }
 
   const auto trials = static_cast<std::size_t>(flags.get_int("trials"));
-  const auto jobs = static_cast<std::size_t>(flags.get_int("jobs"));
   const bool verbose = flags.get_bool("verbose");
 
   // Live telemetry: every trial runs with an engine probe feeding the
@@ -246,22 +186,7 @@ int main(int argc, char** argv) {
   // the pool reports per-worker utilization, and a background snapshotter
   // streams the registry to JSONL / Prometheus.  Probes read counts only,
   // so results stay bit-identical to an uninstrumented run.
-  obs::telemetry::Registry* telemetry = nullptr;
-  std::optional<obs::telemetry::PoolProbe> pool_probe;
-  std::optional<obs::telemetry::Snapshotter> snapshotter;
-  const std::string telemetry_out = flags.get_string("telemetry-out");
-  const std::string telemetry_prom = flags.get_string("telemetry-prom");
-  if (!telemetry_out.empty() || !telemetry_prom.empty()) {
-    telemetry = &obs::telemetry::Registry::global();
-    telemetry->clear();
-    pool_probe.emplace(*telemetry, exec::resolve_jobs(jobs));
-    obs::telemetry::SnapshotterOptions sopts;
-    sopts.jsonl_path = telemetry_out;
-    sopts.prom_path = telemetry_prom;
-    sopts.interval_ms =
-        static_cast<std::uint64_t>(flags.get_int("telemetry-interval"));
-    snapshotter.emplace(*telemetry, sopts);
-  }
+  analysis::TelemetrySession telemetry(rf);
 
   // The trial loop fans out over the deterministic executor: each trial
   // is a pure function of mix_seed(seed, t), workers own their sinks and
@@ -283,7 +208,7 @@ int main(int argc, char** argv) {
     std::optional<Violation> violation;
   };
   const SimPartial sim = exec::parallel_for_trials<SimPartial>(
-      trials, {jobs, 0, nullptr, pool_probe ? &*pool_probe : nullptr},
+      trials, {rf.jobs, 0, nullptr, telemetry.pool()},
       [&](SimPartial& acc, std::size_t t) {
         Rng wrng(mix_seed(seed, 1000 + t));
         const auto schedule = build_wake(flags, net, params, wrng);
@@ -293,9 +218,9 @@ int main(int argc, char** argv) {
         // probes never touch the RNG streams, so every trial is
         // bit-identical to what run_coloring would have produced.
         core::TraceOptions topts =
-            (tracing && t == 0) ? trace : core::TraceOptions{};
+            (tracing && t == 0) ? rf.trace_options() : core::TraceOptions{};
         topts.monitor = monitor;
-        topts.telemetry = telemetry;
+        topts.telemetry = telemetry.registry();
         if (postmortem.enabled()) {
           topts.postmortem = postmortem;
           topts.postmortem.dir =
@@ -346,20 +271,7 @@ int main(int argc, char** argv) {
         }
       });
 
-  if (snapshotter.has_value()) {
-    snapshotter->stop();  // flush a final snapshot before reporting
-    if (!telemetry_out.empty()) {
-      std::printf("(telemetry: %llu snapshots -> %s; watch live with "
-                  "urn_top --in %s)\n",
-                  static_cast<unsigned long long>(
-                      snapshotter->snapshots_taken()),
-                  telemetry_out.c_str(), telemetry_out.c_str());
-    }
-    if (!telemetry_prom.empty()) {
-      std::printf("(telemetry: prometheus exposition -> %s)\n",
-                  telemetry_prom.c_str());
-    }
-  }
+  telemetry.finish();  // flush a final snapshot before reporting
   if (sim.violation.has_value()) {
     std::fprintf(stderr, "trial %zu: INVARIANT VIOLATIONS\n",
                  sim.violation->trial);
@@ -373,21 +285,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (tracing && sim.trial0.has_value()) {
-    const core::RunResult& run = *sim.trial0;
-    if (!trace.events_bin.empty()) {
-      std::printf("(trace: %llu events -> %s)\n",
-                  static_cast<unsigned long long>(run.events_recorded),
-                  trace.events_bin.c_str());
-    }
-    if (run.series.has_value()) {
-      const std::string out = flags.get_string("metrics-out");
-      if (run.series->write_csv_file(out)) {
-        std::printf("(metrics: %zu windows -> %s)\n", run.series->size(),
-                    out.c_str());
-      } else {
-        std::fprintf(stderr, "cannot write %s\n", out.c_str());
-      }
-    }
+    analysis::report_artifacts(rf, *sim.trial0, params.kappa2);
   }
   for (const std::string& line : sim.verbose_lines) {
     std::printf("%s\n", line.c_str());

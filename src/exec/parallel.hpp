@@ -36,6 +36,7 @@
 
 #include <cstddef>
 #include <cstdio>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -103,6 +104,23 @@ template <typename Partial, typename Body, typename Merge>
   Partial out{};
   for (Partial& partial : partials) merge(out, std::move(partial));
   return out;
+}
+
+/// `parallel_for_trials` for loops that aggregate after the fact: returns
+/// `body(t)` for every trial, in trial order, so the caller can fold the
+/// results exactly as its serial loop did (floating-point sums included).
+template <typename Body>
+[[nodiscard]] auto map_trials(std::size_t trials, const ExecOptions& options,
+                              Body&& body) {
+  using Result = std::decay_t<decltype(body(std::size_t{0}))>;
+  return parallel_for_trials<std::vector<Result>>(
+      trials, options,
+      [&](std::vector<Result>& out, std::size_t t) {
+        out.push_back(body(t));
+      },
+      [](std::vector<Result>& into, std::vector<Result>&& part) {
+        for (Result& r : part) into.push_back(std::move(r));
+      });
 }
 
 }  // namespace urn::exec

@@ -133,7 +133,11 @@ bool CliFlags::parse(int argc, const char* const* argv) {
     } else {
       name = arg;
       const auto it = flags_.find(name);
-      if (it != flags_.end() && it->second.type == Type::kBool) {
+      if (it == flags_.end()) {
+        error_ = "unknown flag --" + name;
+        return false;
+      }
+      if (it->second.type == Type::kBool) {
         value = "true";  // bare boolean flag
       } else if (i + 1 < argc) {
         value = argv[++i];

@@ -69,6 +69,13 @@ TEST(Cli, UnknownFlagRejected) {
   EXPECT_NE(flags.error().find("bogus"), std::string::npos);
 }
 
+// A bare unknown flag is reported as unknown, not as missing its value.
+TEST(Cli, BareUnknownFlagRejectedAsUnknown) {
+  CliFlags flags = demo_flags();
+  EXPECT_FALSE(parse(flags, {"--bogus"}));
+  EXPECT_EQ(flags.error(), "unknown flag --bogus");
+}
+
 TEST(Cli, BadIntegerRejected) {
   CliFlags flags = demo_flags();
   EXPECT_FALSE(parse(flags, {"--n=abc"}));

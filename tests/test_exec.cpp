@@ -166,6 +166,23 @@ TEST(ParallelForTrials, TrialOrderIsSerialForEveryJobsAndChunk) {
   }
 }
 
+// map_trials hands back one result per trial in trial order, whoever ran
+// it: a loop that folds the results afterwards is the serial loop.
+TEST(MapTrials, ResultsComeBackInTrialOrderForEveryJobsAndChunk) {
+  const std::size_t trials = 23;
+  std::vector<std::uint64_t> expected;
+  for (std::size_t t = 0; t < trials; ++t) expected.push_back(mix_seed(7, t));
+  for (std::size_t jobs = 1; jobs <= 4; ++jobs) {
+    for (std::size_t chunk : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                              std::size_t{5}, std::size_t{100}}) {
+      const std::vector<std::uint64_t> got = map_trials(
+          trials, {jobs, chunk}, [](std::size_t t) { return mix_seed(7, t); });
+      EXPECT_EQ(got, expected) << "jobs=" << jobs << " chunk=" << chunk;
+    }
+  }
+  EXPECT_TRUE(map_trials(0, {3, 0}, [](std::size_t t) { return t; }).empty());
+}
+
 TEST(ParallelForTrials, ZeroTrialsYieldsDefaultPartial) {
   const int got = parallel_for_trials<int>(
       0, {4, 0}, [](int& acc, std::size_t) { acc = 99; },
