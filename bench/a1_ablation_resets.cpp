@@ -16,12 +16,12 @@ int urn::bench::a1_ablation_resets(const Args& args) {
   const std::size_t n = 144;
   Rng rng(0xA1);
   const auto net = graph::random_udg(n, 7.0, 1.5, rng);  // dense
-  const auto mp = measured_params(net.graph, 48);
+  const core::Params params = sweep_params(net.graph);
   std::printf("deployment: n=%zu Delta=%u k2=%u avg_deg=%.1f\n\n", n,
-              mp.delta, mp.kappa2, net.graph.average_degree());
+              params.delta, params.kappa2, net.graph.average_degree());
 
   const auto sched =
-      analysis::uniform_schedule(n, 4 * mp.params.threshold());
+      analysis::uniform_schedule(n, 4 * params.threshold());
   const std::size_t trials = 15;
 
   analysis::Table table(
@@ -35,7 +35,7 @@ int urn::bench::a1_ablation_resets(const Args& args) {
       {"never reset", core::ResetPolicy::kNone},
   };
   for (const auto& [name, policy] : policies) {
-    core::Params p = mp.params;
+    core::Params p = params;
     p.reset_policy = policy;
     const auto agg = analysis::run_core_trials(net.graph, p, sched, trials,
                                                0xA1F0, args.exec());

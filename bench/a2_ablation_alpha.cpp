@@ -16,12 +16,12 @@ int urn::bench::a2_ablation_alpha(const Args& args) {
   const std::size_t n = 144;
   Rng rng(0xA2);
   const auto net = graph::random_udg(n, 7.5, 1.5, rng);
-  const auto mp = measured_params(net.graph, 48);
+  const core::Params params = sweep_params(net.graph);
   std::printf("deployment: n=%zu Delta=%u k2=%u (default alpha=%.0f)\n\n", n,
-              mp.delta, mp.kappa2, mp.params.alpha);
+              params.delta, params.kappa2, params.alpha);
 
   const auto sched =
-      analysis::uniform_schedule(n, 4 * mp.params.threshold());
+      analysis::uniform_schedule(n, 4 * params.threshold());
   const std::size_t trials = 15;
 
   analysis::Table table("a2_ablation_alpha",
@@ -29,11 +29,11 @@ int urn::bench::a2_ablation_alpha(const Args& args) {
   table.set_header({"alpha", "valid", "complete", "resets/node", "mean_T",
                     "max_T"});
   for (double factor : {0.0, 0.1, 0.25, 0.5, 1.0, 2.0}) {
-    core::Params p = mp.params;
-    p.alpha = std::max(1e-9, mp.params.alpha * factor);
+    core::Params p = params;
+    p.alpha = std::max(1e-9, params.alpha * factor);
     const auto agg = analysis::run_core_trials(net.graph, p, sched, trials,
                                                0xA2F0, args.exec());
-    table.add_row({analysis::Table::num(mp.params.alpha * factor, 1),
+    table.add_row({analysis::Table::num(params.alpha * factor, 1),
                    analysis::Table::num(agg.valid_fraction(), 2),
                    analysis::Table::num(agg.completed_fraction(), 2),
                    analysis::Table::num(agg.resets_per_node.mean(), 2),

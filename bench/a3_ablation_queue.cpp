@@ -17,9 +17,9 @@ int urn::bench::a3_ablation_queue(const Args& args) {
   const std::size_t n = 144;
   Rng rng(0xA3);
   const auto net = graph::random_udg(n, 7.0, 1.5, rng);
-  const auto mp = measured_params(net.graph, 48);
+  const core::Params params = sweep_params(net.graph);
   std::printf("deployment: n=%zu Delta=%u k2=%u (default beta=%.1f)\n\n", n,
-              mp.delta, mp.kappa2, mp.params.beta);
+              params.delta, params.kappa2, params.beta);
 
   const std::size_t trials = 12;
   analysis::Table table(
@@ -30,8 +30,8 @@ int urn::bench::a3_ablation_queue(const Args& args) {
 
   for (double beta_factor : {1.0, 0.4, 0.2}) {
     for (bool remember : {false, true}) {
-      core::Params p = mp.params;
-      p.beta = mp.params.beta * beta_factor;
+      core::Params p = params;
+      p.beta = params.beta * beta_factor;
       p.remember_served = remember;
       const auto runs =
           exec::map_trials(trials, args.executor(), [&](std::size_t t) {

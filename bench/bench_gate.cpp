@@ -22,9 +22,9 @@ int urn::bench::bench_gate(const Args& args) {
   const std::size_t n = 96;
   Rng rng(0xCA7E);
   const auto net = graph::random_udg(n, 6.5, 1.5, rng);
-  const auto mp = measured_params(net.graph);
-  std::printf("deployment: n=%zu Delta=%u k1=%u k2=%u\n", n, mp.delta,
-              mp.kappa1, mp.kappa2);
+  const core::Params params = sweep_params(net.graph);
+  std::printf("deployment: n=%zu Delta=%u k1=%u k2=%u\n", n, params.delta,
+              params.kappa1, params.kappa2);
 
   // ---- monitored coloring trials -----------------------------------------
   // The per-trial seeds predate the executor; the loop fans out over
@@ -35,8 +35,8 @@ int urn::bench::bench_gate(const Args& args) {
   const std::size_t trials = 5;
   BenchSummary coloring("gate_coloring");
   coloring.set("n", static_cast<std::uint64_t>(n));
-  coloring.set("delta", mp.delta);
-  coloring.set("kappa2", mp.kappa2);
+  coloring.set("delta", params.delta);
+  coloring.set("kappa2", params.kappa2);
   coloring.set("jobs", static_cast<std::uint64_t>(args.resolved_jobs()));
   core::TraceOptions monitored;
   monitored.monitor = true;
@@ -49,8 +49,8 @@ int urn::bench::bench_gate(const Args& args) {
       exec::map_trials(trials, args.executor(), [&](std::size_t t) {
         Rng wrng(mix_seed(0xCA7EF, t));
         const auto ws =
-            radio::WakeSchedule::uniform(n, 2 * mp.params.threshold(), wrng);
-        return core::run_coloring_traced(net.graph, mp.params, ws,
+            radio::WakeSchedule::uniform(n, 2 * params.threshold(), wrng);
+        return core::run_coloring_traced(net.graph, params, ws,
                                          mix_seed(0xCA7EA, t), monitored);
       });
   std::size_t valid = 0;
@@ -86,9 +86,9 @@ int urn::bench::bench_gate(const Args& args) {
       exec::map_trials(trials, args.executor(), [&](std::size_t t) {
         Rng wrng(mix_seed(0xCA7EB, t));
         const auto ws =
-            radio::WakeSchedule::uniform(n, 2 * mp.params.threshold(), wrng);
+            radio::WakeSchedule::uniform(n, 2 * params.threshold(), wrng);
         return core::run_leader_election_traced(
-            net.graph, mp.params, ws, mix_seed(0xCA7EC, t), leader_opts);
+            net.graph, params, ws, mix_seed(0xCA7EC, t), leader_opts);
       });
   std::size_t covered = 0;
   obs::RunLedger leader_ledger;
@@ -118,10 +118,10 @@ int urn::bench::bench_gate(const Args& args) {
   if (args.enabled()) {
     Rng wrng(mix_seed(0xCA7EF, 0));
     const auto ws =
-        radio::WakeSchedule::uniform(n, 2 * mp.params.threshold(), wrng);
-    (void)run_traced(args, net.graph, mp.params, ws,
+        radio::WakeSchedule::uniform(n, 2 * params.threshold(), wrng);
+    (void)run_traced(args, net.graph, params, ws,
                      mix_seed(0xCA7EA, 0));
-    explain_emit(coloring, args, mp.params);
+    explain_emit(coloring, args, params);
   }
   coloring.emit();
   return valid == trials ? 0 : 2;

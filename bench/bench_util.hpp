@@ -2,7 +2,7 @@
 /// \brief Shared helpers for the experiments behind `urn_repro` (E1–E15,
 ///        A1–A3 and the regression gate) and for m2_macro.
 ///
-/// Besides parameter measurement and the banner, this provides the two
+/// Besides the sweep's parameters and the banner, this provides the two
 /// observability hooks every experiment shares:
 ///
 ///  * `BenchSummary` — machine-readable run summaries.  Each experiment
@@ -45,7 +45,6 @@
 #include "exec/chunk.hpp"
 #include "exec/parallel.hpp"
 #include "graph/generators.hpp"
-#include "graph/independence.hpp"
 #include "obs/explain.hpp"
 #include "obs/ledger.hpp"
 #include "obs/monitor.hpp"
@@ -55,30 +54,16 @@
 
 namespace urn::bench {
 
-/// Measure Δ, κ₁, κ₂ on a graph and build the calibrated practical
-/// parameter set.  κ is the maximum over every node's neighbourhood when
-/// `kappa_sample` is 0, and over that many sampled nodes (plus the
-/// highest-degree one) otherwise — the caller's argument decides, not the
-/// graph's size.  Sampling can only under-estimate κ; we take the family
-/// bound max(2, measured).
-struct MeasuredParams {
-  std::uint32_t delta = 0;
-  std::uint32_t kappa1 = 0;
-  std::uint32_t kappa2 = 0;
-  core::Params params;
-};
-
-inline MeasuredParams measured_params(const graph::Graph& g,
-                                      std::size_t kappa_sample = 0) {
-  MeasuredParams mp;
-  mp.delta = std::max(2u, g.max_closed_degree());
-  graph::KappaOptions opts;
-  opts.sample = kappa_sample;
-  mp.kappa1 = std::max(2u, graph::kappa1(g, opts).value);
-  mp.kappa2 = std::max(mp.kappa1, graph::kappa2(g, opts).value);
-  mp.params =
-      core::Params::practical(g.num_nodes(), mp.delta, mp.kappa1, mp.kappa2);
-  return mp;
+/// The calibrated practical parameters of a sweep deployment, built on the
+/// Δ, κ₁ and κ₂ of `core::measure_bounds`.  The sweep refuses a κ that is
+/// not exact, here and nowhere else: a greedy lower bound would void
+/// Theorems 2–5 and shrink every practical window, and no sweep
+/// deployment comes near the exact limit.
+inline core::Params sweep_params(const graph::Graph& g) {
+  const core::GraphBounds b = core::measure_bounds(g);
+  URN_CHECK_MSG(b.exact, "a 2-hop neighbourhood of this deployment exceeds "
+                         "the exact kappa limit");
+  return core::Params::practical(g.num_nodes(), b.delta, b.kappa1, b.kappa2);
 }
 
 /// Print a one-line banner common to all experiment binaries.
@@ -210,13 +195,13 @@ struct Args {
   [[nodiscard]] std::size_t resolved_jobs() const {
     return exec::resolve_jobs(run.jobs);
   }
-  /// Executor options for analysis::run_core_trials and friends.
+  /// Executor options for analysis::run_core_trials.  The per-run flags
+  /// (log, metrics, monitor, postmortem) go only to `run_traced`.
   [[nodiscard]] analysis::TrialExecOptions exec() const {
     analysis::TrialExecOptions opts;
     opts.jobs = run.jobs;
     opts.spans = spans;
     opts.telemetry = telemetry;
-    opts.postmortem = run.postmortem();
     return opts;
   }
   /// Executor options for an experiment's own loop (exec::map_trials).

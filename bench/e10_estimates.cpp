@@ -20,10 +20,10 @@ int urn::bench::e10_estimates(const Args& args) {
   const std::size_t n = 160;
   Rng rng(0xE10);
   const auto net = graph::random_udg(n, 8.0, 1.5, rng);
-  const auto mp = measured_params(net.graph, 48);
-  std::printf("deployment: n=%zu true Delta=%u k2=%u\n\n", n, mp.delta,
-              mp.kappa2);
-  const auto sched = analysis::uniform_schedule(n, 2 * mp.params.threshold());
+  const core::Params params = sweep_params(net.graph);
+  std::printf("deployment: n=%zu true Delta=%u k2=%u\n\n", n, params.delta,
+              params.kappa2);
+  const auto sched = analysis::uniform_schedule(n, 2 * params.threshold());
   const std::size_t trials = 12;
 
   analysis::Table t1("e10_delta_estimate",
@@ -32,8 +32,8 @@ int urn::bench::e10_estimates(const Args& args) {
   t1.set_header({"Delta_hat/Delta", "Delta_hat", "valid", "complete",
                  "mean_T", "max_color"});
   for (double f : {0.15, 0.25, 0.5, 1.0, 2.0, 4.0}) {
-    core::Params p = mp.params;
-    p.delta = std::max(2u, static_cast<std::uint32_t>(mp.delta * f));
+    core::Params p = params;
+    p.delta = std::max(2u, static_cast<std::uint32_t>(params.delta * f));
     const auto agg = analysis::run_core_trials(
         net.graph, p, sched, trials,
         mix_seed(0xE10F, static_cast<std::uint64_t>(f * 100)), args.exec());
@@ -51,7 +51,7 @@ int urn::bench::e10_estimates(const Args& args) {
                      "each)");
   t2.set_header({"n_hat/n", "valid", "complete", "mean_T"});
   for (double f : {0.25, 1.0, 4.0, 16.0}) {
-    core::Params p = mp.params;
+    core::Params p = params;
     p.n = std::max<std::uint64_t>(
         2, static_cast<std::uint64_t>(static_cast<double>(n) * f));
     const auto agg = analysis::run_core_trials(
@@ -73,14 +73,14 @@ int urn::bench::e10_estimates(const Args& args) {
   // The estimator's local max already sits at the top of its factor-of-2
   // resolution band; use it directly.
   const std::uint32_t delta_used = std::max(2u, delta_hat);
-  core::Params p = mp.params;
+  core::Params p = params;
   p.delta = delta_used;
   const auto agg = analysis::run_core_trials(net.graph, p, sched, trials,
                                              0xE10D, args.exec());
   std::printf("E10c: probing estimator pre-phase (%lld slots): max local "
               "degree estimate %u (true Delta %u); protocol with "
               "Delta_hat=%u -> valid %.2f, mean_T %.0f\n",
-              static_cast<long long>(est.slots), delta_hat, mp.delta,
+              static_cast<long long>(est.slots), delta_hat, params.delta,
               delta_used, agg.valid_fraction(), agg.mean_latency.mean());
   std::printf(
       "\nMeasured: overestimating Delta or n is safe and costs linear / "

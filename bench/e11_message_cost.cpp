@@ -27,7 +27,7 @@ int urn::bench::e11_message_cost(const Args& args) {
   for (double side : {11.0, 8.0, 6.3}) {
     Rng rng(mix_seed(0xE11, static_cast<std::uint64_t>(side * 10)));
     const auto net = graph::random_udg(n, side, 1.5, rng);
-    const auto mp = measured_params(net.graph, 48);
+    const core::Params params = sweep_params(net.graph);
     // One row per algorithm: per-node event counts and slots, averaged
     // over its four runs in trial order.
     auto row = [&](const char* algo,
@@ -40,8 +40,9 @@ int urn::bench::e11_message_cost(const Args& args) {
         slots += static_cast<double>(m.slots_run) / 4.0;
       }
       table.add_row(
-          {analysis::Table::num(static_cast<std::uint64_t>(mp.delta)),
-           analysis::Table::num(static_cast<std::uint64_t>(mp.kappa2)), algo,
+          {analysis::Table::num(static_cast<std::uint64_t>(params.delta)),
+           analysis::Table::num(static_cast<std::uint64_t>(params.kappa2)),
+           algo,
            analysis::Table::num(tx, 0), analysis::Table::num(rx, 0),
            analysis::Table::num(coll, 0), analysis::Table::num(tx / slots, 5),
            analysis::Table::num(slots, 0)});
@@ -51,15 +52,15 @@ int urn::bench::e11_message_cost(const Args& args) {
         exec::map_trials(4, args.executor(), [&](std::size_t t) {
           Rng wrng(mix_seed(0xE11F, t));
           const auto ws = radio::WakeSchedule::uniform(
-              n, 2 * mp.params.threshold(), wrng);
-          return core::run_coloring(net.graph, mp.params, ws,
+              n, 2 * params.threshold(), wrng);
+          return core::run_coloring(net.graph, params, ws,
                                     mix_seed(0xE11A, t))
               .medium;
         }));
 
     baselines::RandVerifyParams rv;
     rv.n = n;
-    rv.delta = mp.delta;
+    rv.delta = params.delta;
     row("rand-verify",
         exec::map_trials(4, args.executor(), [&](std::size_t t) {
           return baselines::run_rand_verify(

@@ -30,12 +30,12 @@ int urn::bench::e12_misaligned(const Args& args) {
   for (double side : {10.0, 8.0}) {
     Rng rng(mix_seed(0xE12, static_cast<std::uint64_t>(side * 10)));
     const auto net = graph::random_udg(128, side, 1.5, rng);
-    const auto mp = measured_params(net.graph, 48);
+    const core::Params params = sweep_params(net.graph);
     const std::size_t n = net.graph.num_nodes();
     const std::size_t trials = 6;
 
     const auto aligned = analysis::run_core_trials(
-        net.graph, mp.params, analysis::synchronous_schedule(n), trials,
+        net.graph, params, analysis::synchronous_schedule(n), trials,
         0xE12A, args.exec());
     // The same trials on random half-slot phases: each one's validity and
     // mean and max latency.
@@ -43,7 +43,7 @@ int urn::bench::e12_misaligned(const Args& args) {
         exec::map_trials(trials, args.executor(), [&](std::size_t t) {
           std::vector<core::ColoringNode> nodes;
           for (graph::NodeId v = 0; v < n; ++v) {
-            nodes.emplace_back(&mp.params, v);
+            nodes.emplace_back(&params, v);
           }
           Rng orng(mix_seed(0xE12B, t));
           auto offsets =
@@ -52,7 +52,7 @@ int urn::bench::e12_misaligned(const Args& args) {
           radio::MisalignedEngine<core::ColoringNode> eng(
               net.graph, radio::WakeSchedule::synchronous(n),
               std::move(nodes), std::move(offsets), mix_seed(0xE12A, t));
-          const auto stats = eng.run(80 * mp.params.threshold());
+          const auto stats = eng.run(80 * params.threshold());
           URN_CHECK(stats.all_decided);
           std::vector<graph::Color> colors(n);
           Samples mlat;
@@ -74,8 +74,8 @@ int urn::bench::e12_misaligned(const Args& args) {
     auto row = [&](const char* medium, std::size_t valid,
                    const Samples& mean, const Samples& mx, double slow) {
       table.add_row(
-          {analysis::Table::num(static_cast<std::uint64_t>(mp.delta)),
-           analysis::Table::num(static_cast<std::uint64_t>(mp.kappa2)),
+          {analysis::Table::num(static_cast<std::uint64_t>(params.delta)),
+           analysis::Table::num(static_cast<std::uint64_t>(params.kappa2)),
            medium,
            analysis::Table::num(
                static_cast<double>(valid) / trials, 2),

@@ -28,10 +28,10 @@ int urn::bench::e13_tdma(const Args& /*args*/) {
   for (double side : {10.0, 7.5}) {
     Rng rng(mix_seed(0xE13, static_cast<std::uint64_t>(side * 10)));
     const auto net = graph::random_udg(160, side, 1.5, rng);
-    const auto mp = measured_params(net.graph, 48);
+    const core::Params params = sweep_params(net.graph);
 
     const auto run = core::run_coloring(
-        net.graph, mp.params,
+        net.graph, params,
         radio::WakeSchedule::synchronous(net.graph.num_nodes()), 0xE13A);
     URN_CHECK(run.check.valid());
 
@@ -49,7 +49,7 @@ int urn::bench::e13_tdma(const Args& /*args*/) {
       const auto tdma = core::derive_tdma(net.graph, e.colors);
       const auto rep = core::analyze_tdma(net.graph, tdma);
       table.add_row(
-          {analysis::Table::num(static_cast<std::uint64_t>(mp.delta)),
+          {analysis::Table::num(static_cast<std::uint64_t>(params.delta)),
            e.name,
            analysis::Table::num(static_cast<std::uint64_t>(tdma.frame)),
            rep.direct_interference_free ? "yes" : "NO",

@@ -13,6 +13,7 @@
 #include <tuple>
 
 #include "bench_util.hpp"
+#include "graph/independence.hpp"
 #include "support/stats.hpp"
 
 int urn::bench::e14_leader_election(const Args& args) {
@@ -28,7 +29,7 @@ int urn::bench::e14_leader_election(const Args& args) {
   for (double side : {11.0, 8.0}) {
     Rng rng(mix_seed(0xE14, static_cast<std::uint64_t>(side * 10)));
     const auto net = graph::random_udg(160, side, 1.5, rng);
-    const auto mp = measured_params(net.graph, 48);
+    const core::Params params = sweep_params(net.graph);
     const std::size_t n = net.graph.num_nodes();
 
     // Per trial: leaders, maximality, mean cover and coloring latency.
@@ -36,15 +37,15 @@ int urn::bench::e14_leader_election(const Args& args) {
         exec::map_trials(6, args.executor(), [&](std::size_t t) {
           Rng wrng(mix_seed(0xE14F, t));
           const auto ws = radio::WakeSchedule::uniform(
-              n, 2 * mp.params.threshold(), wrng);
+              n, 2 * params.threshold(), wrng);
           const auto election = core::run_leader_election(
-              net.graph, mp.params, ws, mix_seed(0xE14A, t));
+              net.graph, params, ws, mix_seed(0xE14A, t));
           URN_CHECK(election.all_covered);
           Samples cov;
           for (radio::Slot s : election.cover_latency) {
             cov.add(static_cast<double>(s));
           }
-          const auto full = core::run_coloring(net.graph, mp.params, ws,
+          const auto full = core::run_coloring(net.graph, params, ws,
                                                mix_seed(0xE14A, t));
           return std::tuple{
               static_cast<double>(election.leaders.size()),
@@ -65,8 +66,8 @@ int urn::bench::e14_leader_election(const Args& args) {
     const auto luby = baselines::luby_mis(net.graph, mrng);
 
     table.add_row(
-        {analysis::Table::num(static_cast<std::uint64_t>(mp.delta)),
-         analysis::Table::num(static_cast<std::uint64_t>(mp.kappa2)),
+        {analysis::Table::num(static_cast<std::uint64_t>(params.delta)),
+         analysis::Table::num(static_cast<std::uint64_t>(params.kappa2)),
          analysis::Table::num(leaders.mean(), 1),
          analysis::Table::num(static_cast<std::uint64_t>(greedy.size())),
          analysis::Table::num(static_cast<std::uint64_t>(luby.mis.size())),

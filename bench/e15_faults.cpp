@@ -25,10 +25,10 @@ int urn::bench::e15_faults(const Args& args) {
 
   Rng rng(0xE15);
   const auto net = graph::random_udg(144, 8.0, 1.5, rng);
-  const auto mp = measured_params(net.graph, 48);
+  const core::Params params = sweep_params(net.graph);
   const std::size_t n = net.graph.num_nodes();
-  std::printf("deployment: n=%zu Delta=%u k2=%u\n\n", n, mp.delta,
-              mp.kappa2);
+  std::printf("deployment: n=%zu Delta=%u k2=%u\n\n", n, params.delta,
+              params.kappa2);
 
   // ---- E15a: fading. -----------------------------------------------------
   analysis::Table t1("e15_fading",
@@ -38,8 +38,8 @@ int urn::bench::e15_faults(const Args& args) {
   BenchSummary summary("e15_faults");
   obs::RunLedger ledger;
   summary.set("n", static_cast<std::uint64_t>(n));
-  summary.set("delta", mp.delta);
-  summary.set("kappa2", mp.kappa2);
+  summary.set("delta", params.delta);
+  summary.set("kappa2", params.kappa2);
   summary.set("jobs", static_cast<std::uint64_t>(args.resolved_jobs()));
   double baseline_mean = 0.0;
   for (double p : {0.0, 0.1, 0.25, 0.5, 0.75}) {
@@ -54,8 +54,8 @@ int urn::bench::e15_faults(const Args& args) {
         exec::map_trials(trials, args.executor(), [&](std::size_t t) {
           Rng wrng(mix_seed(0xE15F, t));
           const auto ws = radio::WakeSchedule::uniform(
-              n, 2 * mp.params.threshold(), wrng);
-          return core::run_coloring_traced(net.graph, mp.params, ws,
+              n, 2 * params.threshold(), wrng);
+          return core::run_coloring_traced(net.graph, params, ws,
                                            mix_seed(0xE15A, t), topts, 0,
                                            medium);
         });
@@ -88,13 +88,13 @@ int urn::bench::e15_faults(const Args& args) {
     if (args.enabled() && p == 0.25) {
       Rng wrng(mix_seed(0xE15F, 0));
       const auto ws =
-          radio::WakeSchedule::uniform(n, 2 * mp.params.threshold(), wrng);
-      const auto run = run_traced(args, net.graph, mp.params, ws,
+          radio::WakeSchedule::uniform(n, 2 * params.threshold(), wrng);
+      const auto run = run_traced(args, net.graph, params, ws,
                                   mix_seed(0xE15A, 0), medium);
       summary.set("traced.drop_p", p);
       summary.set("traced.valid", run.check.valid());
       summary.set_medium("traced", run.medium);
-      explain_emit(summary, args, mp.params);
+      explain_emit(summary, args, params);
     }
   }
   t1.emit();
@@ -114,7 +114,7 @@ int urn::bench::e15_faults(const Args& args) {
         exec::map_trials(trials, args.executor(), [&](std::size_t t) {
           std::vector<core::ColoringNode> nodes;
           for (graph::NodeId v = 0; v < n; ++v) {
-            nodes.emplace_back(&mp.params, v);
+            nodes.emplace_back(&params, v);
           }
           radio::Engine<core::ColoringNode> eng(
               net.graph, radio::WakeSchedule::synchronous(n),
@@ -122,7 +122,7 @@ int urn::bench::e15_faults(const Args& args) {
           // Crash right after the first leaders appear, while many
           // members are still requesting their intra-cluster colors.
           for (radio::Slot s = 0;
-               s < mp.params.passive_slots() + mp.params.threshold() + 500;
+               s < params.passive_slots() + params.threshold() + 500;
                ++s) {
             eng.step();
           }
@@ -132,7 +132,7 @@ int urn::bench::e15_faults(const Args& args) {
               eng.deactivate(v);
             }
           }
-          (void)eng.run(core::default_slot_budget(mp.params, eng.schedule()));
+          (void)eng.run(core::default_slot_budget(params, eng.schedule()));
           std::size_t decided = 0, live = 0, orphan = 0;
           std::vector<graph::Color> colors(n, graph::kUncolored);
           for (graph::NodeId v = 0; v < n; ++v) {

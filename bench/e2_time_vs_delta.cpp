@@ -26,21 +26,21 @@ int urn::bench::e2_time_vs_delta(const Args& args) {
   for (double side : {16.0, 13.0, 11.0, 9.5, 8.0, 7.0}) {
     Rng rng(mix_seed(0xE2, static_cast<std::uint64_t>(side * 10)));
     const auto net = graph::random_udg(n, side, 1.5, rng);
-    const auto mp = measured_params(net.graph, 48);
+    const core::Params params = sweep_params(net.graph);
     const auto agg = analysis::run_core_trials(
-        net.graph, mp.params,
-        analysis::uniform_schedule(n, 2 * mp.params.threshold()), trials,
+        net.graph, params,
+        analysis::uniform_schedule(n, 2 * params.threshold()), trials,
         mix_seed(0xE2F0, static_cast<std::uint64_t>(side * 10)),
         args.exec());
     const double logn = std::log(static_cast<double>(n));
     const double normalized =
-        agg.mean_latency.mean() / (mp.delta * logn);
-    xs.push_back(static_cast<double>(mp.delta) * logn);
+        agg.mean_latency.mean() / (params.delta * logn);
+    xs.push_back(static_cast<double>(params.delta) * logn);
     ys.push_back(agg.mean_latency.mean());
     table.add_row(
         {analysis::Table::num(side, 1),
-         analysis::Table::num(static_cast<std::uint64_t>(mp.delta)),
-         analysis::Table::num(static_cast<std::uint64_t>(mp.kappa2)),
+         analysis::Table::num(static_cast<std::uint64_t>(params.delta)),
+         analysis::Table::num(static_cast<std::uint64_t>(params.kappa2)),
          analysis::Table::num(agg.mean_latency.mean(), 0),
          analysis::Table::num(agg.p95_latency.mean(), 0),
          analysis::Table::num(agg.max_latency.max(), 0),

@@ -27,22 +27,23 @@ int urn::bench::e3_time_vs_n(const Args& args) {
     const double side = 1.5 * std::sqrt(static_cast<double>(n) / 2.8);
     Rng rng(mix_seed(0xE3, n));
     const auto net = graph::random_udg(n, side, 1.5, rng);
-    const auto mp = measured_params(net.graph, n > 300 ? 48 : 0);
+    const core::Params params = sweep_params(net.graph);
     const auto agg = analysis::run_core_trials(
-        net.graph, mp.params,
-        analysis::uniform_schedule(n, 2 * mp.params.threshold()), trials,
+        net.graph, params,
+        analysis::uniform_schedule(n, 2 * params.threshold()), trials,
         mix_seed(0xE3F0, n), args.exec());
     const double logn = std::log(static_cast<double>(n));
-    xs.push_back(static_cast<double>(mp.delta) * logn);
+    xs.push_back(static_cast<double>(params.delta) * logn);
     ys.push_back(agg.mean_latency.mean());
     table.add_row(
         {analysis::Table::num(static_cast<std::uint64_t>(n)),
-         analysis::Table::num(static_cast<std::uint64_t>(mp.delta)),
-         analysis::Table::num(static_cast<std::uint64_t>(mp.kappa2)),
+         analysis::Table::num(static_cast<std::uint64_t>(params.delta)),
+         analysis::Table::num(static_cast<std::uint64_t>(params.kappa2)),
          analysis::Table::num(agg.mean_latency.mean(), 0),
          analysis::Table::num(agg.p95_latency.mean(), 0),
          analysis::Table::num(agg.max_latency.max(), 0),
-         analysis::Table::num(agg.mean_latency.mean() / (mp.delta * logn), 1),
+         analysis::Table::num(
+             agg.mean_latency.mean() / (params.delta * logn), 1),
          analysis::Table::num(agg.valid_fraction(), 2)});
   }
   table.emit();

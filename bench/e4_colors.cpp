@@ -27,11 +27,11 @@ int urn::bench::e4_colors(const Args& args) {
   for (double side : {12.0, 9.5, 8.0, 6.6, 5.6}) {
     Rng rng(mix_seed(0xE4, static_cast<std::uint64_t>(side * 10)));
     const auto net = graph::random_udg(n, side, 1.5, rng);
-    const auto mp = measured_params(net.graph);
+    const core::Params params = sweep_params(net.graph);
 
     const auto agg = analysis::run_core_trials(
-        net.graph, mp.params,
-        analysis::uniform_schedule(n, 2 * mp.params.threshold()), 6,
+        net.graph, params,
+        analysis::uniform_schedule(n, 2 * params.threshold()), 6,
         mix_seed(0xE4F0, static_cast<std::uint64_t>(side)), args.exec());
 
     Rng crng(mix_seed(0xE4C0, static_cast<std::uint64_t>(side)));
@@ -40,16 +40,16 @@ int urn::bench::e4_colors(const Args& args) {
 
     baselines::RandVerifyParams rv;
     rv.n = n;
-    rv.delta = mp.delta;
+    rv.delta = params.delta;
     const auto rvr = baselines::run_rand_verify(
         net.graph, rv, radio::WakeSchedule::synchronous(n),
         mix_seed(0xE4D0, static_cast<std::uint64_t>(side)), 30000000);
 
     table.add_row(
-        {analysis::Table::num(static_cast<std::uint64_t>(mp.delta)),
-         analysis::Table::num(static_cast<std::uint64_t>(mp.kappa2)),
+        {analysis::Table::num(static_cast<std::uint64_t>(params.delta)),
+         analysis::Table::num(static_cast<std::uint64_t>(params.kappa2)),
          analysis::Table::num(
-             static_cast<std::uint64_t>(mp.kappa2 * mp.delta)),
+             static_cast<std::uint64_t>(params.kappa2 * params.delta)),
          analysis::Table::num(agg.max_color.mean(), 0),
          analysis::Table::num(agg.distinct_colors.mean(), 0),
          analysis::Table::num(
@@ -58,7 +58,7 @@ int urn::bench::e4_colors(const Args& args) {
              static_cast<std::int64_t>(graph::max_color(mpc.colors))),
          analysis::Table::num(
              static_cast<std::int64_t>(rvr.max_color)),
-         analysis::Table::num(agg.max_color.mean() / mp.delta, 2)});
+         analysis::Table::num(agg.max_color.mean() / params.delta, 2)});
   }
   table.emit();
   std::printf(

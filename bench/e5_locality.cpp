@@ -40,14 +40,14 @@ int urn::bench::e5_locality(const Args& /*args*/) {
     net.graph = builder.build();
   }
 
-  const auto mp = measured_params(net.graph, 64);
+  const core::Params params = sweep_params(net.graph);
   std::printf("deployment: n=%zu Delta=%u k2=%u (clustered + background)\n\n",
-              net.graph.num_nodes(), mp.delta, mp.kappa2);
+              net.graph.num_nodes(), params.delta, params.kappa2);
 
   Rng wrng(0xE5F0);
   const auto ws = radio::WakeSchedule::uniform(
-      net.graph.num_nodes(), 2 * mp.params.threshold(), wrng);
-  const auto run = core::run_coloring(net.graph, mp.params, ws, 0xE5AA);
+      net.graph.num_nodes(), 2 * params.threshold(), wrng);
+  const auto run = core::run_coloring(net.graph, params, ws, 0xE5AA);
   URN_CHECK(run.all_decided);
   std::printf("run valid=%d max_color=%d\n\n", run.check.valid() ? 1 : 0,
               run.max_color);
@@ -76,15 +76,15 @@ int urn::bench::e5_locality(const Args& /*args*/) {
          analysis::Table::num(phis.mean(), 0),
          analysis::Table::num(phis.max(), 0),
          analysis::Table::num(static_cast<std::uint64_t>(
-             (mp.kappa2 + 1) * theta_hi + mp.kappa2))});
+             (params.kappa2 + 1) * theta_hi + params.kappa2))});
   }
   table.emit();
 
   const core::LocalityReport loc =
-      core::check_locality(net.graph, run.colors, mp.kappa2);
+      core::check_locality(net.graph, run.colors, params.kappa2);
   std::printf("max phi_v/theta_v ratio: %.2f (k2=%u); derivable bound "
               "holds: %s\n",
-              loc.max_ratio, mp.kappa2, loc.holds ? "yes" : "no");
+              loc.max_ratio, params.kappa2, loc.holds ? "yes" : "no");
   std::printf("Paper shape: phi grows with theta (locality) — nodes in "
               "sparse areas keep small colors regardless of the dense "
               "clusters elsewhere.\n");

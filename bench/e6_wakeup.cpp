@@ -16,12 +16,12 @@ int urn::bench::e6_wakeup(const Args& args) {
   const std::size_t n = 192;
   Rng rng(0xE6);
   const auto net = graph::random_udg(n, 9.0, 1.5, rng);
-  const auto mp = measured_params(net.graph, 48);
-  std::printf("deployment: n=%zu Delta=%u k2=%u\n\n", n, mp.delta,
-              mp.kappa2);
+  const core::Params params = sweep_params(net.graph);
+  std::printf("deployment: n=%zu Delta=%u k2=%u\n\n", n, params.delta,
+              params.kappa2);
 
-  const radio::Slot T = mp.params.threshold();
-  const radio::Slot P = mp.params.passive_slots();
+  const radio::Slot T = params.threshold();
+  const radio::Slot P = params.passive_slots();
   const std::size_t trials = 8;
 
   struct Pattern {
@@ -65,11 +65,11 @@ int urn::bench::e6_wakeup(const Args& args) {
   BenchSummary summary("e6_wakeup");
   obs::RunLedger ledger;
   summary.set("n", static_cast<std::uint64_t>(n));
-  summary.set("delta", mp.delta);
-  summary.set("kappa2", mp.kappa2);
+  summary.set("delta", params.delta);
+  summary.set("kappa2", params.kappa2);
   summary.set("jobs", static_cast<std::uint64_t>(args.resolved_jobs()));
   for (const Pattern& p : patterns) {
-    const auto agg = analysis::run_core_trials(net.graph, mp.params,
+    const auto agg = analysis::run_core_trials(net.graph, params,
                                                p.factory, trials, 0xE6F0,
                                                args.exec());
     ledger_from_aggregate(ledger, agg);
@@ -87,12 +87,12 @@ int urn::bench::e6_wakeup(const Args& args) {
     // wavefront pattern, the most interesting schedule of the set.
     if (args.enabled() && std::string(p.name) == "wavefront") {
       const std::uint64_t trial_seed = mix_seed(0xE6F0, 0);
-      const auto run = run_traced(args, net.graph, mp.params,
+      const auto run = run_traced(args, net.graph, params,
                                   p.factory(trial_seed), trial_seed);
       summary.set("traced.pattern", p.name);
       summary.set("traced.valid", run.check.valid());
       summary.set_medium("traced", run.medium);
-      explain_emit(summary, args, mp.params);
+      explain_emit(summary, args, params);
     }
   }
   table.emit();

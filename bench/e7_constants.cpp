@@ -16,13 +16,12 @@ int urn::bench::e7_constants(const Args& args) {
   const std::size_t n = 192;
   Rng rng(0xE7);
   const auto net = graph::random_udg(n, 9.0, 1.5, rng);
-  const auto mp = measured_params(net.graph, 48);
-  std::printf("deployment: n=%zu Delta=%u k1=%u k2=%u\n", n, mp.delta,
-              mp.kappa1, mp.kappa2);
+  const core::Params params = sweep_params(net.graph);
+  std::printf("deployment: n=%zu Delta=%u k1=%u k2=%u\n", n, params.delta,
+              params.kappa1, params.kappa2);
   std::printf("practical constants: alpha=%.0f beta=%.0f gamma=%.0f "
               "sigma=%.0f\n\n",
-              mp.params.alpha, mp.params.beta, mp.params.gamma,
-              mp.params.sigma);
+              params.alpha, params.beta, params.gamma, params.sigma);
 
   analysis::Table table(
       "e7_constants",
@@ -30,10 +29,9 @@ int urn::bench::e7_constants(const Args& args) {
       "20 trials each)");
   table.set_header({"scale", "valid", "complete", "mean_T", "max_T",
                     "resets/node"});
-  const auto sched =
-      analysis::uniform_schedule(n, 2 * mp.params.threshold());
+  const auto sched = analysis::uniform_schedule(n, 2 * params.threshold());
   for (double scale : {0.25, 0.5, 0.75, 1.0, 1.5}) {
-    const core::Params p = mp.params.scaled(scale);
+    const core::Params p = params.scaled(scale);
     const auto agg = analysis::run_core_trials(
         net.graph, p, sched, 20,
         mix_seed(0xE7F0, static_cast<std::uint64_t>(scale * 100)),
@@ -50,25 +48,23 @@ int urn::bench::e7_constants(const Args& args) {
   // The paper's analytical constants on a smaller instance.
   Rng rng2(0xE7A);
   const auto small = graph::random_udg(64, 5.2, 1.5, rng2);
-  const auto smp = measured_params(small.graph);
+  const core::Params practical = sweep_params(small.graph);
   const core::Params analytical = core::Params::analytical(
-      64, smp.delta, smp.kappa1, smp.kappa2);
-  const core::Params practical = core::Params::practical(
-      64, smp.delta, smp.kappa1, smp.kappa2);
+      64, practical.delta, practical.kappa1, practical.kappa2);
 
   analysis::Table t2("e7_analytical",
                      "E7b: paper's analytical constants vs calibrated "
                      "practical ones (n=64, 3 trials each)");
   t2.set_header({"constants", "alpha", "gamma", "sigma", "valid", "mean_T",
                  "max_T"});
-  for (const auto& [name, params] :
+  for (const auto& [name, p] :
        {std::pair{"analytical", analytical}, std::pair{"practical", practical}}) {
     const auto agg = analysis::run_core_trials(
-        small.graph, params, analysis::uniform_schedule(64, 1000), 3,
+        small.graph, p, analysis::uniform_schedule(64, 1000), 3,
         0xE7B0, args.exec());
-    t2.add_row({name, analysis::Table::num(params.alpha, 0),
-                analysis::Table::num(params.gamma, 0),
-                analysis::Table::num(params.sigma, 0),
+    t2.add_row({name, analysis::Table::num(p.alpha, 0),
+                analysis::Table::num(p.gamma, 0),
+                analysis::Table::num(p.sigma, 0),
                 analysis::Table::num(agg.valid_fraction(), 2),
                 analysis::Table::num(agg.mean_latency.mean(), 0),
                 analysis::Table::num(agg.max_latency.max(), 0)});

@@ -26,17 +26,17 @@ int urn::bench::e8_big(const Args& args) {
     auto segs = graph::random_walls(walls, 10.0, 1.0, 4.0, rng);
     const auto net =
         graph::random_obstacle_big(160, 10.0, 1.5, std::move(segs), rng);
-    const auto mp = measured_params(net.graph);
+    const core::Params params = sweep_params(net.graph);
     const auto agg = analysis::run_core_trials(
-        net.graph, mp.params,
-        analysis::uniform_schedule(160, 2 * mp.params.threshold()), trials,
+        net.graph, params,
+        analysis::uniform_schedule(160, 2 * params.threshold()), trials,
         mix_seed(0xE8F0, walls), args.exec());
     t1.add_row(
         {analysis::Table::num(static_cast<std::uint64_t>(walls)),
          analysis::Table::num(static_cast<std::uint64_t>(net.graph.num_edges())),
-         analysis::Table::num(static_cast<std::uint64_t>(mp.delta)),
-         analysis::Table::num(static_cast<std::uint64_t>(mp.kappa1)),
-         analysis::Table::num(static_cast<std::uint64_t>(mp.kappa2)),
+         analysis::Table::num(static_cast<std::uint64_t>(params.delta)),
+         analysis::Table::num(static_cast<std::uint64_t>(params.kappa1)),
+         analysis::Table::num(static_cast<std::uint64_t>(params.kappa2)),
          analysis::Table::num(agg.valid_fraction(), 2),
          analysis::Table::num(agg.mean_latency.mean(), 0),
          analysis::Table::num(agg.max_color.mean(), 0)});
@@ -53,21 +53,21 @@ int urn::bench::e8_big(const Args& args) {
     // Volume scaled so the degree stays moderate in each dimension.
     const double side = dim == 1 ? 16.0 : (dim == 2 ? 5.2 : 3.1);
     const auto ball = graph::random_unit_ball(110, dim, side, rng);
-    const auto mp = measured_params(ball.graph);
+    const core::Params params = sweep_params(ball.graph);
     const auto agg = analysis::run_core_trials(
-        ball.graph, mp.params,
-        analysis::uniform_schedule(110, 2 * mp.params.threshold()), trials,
+        ball.graph, params,
+        analysis::uniform_schedule(110, 2 * params.threshold()), trials,
         mix_seed(0xE8C0, dim), args.exec());
     t2.add_row(
         {analysis::Table::num(static_cast<std::uint64_t>(dim)),
-         analysis::Table::num(static_cast<std::uint64_t>(mp.delta)),
-         analysis::Table::num(static_cast<std::uint64_t>(mp.kappa1)),
-         analysis::Table::num(static_cast<std::uint64_t>(mp.kappa2)),
+         analysis::Table::num(static_cast<std::uint64_t>(params.delta)),
+         analysis::Table::num(static_cast<std::uint64_t>(params.kappa1)),
+         analysis::Table::num(static_cast<std::uint64_t>(params.kappa2)),
          analysis::Table::num(agg.valid_fraction(), 2),
          analysis::Table::num(agg.mean_latency.mean(), 0),
          analysis::Table::num(agg.max_color.mean(), 0),
          analysis::Table::num(
-             static_cast<std::uint64_t>(mp.kappa2 * mp.delta))});
+             static_cast<std::uint64_t>(params.kappa2 * params.delta))});
   }
   t2.emit();
   BenchSummary summary("e8_big");

@@ -35,15 +35,15 @@ int urn::bench::e9_baselines(const Args& args) {
   for (double side : {13.0, 10.0, 8.0, 6.6, 5.6}) {
     Rng rng(mix_seed(0xE9, static_cast<std::uint64_t>(side * 10)));
     const auto net = graph::random_udg(n, side, 1.5, rng);
-    const auto mp = measured_params(net.graph);
+    const core::Params params = sweep_params(net.graph);
 
     const auto agg = analysis::run_core_trials(
-        net.graph, mp.params, analysis::synchronous_schedule(n), 4,
+        net.graph, params, analysis::synchronous_schedule(n), 4,
         mix_seed(0xE9F0, static_cast<std::uint64_t>(side)), args.exec());
 
     baselines::RandVerifyParams rv;
     rv.n = n;
-    rv.delta = mp.delta;
+    rv.delta = params.delta;
     // Mean latency, max latency and highest color of each baseline run.
     const auto rv_runs =
         exec::map_trials(4, args.executor(), [&](std::size_t t) {
@@ -67,12 +67,12 @@ int urn::bench::e9_baselines(const Args& args) {
     Rng mrng(mix_seed(0xE9B0, static_cast<std::uint64_t>(side)));
     const auto mpc = baselines::mp_random_coloring(net.graph, mrng);
 
-    deltas.push_back(mp.delta);
-    kappas.push_back(mp.kappa2);
+    deltas.push_back(params.delta);
+    kappas.push_back(params.kappa2);
     mw_means.push_back(agg.mean_latency.mean());
     rv_means.push_back(rv_lat.mean());
     table.add_row(
-        {analysis::Table::num(static_cast<std::uint64_t>(mp.delta)),
+        {analysis::Table::num(static_cast<std::uint64_t>(params.delta)),
          analysis::Table::num(agg.mean_latency.mean(), 0),
          analysis::Table::num(agg.max_latency.max(), 0),
          analysis::Table::num(rv_lat.mean(), 0),

@@ -33,7 +33,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -252,72 +251,47 @@ int main(int argc, char** argv) {
   // counter feeds the stderr ETA line, and with an export path set the
   // reps additionally run with engine probes into the same registry.
   const bool progress = flags.get_bool("progress");
-  const std::string telemetry_out = flags.get_string("telemetry-out");
-  const std::string telemetry_prom = flags.get_string("telemetry-prom");
-  const bool exporting = !telemetry_out.empty() || !telemetry_prom.empty();
-  obs::telemetry::Registry* telemetry = nullptr;
+  analysis::RunFlags telemetry_flags;
+  telemetry_flags.jobs = jobs;
+  telemetry_flags.telemetry_out = flags.get_string("telemetry-out");
+  telemetry_flags.telemetry_prom = flags.get_string("telemetry-prom");
+  telemetry_flags.telemetry_interval = flags.get_int("telemetry-interval");
+  const std::size_t total_cells = grid.size();
+  analysis::TelemetrySession::OnSnapshot meter;
+  if (progress) {
+    meter = [total_cells](const obs::telemetry::Snapshot& s) {
+      const std::uint64_t* found = s.find_counter("m2.cells_done");
+      const std::uint64_t done = found != nullptr ? *found : 0;
+      const double eta =
+          (done > 0 && done < total_cells)
+              ? s.uptime_s * static_cast<double>(total_cells - done) /
+                    static_cast<double>(done)
+              : 0.0;
+      std::fprintf(stderr,
+                   "\rm2: %llu/%zu cells | %.1fs elapsed | eta %.0fs   ",
+                   static_cast<unsigned long long>(done), total_cells,
+                   s.uptime_s, eta);
+    };
+  }
+  analysis::TelemetrySession telemetry(telemetry_flags, std::move(meter));
   obs::telemetry::Counter* cells_done = nullptr;
-  std::optional<obs::telemetry::PoolProbe> pool_probe;
-  std::optional<obs::telemetry::Snapshotter> snapshotter;
-  if (progress || exporting) {
+  if (progress || telemetry.registry() != nullptr) {
     obs::telemetry::Registry& reg = obs::telemetry::Registry::global();
-    reg.clear();
     cells_done = &reg.counter("m2.cells_done");
-    reg.gauge("m2.cells_total").set(static_cast<std::int64_t>(grid.size()));
-    if (exporting) {
-      telemetry = &reg;
-      pool_probe.emplace(reg, resolved);
-    }
-    obs::telemetry::SnapshotterOptions sopts;
-    sopts.jsonl_path = telemetry_out;
-    sopts.prom_path = telemetry_prom;
-    sopts.interval_ms =
-        static_cast<std::uint64_t>(flags.get_int("telemetry-interval"));
-    if (progress) {
-      const std::size_t total_cells = grid.size();
-      sopts.on_snapshot = [total_cells](
-                              const obs::telemetry::Snapshot& s) {
-        const std::uint64_t* found = s.find_counter("m2.cells_done");
-        const std::uint64_t done = found != nullptr ? *found : 0;
-        const double eta =
-            (done > 0 && done < total_cells)
-                ? s.uptime_s * static_cast<double>(total_cells - done) /
-                      static_cast<double>(done)
-                : 0.0;
-        std::fprintf(stderr,
-                     "\rm2: %llu/%zu cells | %.1fs elapsed | eta %.0fs   ",
-                     static_cast<unsigned long long>(done), total_cells,
-                     s.uptime_s, eta);
-      };
-    }
-    snapshotter.emplace(reg, std::move(sopts));
+    reg.gauge("m2.cells_total").set(static_cast<std::int64_t>(total_cells));
   }
 
   // One grid cell per "trial": exact keys are bit-identical for every
   // jobs value (fixed per-cell seeds); only the rates vary with load.
   const std::vector<CellResult> cells = exec::map_trials(
-      grid.size(), {jobs, 1, nullptr, pool_probe ? &*pool_probe : nullptr},
-      [&](std::size_t i) {
-        CellResult r = run_cell(grid[i], reps, telemetry);
+      grid.size(), {jobs, 1, nullptr, telemetry.pool()}, [&](std::size_t i) {
+        CellResult r = run_cell(grid[i], reps, telemetry.registry());
         if (cells_done != nullptr) cells_done->add(1);
         return r;
       });
 
-  if (snapshotter.has_value()) {
-    snapshotter->stop();  // final snapshot carries the completed grid
-    if (progress) std::fprintf(stderr, "\n");
-    if (!telemetry_out.empty()) {
-      std::printf("(telemetry: %llu snapshots -> %s; watch live with "
-                  "urn_top --in %s)\n",
-                  static_cast<unsigned long long>(
-                      snapshotter->snapshots_taken()),
-                  telemetry_out.c_str(), telemetry_out.c_str());
-    }
-    if (!telemetry_prom.empty()) {
-      std::printf("(telemetry: prometheus exposition -> %s)\n",
-                  telemetry_prom.c_str());
-    }
-  }
+  telemetry.finish();  // final snapshot carries the completed grid
+  if (progress) std::fprintf(stderr, "\n");
 
   bench::BenchSummary summary(smoke ? "m2_smoke" : "m2_macro");
   summary.set("cells", static_cast<std::uint64_t>(cells.size()));

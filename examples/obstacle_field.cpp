@@ -3,8 +3,8 @@
 ///        action (Sect. 2, Fig. 1).
 ///
 /// Walls cut radio links, so the connectivity graph is no longer a unit
-/// disk graph — but it remains a bounded independence graph with slightly
-/// larger κ, and the algorithm (which never relied on disk geometry) runs
+/// disk graph — but it remains a bounded independence graph with κ of the
+/// same size, and the algorithm (which never relied on disk geometry) runs
 /// unchanged.  We build a small "office floor" with rooms, measure κ₁/κ₂
 /// with and without the walls, run the protocol, and verify the locality
 /// property across dense and sparse rooms.
@@ -14,7 +14,6 @@
 #include "core/runner.hpp"
 #include "graph/coloring.hpp"
 #include "graph/generators.hpp"
-#include "graph/independence.hpp"
 #include "graph/traversal.hpp"
 #include "support/rng.hpp"
 
@@ -55,27 +54,24 @@ int main() {
               "component colors itself)\n",
               graph::is_connected(net.graph) ? "yes" : "no");
 
-  const auto k1_open = graph::kappa1(open_net.graph, {.sample = 48});
-  const auto k2_open = graph::kappa2(open_net.graph, {.sample = 48});
-  const auto k1 = graph::kappa1(net.graph, {.sample = 48});
-  const auto k2 = graph::kappa2(net.graph, {.sample = 48});
+  const core::GraphBounds open_b = core::measure_bounds(open_net.graph);
+  const core::GraphBounds b = core::measure_bounds(net.graph);
   std::printf("independence: kappa1 %u -> %u, kappa2 %u -> %u "
-              "(walls cause only a small increase — the BIG premise)\n",
-              k1_open.value, k1.value, k2_open.value, k2.value);
+              "(walls change kappa only a little — the BIG premise)\n",
+              open_b.kappa1, b.kappa1, open_b.kappa2, b.kappa2);
 
   // --- 2. Run the protocol on the walled graph. -------------------------
-  const auto delta = net.graph.max_closed_degree();
-  const core::Params params = core::Params::practical(
-      pts.size(), delta, std::max(2u, k1.value), std::max(2u, k2.value));
+  const core::Params params =
+      core::Params::practical(pts.size(), b.delta, b.kappa1, b.kappa2);
   Rng wrng(78);
   const auto ws = radio::WakeSchedule::uniform(
       pts.size(), 2 * params.threshold(), wrng);
   const auto run = core::run_coloring(net.graph, params, ws, 1234);
   std::printf("\nprotocol: correct=%s complete=%s max_color=%d "
-              "(Delta=%u, bound (k2+1)Delta=%u)\n",
+              "(Delta=%u, bound Delta(k2+1)+k2=%llu)\n",
               run.check.correct ? "yes" : "no",
-              run.check.complete ? "yes" : "no", run.max_color, delta,
-              (params.kappa2 + 1) * delta);
+              run.check.complete ? "yes" : "no", run.max_color, b.delta,
+              static_cast<unsigned long long>(params.color_bound()));
   if (!run.check.valid()) return 1;
 
   // --- 3. Locality per room: sparse rooms keep low colors. --------------

@@ -17,7 +17,6 @@
 #include "core/tdma.hpp"
 #include "geom/spatial_grid.hpp"
 #include "graph/generators.hpp"
-#include "graph/independence.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 
@@ -44,15 +43,14 @@ int main() {
     net.graph = b.build();
     net.positions = std::move(pts);
   }
-  const auto delta = net.graph.max_closed_degree();
-  const auto k1 = std::max(2u, graph::kappa1(net.graph, {.sample = 64}).value);
-  const auto k2 = std::max(k1, graph::kappa2(net.graph, {.sample = 64}).value);
+  const core::GraphBounds b = core::measure_bounds(net.graph);
   std::printf("corridor deployment: n=%zu m=%zu Delta=%u kappa1=%u "
               "kappa2=%u\n",
-              n, net.graph.num_edges(), delta, k1, k2);
+              n, net.graph.num_edges(), b.delta, b.kappa1, b.kappa2);
 
   // --- 2. Wavefront wake-up: the drop vehicle moves at a finite speed. --
-  const core::Params params = core::Params::practical(n, delta, k1, k2);
+  const core::Params params =
+      core::Params::practical(n, b.delta, b.kappa1, b.kappa2);
   Rng wrng(7);
   const auto schedule = radio::WakeSchedule::wavefront(
       net.positions, /*slots_per_unit=*/static_cast<double>(
@@ -84,16 +82,16 @@ int main() {
               report.direct_interference_free ? "yes" : "no");
   std::printf("  max same-slot transmitters seen by a listener: %u "
               "(bounded by kappa1=%u)\n",
-              report.max_neighbor_transmitters, k1);
+              report.max_neighbor_transmitters, b.kappa1);
   std::printf("  max same-slot transmitters within two hops: %u "
               "(bounded by kappa2=%u)\n",
-              report.max_two_hop_transmitters, k2);
+              report.max_two_hop_transmitters, b.kappa2);
 
   // --- 5. Bandwidth share tracks local density (Theorem 4). -------------
   Samples share_sparse, share_dense;
   for (graph::NodeId v = 0; v < n; ++v) {
     const auto deg = net.graph.closed_degree(v);
-    (deg <= delta / 3 ? share_sparse : share_dense)
+    (deg <= b.delta / 3 ? share_sparse : share_dense)
         .add(tdma.bandwidth_share(v));
   }
   if (share_sparse.count() > 0 && share_dense.count() > 0) {

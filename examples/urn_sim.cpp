@@ -22,7 +22,6 @@
 #include "exec/parallel.hpp"
 #include "geom/spatial_grid.hpp"
 #include "graph/generators.hpp"
-#include "graph/independence.hpp"
 #include "support/cli.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -147,19 +146,19 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   Rng rng(seed);
   const graph::GeometricGraph net = build_topology(flags, rng);
-  const auto delta = std::max(2u, net.graph.max_closed_degree());
-  graph::KappaOptions kopts;
-  if (net.graph.num_nodes() > 250) kopts.sample = 64;
-  const auto k1 = std::max(2u, graph::kappa1(net.graph, kopts).value);
-  const auto k2 = std::max(k1, graph::kappa2(net.graph, kopts).value);
-  std::printf("topology %s: n=%zu m=%zu Delta=%u kappa1=%u kappa2=%u\n",
+  // κ over every node; a 2-hop neighbourhood past the exact limit makes
+  // κ₁/κ₂ greedy lower bounds, marked ">=".
+  const core::GraphBounds b = core::measure_bounds(net.graph);
+  const char* const eq = b.exact ? "=" : ">=";
+  std::printf("topology %s: n=%zu m=%zu Delta=%u kappa1%s%u kappa2%s%u\n",
               flags.get_string("topology").c_str(), net.graph.num_nodes(),
-              net.graph.num_edges(), delta, k1, k2);
+              net.graph.num_edges(), b.delta, eq, b.kappa1, eq, b.kappa2);
 
+  const std::size_t n = net.graph.num_nodes();
   core::Params params =
       flags.get_bool("analytical")
-          ? core::Params::analytical(net.graph.num_nodes(), delta, k1, k2)
-          : core::Params::practical(net.graph.num_nodes(), delta, k1, k2);
+          ? core::Params::analytical(n, b.delta, b.kappa1, b.kappa2)
+          : core::Params::practical(n, b.delta, b.kappa1, b.kappa2);
   params = params.scaled(flags.get_double("scale"));
   std::printf("constants: alpha=%.1f beta=%.1f gamma=%.1f sigma=%.1f "
               "(threshold %lld slots)\n",
@@ -219,6 +218,7 @@ int main(int argc, char** argv) {
         // bit-identical to what run_coloring would have produced.
         core::TraceOptions topts =
             (tracing && t == 0) ? rf.trace_options() : core::TraceOptions{};
+        topts.bin_ring = rf.trace_bin_ring;  // every bundle's ring too
         topts.monitor = monitor;
         topts.telemetry = telemetry.registry();
         if (postmortem.enabled()) {
@@ -295,9 +295,9 @@ int main(int argc, char** argv) {
   const Samples& max_lat = sim.max_lat;
   const Samples& colors = sim.colors;
   std::printf("result: valid %zu/%zu | mean T %.0f | max T %.0f | "
-              "max color %.0f (bound (k2+1)*Delta=%u)\n",
+              "max color %.0f (bound Delta(k2+1)+k2=%llu)\n",
               valid, trials, mean_lat.mean(), max_lat.max(), colors.max(),
-              (k2 + 1) * delta);
+              static_cast<unsigned long long>(params.color_bound()));
   if (monitor) {
     std::printf("monitor: %llu events across %zu trials, 0 violations\n",
                 static_cast<unsigned long long>(sim.monitored_events),

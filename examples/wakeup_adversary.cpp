@@ -15,7 +15,6 @@
 #include "analysis/histogram.hpp"
 #include "core/runner.hpp"
 #include "graph/generators.hpp"
-#include "graph/independence.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 
@@ -25,13 +24,13 @@ int main() {
   Rng rng(31337);
   const std::size_t n = 200;
   const auto net = graph::random_udg(n, 9.0, 1.5, rng);
-  const auto delta = net.graph.max_closed_degree();
-  const auto k1 = std::max(2u, graph::kappa1(net.graph, {.sample = 48}).value);
-  const auto k2 = std::max(k1, graph::kappa2(net.graph, {.sample = 48}).value);
-  const core::Params params = core::Params::practical(n, delta, k1, k2);
+  const core::GraphBounds b = core::measure_bounds(net.graph);
+  const core::Params params =
+      core::Params::practical(n, b.delta, b.kappa1, b.kappa2);
   std::printf("deployment: n=%zu Delta=%u kappa2=%u, threshold=%lld "
               "slots\n\n",
-              n, delta, k2, static_cast<long long>(params.threshold()));
+              n, b.delta, b.kappa2,
+              static_cast<long long>(params.threshold()));
 
   struct Scenario {
     const char* name;

@@ -38,7 +38,6 @@
 #include "core/params.hpp"
 #include "core/runner.hpp"
 #include "graph/graph.hpp"
-#include "obs/explain.hpp"
 #include "obs/monitor.hpp"
 #include "radio/wakeup.hpp"
 #include "support/stats.hpp"
@@ -87,12 +86,6 @@ struct TrialExecOptions {
   /// never changes results — probes read counts, they never touch RNG
   /// streams.  Not owned; must outlive the call.
   obs::telemetry::Registry* telemetry = nullptr;
-  /// Postmortem checkpointing (core::PostmortemOptions).  When enabled,
-  /// `postmortem.dir` is treated as a *base* directory: trial t writes
-  /// its bundle under `<dir>/<exec::trial_tag(t)>/` so concurrent trials
-  /// never collide.  Checkpointed trials stay bit-identical (the
-  /// checkpointer only reads engine state).
-  core::PostmortemOptions postmortem;
 };
 
 /// Aggregates over `trials` independent protocol executions.
@@ -126,9 +119,6 @@ struct CoreAggregate {
   std::uint64_t monitor_events = 0;      ///< sum of events checked
   std::uint64_t monitor_violations = 0;  ///< sum over all invariants
   std::optional<FirstViolation> first_violation;
-  /// Postmortem bundle directories captured on violation, in trial order
-  /// (only with TrialExecOptions::postmortem + dump_on_violation).
-  std::vector<std::string> bundles;
 
   [[nodiscard]] bool monitor_ok() const { return monitor_violations == 0; }
 
@@ -169,81 +159,5 @@ struct CoreAggregate {
 void record_run(CoreAggregate& agg, const core::RunResult& run,
                 std::size_t trial);
 void record_run(CoreAggregate& agg, const core::RunResult& run);
-
-/// Cause-attribution aggregate over replicated trials (obs::explain).
-/// Slot totals and exactness counters sum; the per-trial sample streams
-/// concatenate in trial order — so merging chunk aggregates follows the
-/// same order-preserving algebra as `CoreAggregate::merge` and parallel
-/// explain sweeps are bit-identical to serial ones.
-struct ExplainAggregate {
-  std::size_t trials = 0;
-  std::size_t nodes = 0;          ///< sum of per-trial node counts
-  std::size_t decided_nodes = 0;
-  std::size_t exact_nodes = 0;    ///< decided nodes whose causes sum exactly
-  std::size_t fig2_violations = 0;
-
-  /// Network-wide slot totals per cause, summed over trials.
-  std::int64_t totals[obs::kNumCauses] = {};
-  /// Cause totals cross-tabulated by Fig. 2 region, summed over trials.
-  std::int64_t phase_totals[obs::kNumPhaseBuckets][obs::kNumCauses] = {};
-
-  Samples mean_latency;  ///< per-trial mean decision latency
-  Samples top_share;     ///< per-trial share of the trial's top cause
-
-  /// True iff every decided node in every trial passed the exactness
-  /// invariant (causes sum to recorded latency).
-  [[nodiscard]] bool exact_ok() const {
-    return exact_nodes == decided_nodes;
-  }
-
-  /// Fold `other` (a later block of trials) into this one.
-  void merge(const ExplainAggregate& other);
-};
-
-/// Record one trial's attribution report into an aggregate.
-void record_explain(ExplainAggregate& agg, const obs::ExplainReport& report);
-
-/// Run `trials` seeded executions with in-memory event capture and
-/// aggregate their cause attributions.  Same seed derivation and
-/// executor as `run_core_trials`: bit-identical for every jobs count.
-[[nodiscard]] ExplainAggregate run_explained_trials(
-    const graph::Graph& g, const core::Params& params,
-    const ScheduleFactory& schedules, std::size_t trials,
-    std::uint64_t seed0, const TrialExecOptions& exec = {},
-    radio::MediumOptions medium = {});
-
-/// Aggregates over repeated leader-election (C₀-layer) executions — the
-/// leader-election twin of `CoreAggregate`.
-struct LeaderAggregate {
-  std::size_t trials = 0;
-  std::size_t covered = 0;  ///< runs where every node was covered
-
-  Samples leaders;             ///< per-trial |C₀|
-  Samples mean_cover_latency;  ///< per-trial mean cover time
-  Samples max_cover_latency;   ///< per-trial max cover time
-  Samples slots_run;           ///< per-trial simulated slots
-  Samples collisions;          ///< per-trial collision count
-
-  /// Fold `other` (a later block of trials) into this one; same
-  /// order-preserving semantics as `CoreAggregate::merge`.
-  void merge(const LeaderAggregate& other);
-
-  [[nodiscard]] double covered_fraction() const {
-    return trials ? static_cast<double>(covered) / static_cast<double>(trials)
-                  : 0.0;
-  }
-};
-
-/// Record one already-computed election into an aggregate.  Cover
-/// statistics are over covered nodes only (cover_latency >= 0).
-void record_leader_run(LeaderAggregate& agg,
-                       const core::LeaderElectionResult& run);
-
-/// Run `trials` seeded leader elections (first protocol stage only) on
-/// the same executor and seed derivation as `run_core_trials`.
-[[nodiscard]] LeaderAggregate run_leader_trials(
-    const graph::Graph& g, const core::Params& params,
-    const ScheduleFactory& schedules, std::size_t trials,
-    std::uint64_t seed0, const TrialExecOptions& exec = {});
 
 }  // namespace urn::analysis

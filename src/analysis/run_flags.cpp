@@ -1,6 +1,7 @@
 #include "analysis/run_flags.hpp"
 
 #include <cstdio>
+#include <utility>
 
 #include "exec/chunk.hpp"
 #include "obs/postmortem.hpp"
@@ -16,8 +17,9 @@ void RunFlags::declare(CliFlags& flags) {
                    "(analyze with urn_trace; --export jsonl:PATH converts "
                    "it)");
   flags.add_int("trace-bin-ring", 0,
-                "bound the binary log to the last N events "
-                "(flight-recorder mode; 0 = keep everything)");
+                "bound the binary log and every postmortem bundle's ring "
+                "to the last N events (flight-recorder mode; 0 = keep the "
+                "whole log, and 4096 events per bundle ring)");
   flags.add_string("metrics-out", "",
                    "write the traced run's per-window metrics series as CSV");
   flags.add_int("metrics-window", 16, "metrics window width in slots");
@@ -107,17 +109,23 @@ core::TraceOptions RunFlags::trace_options() const {
   return opts;
 }
 
-TelemetrySession::TelemetrySession(const RunFlags& flags)
+TelemetrySession::TelemetrySession(const RunFlags& flags,
+                                   OnSnapshot on_snapshot)
     : jsonl_(flags.telemetry_out), prom_(flags.telemetry_prom) {
-  if (jsonl_.empty() && prom_.empty()) return;
-  reg_ = &obs::telemetry::Registry::global();
-  reg_->clear();
-  pool_.emplace(*reg_, exec::resolve_jobs(flags.jobs));
+  const bool exporting = !jsonl_.empty() || !prom_.empty();
+  if (!exporting && !on_snapshot) return;
+  obs::telemetry::Registry& reg = obs::telemetry::Registry::global();
+  reg.clear();
+  if (exporting) {
+    reg_ = &reg;
+    pool_.emplace(reg, exec::resolve_jobs(flags.jobs));
+  }
   obs::telemetry::SnapshotterOptions sopts;
   sopts.jsonl_path = jsonl_;
   sopts.prom_path = prom_;
   sopts.interval_ms = static_cast<std::uint64_t>(flags.telemetry_interval);
-  snapshotter_.emplace(*reg_, sopts);
+  sopts.on_snapshot = std::move(on_snapshot);
+  snapshotter_.emplace(reg, std::move(sopts));
 }
 
 TelemetrySession::~TelemetrySession() { finish(); }

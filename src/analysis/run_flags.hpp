@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -60,11 +61,15 @@ struct RunFlags {
 /// Live telemetry behind --telemetry-*: when a path is set, the global
 /// registry is cleared (one process = one time series) and streamed by a
 /// snapshotter, with a pool probe sized for --jobs; else all is null.
-/// `finish()` (also the destructor) writes the final snapshot and prints
-/// the "(telemetry: ...)" lines.
+/// An `on_snapshot` observer (a progress meter) starts the snapshotter on
+/// the cleared registry even without a path, but no probe: `registry()`
+/// and `pool()` stay null.  `finish()` (also the destructor) writes the
+/// final snapshot and prints the "(telemetry: ...)" lines.
 class TelemetrySession {
  public:
-  explicit TelemetrySession(const RunFlags& flags);
+  using OnSnapshot = std::function<void(const obs::telemetry::Snapshot&)>;
+  explicit TelemetrySession(const RunFlags& flags,
+                            OnSnapshot on_snapshot = {});
   ~TelemetrySession();
   TelemetrySession(const TelemetrySession&) = delete;
   TelemetrySession& operator=(const TelemetrySession&) = delete;

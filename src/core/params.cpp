@@ -1,9 +1,12 @@
 #include "core/params.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <initializer_list>
 
+#include "graph/graph.hpp"
+#include "graph/independence.hpp"
 #include "support/check.hpp"
 
 namespace urn::core {
@@ -74,10 +77,8 @@ void Params::validate() const {
                   "alpha, beta, gamma, sigma must be finite and positive");
   }
   // Colors are int32: Theorem 5's bound on the largest color a run can
-  // produce, Δ(κ₂+1) + κ₂, must fit (exact in uint64 for uint32 inputs).
-  const std::uint64_t max_color =
-      std::uint64_t{delta} * (std::uint64_t{kappa2} + 1) + kappa2;
-  URN_CHECK_MSG(max_color <= INT32_MAX,
+  // produce must fit.
+  URN_CHECK_MSG(color_bound() <= INT32_MAX,
                 "Delta * (kappa2 + 1) + kappa2 must fit the int32 colors");
   // The derived slot counts must fit an int64 (ceil_mul_log checks);
   // critical_range(1) is the larger of the two ranges.
@@ -85,6 +86,17 @@ void Params::validate() const {
   (void)threshold();
   (void)critical_range(1);
   (void)assign_window();
+}
+
+GraphBounds measure_bounds(const graph::Graph& g) {
+  const graph::KappaResult k1 = graph::kappa1(g);
+  const graph::KappaResult k2 = graph::kappa2(g);
+  GraphBounds b;
+  b.delta = std::max(2u, g.max_closed_degree());
+  b.kappa1 = std::max(2u, k1.value);
+  b.kappa2 = std::max(b.kappa1, k2.value);
+  b.exact = k1.exact && k2.exact;
+  return b;
 }
 
 }  // namespace urn::core

@@ -19,6 +19,10 @@
 #include "support/check.hpp"
 #include "support/mathutil.hpp"
 
+namespace urn::graph {
+class Graph;
+}
+
 namespace urn::core {
 
 /// Counter-reset policy ablation (experiment A1).
@@ -99,6 +103,15 @@ struct Params {
     return static_cast<std::int32_t>(color);
   }
 
+  /// Δ(κ₂+1) + κ₂: the largest color a run can hand out, the Theorem 5
+  /// bound that `validate` and the experiments check.  A leader's
+  /// intra-cluster color tc ≤ Δ sends its node to verify colors
+  /// tc·(κ₂+1) … tc·(κ₂+1) + κ₂; the paper states κ₂Δ, its O(·) absorbing
+  /// the rest.  Exact in uint64 for uint32 inputs.
+  [[nodiscard]] std::uint64_t color_bound() const {
+    return std::uint64_t{delta} * (std::uint64_t{kappa2} + 1) + kappa2;
+  }
+
   /// Practical defaults (calibrated in experiment E7).
   [[nodiscard]] static Params practical(std::uint64_t n, std::uint32_t delta,
                                         std::uint32_t kappa1,
@@ -118,8 +131,26 @@ struct Params {
 
   /// Throws urn::CheckError if the parameter set is unusable, including
   /// non-finite constants, slot counts that overflow an int64, and a
-  /// Theorem 5 color bound Δ(κ₂+1) + κ₂ past the int32 color range.
+  /// `color_bound()` past the int32 color range.
   void validate() const;
 };
+
+/// Δ, κ₁ and κ₂ of one graph: the estimates every node is given (Sect. 2),
+/// as `measure_bounds` finds them.
+struct GraphBounds {
+  std::uint32_t delta = 2;   ///< max closed degree, at least 2
+  std::uint32_t kappa1 = 2;  ///< at least 2
+  std::uint32_t kappa2 = 2;  ///< at least kappa1
+  /// False when a 2-hop neighbourhood exceeds graph::KappaOptions's exact
+  /// limit and its search falls back to greedy: κ₁/κ₂ are then lower
+  /// bounds, and Theorems 2–5 (like the practical windows, which scale
+  /// with κ₂) need κ₂ at least the true value.
+  bool exact = true;
+};
+
+/// Measure Δ, κ₁ and κ₂ over every node of `g` (graph::kappa1/kappa2,
+/// exact branch and bound) with the floors `Params` needs: Δ ≥ 2, κ₁ ≥ 2,
+/// κ₂ ≥ κ₁.  The one κ path for the experiments, examples and urn_sim.
+[[nodiscard]] GraphBounds measure_bounds(const graph::Graph& g);
 
 }  // namespace urn::core

@@ -61,7 +61,10 @@ struct KappaOptions {
   /// exact branch and bound.
   std::size_t exact_limit = 160;
   /// If > 0, evaluate only this many uniformly sampled nodes (plus the
-  /// highest-degree node) instead of all nodes.
+  /// highest-degree node) instead of all nodes.  A sample can only
+  /// under-estimate κ, so `core::measure_bounds` never samples; the last
+  /// caller is perfbench's `sampled_kappa_s` (the `graph.kappa_s` timer),
+  /// and the field goes once that timer measures exact κ.
   std::size_t sample = 0;
   /// RNG seed used when sampling.
   std::uint64_t seed = 1;

@@ -7,8 +7,8 @@
 // order, same percentiles, same first-violation attribution.  The tests
 // here check that property at every layer: the chunk plan (fuzzed), the
 // pool, the generic executor, the merge algebra of Samples / RunLedger /
-// CoreAggregate, and finally the public run_core_trials /
-// run_leader_trials entry points against real protocol runs.
+// CoreAggregate, and finally the public run_core_trials entry point
+// against real protocol runs.
 
 #include <gtest/gtest.h>
 
@@ -483,32 +483,6 @@ TEST(RunCoreTrials, MonitoredRunsAreBitIdenticalAndClean) {
     const CoreAggregate mpar = run_core_trials(f.net.graph, f.params,
                                                factory, 5, 0xF4F0, exec);
     expect_core_identical(mpar, mserial);
-  }
-}
-
-TEST(RunLeaderTrials, ParallelIsBitIdenticalToSerial) {
-  const Fixture f = make_fixture(0xF5, 44);
-  const auto factory =
-      uniform_schedule(f.net.graph.num_nodes(), 2 * f.params.threshold());
-  TrialExecOptions serial;
-  const LeaderAggregate base = run_leader_trials(f.net.graph, f.params,
-                                                 factory, 6, 0xF5F0, serial);
-  EXPECT_EQ(base.trials, 6u);
-  EXPECT_EQ(base.leaders.count(), 6u);
-  for (std::size_t jobs : jobs_grid()) {
-    TrialExecOptions exec;
-    exec.jobs = jobs;
-    const LeaderAggregate par = run_leader_trials(f.net.graph, f.params,
-                                                  factory, 6, 0xF5F0, exec);
-    EXPECT_EQ(par.trials, base.trials);
-    EXPECT_EQ(par.covered, base.covered);
-    expect_samples_identical(par.leaders, base.leaders, "leaders");
-    expect_samples_identical(par.mean_cover_latency, base.mean_cover_latency,
-                             "mean_cover_latency");
-    expect_samples_identical(par.max_cover_latency, base.max_cover_latency,
-                             "max_cover_latency");
-    expect_samples_identical(par.slots_run, base.slots_run, "slots_run");
-    expect_samples_identical(par.collisions, base.collisions, "collisions");
   }
 }
 

@@ -1,7 +1,6 @@
 // Causal latency attribution (obs/explain.hpp): the exact-accounting
 // invariant under a lossy-medium fuzz grid, cross-checked against both
-// engine implementations; bit-identical parallel aggregation through
-// analysis::run_explained_trials; deterministic bootstrap diffing.
+// engine implementations; deterministic bootstrap diffing.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +9,6 @@
 #include <tuple>
 #include <vector>
 
-#include "analysis/experiment.hpp"
 #include "core/params.hpp"
 #include "core/protocol.hpp"
 #include "core/runner.hpp"
@@ -159,44 +157,6 @@ TEST(ExplainTrace, EmptyTraceYieldsEmptyExactReport) {
   EXPECT_TRUE(report.exact_ok());
   EXPECT_EQ(report.total_stall(), 0);
   EXPECT_EQ(report.decided_nodes, 0u);
-}
-
-// ---- parallel aggregation -------------------------------------------------
-
-TEST(ExplainTrials, SerialAndParallelAggregatesAreBitIdentical) {
-  Rng rng(0xE2E);
-  const graph::Graph g = graph::random_udg(48, 5.0, 1.5, rng).graph;
-  const core::Params params = params_for(g);
-  radio::MediumOptions medium;
-  medium.drop_probability = 0.15;
-  const auto schedules =
-      analysis::uniform_schedule(g.num_nodes(), 2 * params.threshold());
-
-  analysis::TrialExecOptions serial;
-  serial.jobs = 1;
-  analysis::TrialExecOptions fanned;
-  fanned.jobs = 4;
-  const analysis::ExplainAggregate a = analysis::run_explained_trials(
-      g, params, schedules, 6, 0xBEEF, serial, medium);
-  const analysis::ExplainAggregate b = analysis::run_explained_trials(
-      g, params, schedules, 6, 0xBEEF, fanned, medium);
-
-  EXPECT_EQ(a.trials, 6u);
-  EXPECT_TRUE(a.exact_ok());
-  EXPECT_EQ(a.trials, b.trials);
-  EXPECT_EQ(a.nodes, b.nodes);
-  EXPECT_EQ(a.decided_nodes, b.decided_nodes);
-  EXPECT_EQ(a.exact_nodes, b.exact_nodes);
-  EXPECT_EQ(a.fig2_violations, b.fig2_violations);
-  for (std::size_t c = 0; c < obs::kNumCauses; ++c) {
-    EXPECT_EQ(a.totals[c], b.totals[c]) << "cause " << c;
-    for (std::size_t p = 0; p < obs::kNumPhaseBuckets; ++p) {
-      EXPECT_EQ(a.phase_totals[p][c], b.phase_totals[p][c]);
-    }
-  }
-  // Samples merge in trial order, so even the per-trial vectors match.
-  EXPECT_EQ(a.mean_latency.values(), b.mean_latency.values());
-  EXPECT_EQ(a.top_share.values(), b.top_share.values());
 }
 
 // ---- differential mode ----------------------------------------------------

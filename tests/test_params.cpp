@@ -9,8 +9,11 @@
 #include <limits>
 
 #include "core/params.hpp"
+#include "graph/generators.hpp"
+#include "graph/independence.hpp"
 #include "support/check.hpp"
 #include "support/mathutil.hpp"
+#include "support/rng.hpp"
 
 namespace urn::core {
 namespace {
@@ -76,6 +79,15 @@ TEST(Params, ColorBoundMustFitInt32) {
   const std::int32_t last_tc = std::numeric_limits<std::int32_t>::max() / 13;
   EXPECT_EQ(p.first_verify_color(last_tc), last_tc * 13);
   EXPECT_THROW((void)p.first_verify_color(last_tc + 1), CheckError);
+}
+
+// The checked Theorem 5 bound is the top of the last intra-cluster
+// color's range: tc = Δ verifies colors Δ(κ₂+1) … Δ(κ₂+1) + κ₂.
+TEST(Params, ColorBoundIsTopOfTheLastRange) {
+  const Params p = Params::practical(100, 10, 4, 12);
+  EXPECT_EQ(p.color_bound(), 10u * 13u + 12u);
+  EXPECT_EQ(p.color_bound(),
+            static_cast<std::uint64_t>(p.first_verify_color(10)) + 12u);
 }
 
 // Lemma 5 / Corollary 1: the color range of intra-cluster color tc,
@@ -145,6 +157,47 @@ TEST(Params, ThresholdGrowsWithDeltaAndN) {
   const Params more_n = Params::practical(65536, 16, 5, 10);
   EXPECT_GT(more_delta.threshold(), base.threshold());
   EXPECT_GT(more_n.threshold(), base.threshold());
+}
+
+// measure_bounds: the one κ path.  A complete graph has κ₁ = κ₂ = 1 and a
+// single node Δ = 1; both are floored to what Params accepts.
+TEST(MeasureBounds, FloorsOnTinyGraphs) {
+  const GraphBounds triangle = measure_bounds(graph::complete_graph(3));
+  EXPECT_EQ(triangle.delta, 3u);
+  EXPECT_EQ(triangle.kappa1, 2u);
+  EXPECT_EQ(triangle.kappa2, 2u);
+  EXPECT_TRUE(triangle.exact);
+  const GraphBounds single = measure_bounds(graph::complete_graph(1));
+  EXPECT_EQ(single.delta, 2u);
+  EXPECT_EQ(single.kappa1, 2u);
+  EXPECT_EQ(single.kappa2, 2u);
+  EXPECT_NO_THROW((void)Params::practical(1000, single.delta, single.kappa1,
+                                          single.kappa2));
+}
+
+TEST(MeasureBounds, EqualsExactKappaOnRandomUdg) {
+  Rng rng(0xB0);
+  const graph::Graph g = graph::random_udg(200, 8.0, 1.5, rng).graph;
+  const GraphBounds b = measure_bounds(g);
+  const graph::KappaResult k1 = graph::kappa1(g);
+  const graph::KappaResult k2 = graph::kappa2(g);
+  ASSERT_TRUE(k1.exact && k2.exact);
+  EXPECT_EQ(b.delta, g.max_closed_degree());
+  EXPECT_EQ(b.kappa1, k1.value);
+  EXPECT_EQ(b.kappa2, k2.value);
+  EXPECT_GT(b.kappa2, b.kappa1);
+  EXPECT_TRUE(b.exact);
+}
+
+// A star's centre has a closed neighbourhood of 200 nodes, past the
+// 160-node exact limit: κ is then a greedy lower bound and says so.
+TEST(MeasureBounds, NotExactPastTheLimit) {
+  const graph::Graph g = graph::star_graph(200);
+  ASSERT_GT(g.max_closed_degree(), graph::KappaOptions{}.exact_limit);
+  const GraphBounds b = measure_bounds(g);
+  EXPECT_FALSE(b.exact);
+  EXPECT_EQ(b.delta, 200u);
+  EXPECT_GE(b.kappa2, b.kappa1);
 }
 
 }  // namespace
