@@ -5,7 +5,7 @@
 /// a 96-node random UDG, a handful of monitored coloring trials plus a
 /// handful of leader-election trials, every seed fixed.  It emits
 /// `BENCH_gate_coloring.json` and `BENCH_gate_leader.json` (with full
-/// `RunLedger` percentile distributions) into `URN_BENCH_JSON`;
+/// `ledger.*` percentile distributions) into `URN_BENCH_JSON`;
 /// `urn_bench_diff` then compares them against `bench/baseline/`.  Runs
 /// are bit-reproducible, so any drift in these numbers is a real
 /// behavioral change — refresh the baselines deliberately (see
@@ -54,7 +54,7 @@ int urn::bench::bench_gate(const Args& args) {
                                          mix_seed(0xCA7EA, t), monitored);
       });
   std::size_t valid = 0;
-  obs::RunLedger ledger;
+  Ledger ledger;
   for (std::size_t t = 0; t < trials; ++t) {
     const core::RunResult& run = runs[t];
     if (run.monitor.has_value() && !run.monitor->ok()) {
@@ -91,18 +91,18 @@ int urn::bench::bench_gate(const Args& args) {
             net.graph, params, ws, mix_seed(0xCA7EC, t), leader_opts);
       });
   std::size_t covered = 0;
-  obs::RunLedger leader_ledger;
+  Ledger leader_ledger;
   for (const core::LeaderElectionResult& run : elections) {
     if (run.all_covered) ++covered;
-    leader_ledger.add("leaders", static_cast<double>(run.leaders.size()));
+    leader_ledger["leaders"].add(static_cast<double>(run.leaders.size()));
     double max_cover = 0.0;
     for (radio::Slot s : run.cover_latency) {
       max_cover = std::max(max_cover, static_cast<double>(s));
     }
-    leader_ledger.add("cover_latency.max", max_cover);
-    leader_ledger.add("slots.run", static_cast<double>(run.medium.slots_run));
-    leader_ledger.add("collisions.total",
-                      static_cast<double>(run.medium.collisions));
+    leader_ledger["cover_latency.max"].add(max_cover);
+    leader_ledger["slots.run"].add(static_cast<double>(run.medium.slots_run));
+    leader_ledger["collisions.total"].add(
+        static_cast<double>(run.medium.collisions));
   }
   leader.set("trials", static_cast<std::uint64_t>(trials));
   leader.set("covered", static_cast<std::uint64_t>(covered));

@@ -24,18 +24,19 @@
 ///    the regression diff skips with the `.ns` wall-clock keys).
 ///
 ///  * `ledger_record` / `ledger_emit` — feed each trial's `RunResult`
-///    into an `obs::RunLedger` and export the percentile summaries
-///    (p50/p95/max latency, max color, peak collisions, resets) into the
-///    `BenchSummary`, so `BENCH_<name>.json` carries distributions.
+///    into a `Ledger` (named `Samples`) and export the percentile
+///    summaries (p50/p95/max latency, max color, collisions, resets)
+///    into the `BenchSummary`, so `BENCH_<name>.json` carries
+///    distributions.
 
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "analysis/experiment.hpp"
 #include "analysis/run_flags.hpp"
@@ -46,11 +47,12 @@
 #include "exec/parallel.hpp"
 #include "graph/generators.hpp"
 #include "obs/explain.hpp"
-#include "obs/ledger.hpp"
+#include "obs/json.hpp"
 #include "obs/monitor.hpp"
 #include "obs/profile.hpp"
 #include "obs/telemetry.hpp"
 #include "support/rng.hpp"
+#include "support/stats.hpp"
 
 namespace urn::bench {
 
@@ -71,42 +73,17 @@ inline void banner(const char* id, const char* claim) {
   std::printf("[%s] %s\n\n", id, claim);
 }
 
-/// Machine-readable experiment summary; see the file comment.
+/// Machine-readable experiment summary; see the file comment.  Values go
+/// through the flat-JSON codec (obs/json.hpp): doubles as `%.6g`,
+/// strings quoted, the file in the block layout.
 class BenchSummary {
  public:
   explicit BenchSummary(std::string name) : name_(std::move(name)) {}
 
-  void set(const std::string& key, double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    entries_.emplace_back(key, buf);
-  }
-  void set(const std::string& key, std::int64_t v) {
-    entries_.emplace_back(key, std::to_string(v));
-  }
-  void set(const std::string& key, std::uint64_t v) {
-    entries_.emplace_back(key, std::to_string(v));
-  }
-  void set(const std::string& key, std::int32_t v) {
-    set(key, static_cast<std::int64_t>(v));
-  }
-  void set(const std::string& key, std::uint32_t v) {
-    set(key, static_cast<std::uint64_t>(v));
-  }
-  void set(const std::string& key, bool v) {
-    entries_.emplace_back(key, v ? "true" : "false");
-  }
-  void set(const std::string& key, const std::string& v) {
-    std::string enc = "\"";
-    for (char c : v) {
-      if (c == '"' || c == '\\') enc.push_back('\\');
-      enc.push_back(c);
-    }
-    enc.push_back('"');
-    entries_.emplace_back(key, std::move(enc));
-  }
-  void set(const std::string& key, const char* v) {
-    set(key, std::string(v));
+  /// Append `key` with an integer, double, bool or string value.
+  template <typename T>
+  void set(const std::string& key, T v) {
+    doc_.add(key, v);
   }
 
   /// Record one run's medium statistics under `<prefix>.*`.
@@ -145,18 +122,6 @@ class BenchSummary {
     }
   }
 
-  [[nodiscard]] std::string to_json() const {
-    std::string out = "{\n";
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      out.append("  \"").append(entries_[i].first).append("\": ");
-      out.append(entries_[i].second);
-      if (i + 1 < entries_.size()) out.push_back(',');
-      out.push_back('\n');
-    }
-    out.append("}\n");
-    return out;
-  }
-
   /// Write `<dir>/BENCH_<name>.json` when URN_BENCH_JSON names a
   /// directory, and say so on `note`; silently a no-op otherwise (text
   /// output stands alone).
@@ -170,7 +135,7 @@ class BenchSummary {
       std::fprintf(stderr, "BenchSummary: cannot write %s\n", path.c_str());
       return;
     }
-    const std::string json = to_json();
+    const std::string json = doc_.render(obs::json::Layout::kBlock);
     std::fwrite(json.data(), 1, json.size(), f);
     std::fclose(f);
     std::fprintf(note, "(json summary -> %s)\n", path.c_str());
@@ -178,7 +143,7 @@ class BenchSummary {
 
  private:
   std::string name_;
-  std::vector<std::pair<std::string, std::string>> entries_;
+  obs::json::Doc doc_;
 };
 
 /// The parsed command line every experiment receives from `urn_repro`:
@@ -290,13 +255,14 @@ inline void explain_emit(BenchSummary& summary, const Args& args,
   config.passive_slots = params.passive_slots();
   const obs::ExplainReport report =
       obs::explain_trace(args.explain_events->events(), config);
-  for (const obs::ExplainEntry& e : obs::explain_entries(report)) {
-    if (e.is_str) {
-      summary.set(e.key, e.str);
-    } else if (e.num == static_cast<double>(static_cast<std::int64_t>(e.num))) {
-      summary.set(e.key, static_cast<std::int64_t>(e.num));
+  for (const obs::json::Entry& e : obs::explain_doc(report).entries) {
+    if (!e.numeric) {
+      summary.set(e.key, e.text);
+    } else if (e.value ==
+               static_cast<double>(static_cast<std::int64_t>(e.value))) {
+      summary.set(e.key, static_cast<std::int64_t>(e.value));
     } else {
-      summary.set(e.key, e.num);
+      summary.set(e.key, e.value);
     }
   }
   std::printf("(explain: %zu nodes, top cause %s, accounting invariant %s "
@@ -305,44 +271,47 @@ inline void explain_emit(BenchSummary& summary, const Args& args,
               report.exact_ok() ? "OK" : "FAILED");
 }
 
+/// Per-trial samples of named metrics ("latency.max", "color.max", ...)
+/// across a sweep; `ledger_emit` exports their order statistics.
+using Ledger = std::map<std::string, Samples>;
+
 /// Feed one trial's headline metrics into the cross-run ledger.
-inline void ledger_record(obs::RunLedger& ledger,
-                          const core::RunResult& run) {
-  ledger.add("latency.max", static_cast<double>(run.max_latency()));
-  ledger.add("latency.mean", run.mean_latency());
-  ledger.add("color.max", static_cast<double>(run.max_color));
-  ledger.add("collisions.total",
-             static_cast<double>(run.medium.collisions));
-  ledger.add("resets.total", static_cast<double>(run.total_resets));
-  ledger.add("slots.run", static_cast<double>(run.medium.slots_run));
+inline void ledger_record(Ledger& ledger, const core::RunResult& run) {
+  ledger["latency.max"].add(static_cast<double>(run.max_latency()));
+  ledger["latency.mean"].add(run.mean_latency());
+  ledger["color.max"].add(static_cast<double>(run.max_color));
+  ledger["collisions.total"].add(static_cast<double>(run.medium.collisions));
+  ledger["resets.total"].add(static_cast<double>(run.total_resets));
+  ledger["slots.run"].add(static_cast<double>(run.medium.slots_run));
 }
 
 /// Feed an `analysis::CoreAggregate`'s per-trial samples into the
 /// ledger (the experiment binaries aggregate through `run_core_trials`,
-/// so the trial-level vectors already exist in its Samples).
-inline void ledger_from_aggregate(obs::RunLedger& ledger,
+/// so the trial-level samples already exist).
+inline void ledger_from_aggregate(Ledger& ledger,
                                   const analysis::CoreAggregate& agg) {
-  ledger.add_all("latency.max", agg.max_latency.values());
-  ledger.add_all("latency.mean", agg.mean_latency.values());
-  ledger.add_all("latency.p95", agg.p95_latency.values());
-  ledger.add_all("color.max", agg.max_color.values());
-  ledger.add_all("leaders", agg.leaders.values());
-  ledger.add_all("resets.per_node", agg.resets_per_node.values());
-  ledger.add_all("slots.run", agg.slots_run.values());
+  ledger["latency.max"].merge(agg.max_latency);
+  ledger["latency.mean"].merge(agg.mean_latency);
+  ledger["latency.p95"].merge(agg.p95_latency);
+  ledger["color.max"].merge(agg.max_color);
+  ledger["leaders"].merge(agg.leaders);
+  ledger["resets.per_node"].merge(agg.resets_per_node);
+  ledger["slots.run"].merge(agg.slots_run);
 }
 
-/// Export every ledger metric's percentile summary into the bench
-/// summary as `<prefix>.<metric>.{trials,min,mean,p50,p95,max}`.
-inline void ledger_emit(BenchSummary& summary, const obs::RunLedger& ledger,
+/// Export every ledger metric with samples into the bench summary as
+/// `<prefix>.<metric>.{trials,min,mean,p50,p95,max}`, in name order.
+inline void ledger_emit(BenchSummary& summary, const Ledger& ledger,
                         const std::string& prefix = "ledger") {
-  for (const auto& [metric, s] : ledger.summaries()) {
+  for (const auto& [metric, s] : ledger) {
+    if (s.count() == 0) continue;
     const std::string base = prefix + "." + metric;
-    summary.set(base + ".trials", static_cast<std::uint64_t>(s.trials));
-    summary.set(base + ".min", s.min);
-    summary.set(base + ".mean", s.mean);
-    summary.set(base + ".p50", s.p50);
-    summary.set(base + ".p95", s.p95);
-    summary.set(base + ".max", s.max);
+    summary.set(base + ".trials", static_cast<std::uint64_t>(s.count()));
+    summary.set(base + ".min", s.min());
+    summary.set(base + ".mean", s.mean());
+    summary.set(base + ".p50", s.percentile(50.0));
+    summary.set(base + ".p95", s.percentile(95.0));
+    summary.set(base + ".max", s.max());
   }
 }
 

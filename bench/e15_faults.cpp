@@ -36,7 +36,7 @@ int urn::bench::e15_faults(const Args& args) {
                      "(10 trials each)");
   t1.set_header({"drop_p", "valid", "complete", "mean_T", "slowdown"});
   BenchSummary summary("e15_faults");
-  obs::RunLedger ledger;
+  Ledger ledger;
   summary.set("n", static_cast<std::uint64_t>(n));
   summary.set("delta", params.delta);
   summary.set("kappa2", params.kappa2);

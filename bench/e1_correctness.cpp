@@ -19,7 +19,7 @@ int urn::bench::e1_correctness(const Args& args) {
                     "max_color", "bound D(k2+1)+k2", "mean_T", "max_T"});
 
   BenchSummary summary("e1_correctness");
-  obs::RunLedger ledger;
+  Ledger ledger;
   const std::size_t trials = 20;
   for (std::size_t n : {64u, 128u, 256u, 512u}) {
     // Scale the field with sqrt(n) to keep density constant.

@@ -63,7 +63,7 @@ int urn::bench::e6_wakeup(const Args& args) {
   table.set_header(
       {"pattern", "valid", "mean_T", "p95_T", "max_T", "resets/node"});
   BenchSummary summary("e6_wakeup");
-  obs::RunLedger ledger;
+  Ledger ledger;
   summary.set("n", static_cast<std::uint64_t>(n));
   summary.set("delta", params.delta);
   summary.set("kappa2", params.kappa2);

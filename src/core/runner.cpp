@@ -6,6 +6,7 @@
 
 #include "core/checkpoint.hpp"
 #include "obs/bintrace.hpp"
+#include "obs/json.hpp"
 #include "obs/profile.hpp"
 #include "obs/postmortem.hpp"
 #include "obs/sink.hpp"
@@ -292,32 +293,25 @@ std::string manifest_json(const PostmortemOptions& po,
                           const pm::Checkpointer& ckpt,
                           const RunResult& result,
                           const std::string& ring_path) {
-  std::string j = "{";
-  j += "\"format\":\"urn-postmortem-bundle\"";
-  j += ",\"checkpoint_version\":" + std::to_string(pm::kCkptVersion);
-  j += ",\"engine\":\"aligned\"";
-  j += ",\"trial\":" + std::to_string(po.trial);
-  j += ",\"seed\":" + std::to_string(s.seed);
-  j += ",\"nodes\":" + std::to_string(s.num_nodes);
-  j += ",\"edges\":" + std::to_string(s.edges.size());
-  j += ",\"max_slots\":" + std::to_string(s.max_slots);
-  j += ",\"drop_probability\":" + std::to_string(s.medium.drop_probability);
-  j += ",\"checkpoint_every\":" + std::to_string(po.checkpoint_every);
-  j += ",\"checkpoints_written\":" +
-       std::to_string(ckpt.checkpoints_written());
-  j += ",\"last_checkpoint_position\":" +
-       std::to_string(ckpt.last_position());
-  j += ",\"checkpoint_file\":\"" + pm::json_escape(ckpt.path()) + "\"";
-  j += ",\"ring_file\":\"" + pm::json_escape(ring_path) + "\"";
-  j += ",\"slots_run\":" + std::to_string(result.medium.slots_run);
-  j += std::string(",\"all_decided\":") +
-       (result.all_decided ? "true" : "false");
-  if (result.monitor) {
-    j += ",\"violations\":" +
-         std::to_string(result.monitor->total_violations());
-  }
-  j += "}\n";
-  return j;
+  obs::json::Doc j;
+  j.add("format", "urn-postmortem-bundle");
+  j.add("checkpoint_version", std::uint32_t{pm::kCkptVersion});
+  j.add("engine", "aligned");
+  j.add("trial", po.trial);
+  j.add("seed", s.seed);
+  j.add("nodes", s.num_nodes);
+  j.add("edges", s.edges.size());
+  j.add("max_slots", s.max_slots);
+  j.add_raw("drop_probability", std::to_string(s.medium.drop_probability));
+  j.add("checkpoint_every", po.checkpoint_every);
+  j.add("checkpoints_written", ckpt.checkpoints_written());
+  j.add("last_checkpoint_position", ckpt.last_position());
+  j.add("checkpoint_file", ckpt.path());
+  j.add("ring_file", ring_path);
+  j.add("slots_run", result.medium.slots_run);
+  j.add("all_decided", result.all_decided);
+  if (result.monitor) j.add("violations", result.monitor->total_violations());
+  return j.render(obs::json::Layout::kLine);
 }
 
 /// The postmortem-enabled traced run: periodic checkpoints into the

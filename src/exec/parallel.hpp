@@ -19,8 +19,8 @@
 ///  3. after the pool drains, partials are merged **in chunk order**,
 ///     i.e. in trial order.
 ///
-/// If `merge(into, part)` is stream concatenation (as `Samples::merge`,
-/// `CoreAggregate::merge` and `RunLedger::merge` are), the final value is
+/// If `merge(into, part)` is stream concatenation (as `Samples::merge`
+/// and `CoreAggregate::merge` are), the final value is
 /// bit-identical to a serial loop — for every jobs count and every chunk
 /// size.
 ///

@@ -1,8 +1,7 @@
 #include "obs/bintrace.hpp"
 
 #include <cstring>
-
-#include "obs/trace.hpp"
+#include <fstream>
 
 namespace urn::obs {
 
@@ -187,8 +186,7 @@ void BinSink::flush() {
 
 namespace {
 
-/// Read a whole file into a byte string; empty optional-style flag via
-/// the bool return.
+/// Read a whole file into a byte string; false when it cannot be opened.
 [[nodiscard]] bool slurp(const std::string& path, std::string& out) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return false;
@@ -201,23 +199,23 @@ namespace {
   return true;
 }
 
-}  // namespace
-
-ParsedBinFile read_bin_file(const std::string& path) {
-  ParsedBinFile out;
+/// The URNB half of `read_trace_file`: validate the header, then decode
+/// every whole record; a bad kind byte or a trailing partial record
+/// only bumps `bad`.
+[[nodiscard]] bool read_bin(const std::string& path, ParsedTraceFile& out) {
   std::string data;
   if (!slurp(path, data)) {
     out.error = "cannot open " + path;
-    return out;
+    return false;
   }
   if (data.size() < kBinHeaderSize) {
     out.error = path + ": truncated binary trace header";
-    return out;
+    return false;
   }
   const auto* p = reinterpret_cast<const unsigned char*>(data.data());
   if (std::memcmp(p, kBinMagic, sizeof(kBinMagic)) != 0) {
     out.error = path + ": not a binary trace (bad magic)";
-    return out;
+    return false;
   }
   const std::uint16_t version = get_u16(p + 4);
   const std::uint16_t record_size = get_u16(p + 6);
@@ -225,21 +223,20 @@ ParsedBinFile read_bin_file(const std::string& path) {
     out.error = path + ": binary trace version " + std::to_string(version) +
                 " is newer than this reader (max supported " +
                 std::to_string(kBinVersion) + ")";
-    return out;
+    return false;
   }
   if (version != kBinVersion) {
     out.error = path + ": unsupported binary trace version " +
                 std::to_string(version);
-    return out;
+    return false;
   }
   if (record_size != kBinRecordSize) {
     out.error = path + ": unexpected record size " +
                 std::to_string(record_size);
-    return out;
+    return false;
   }
   out.ring = (get_u32(p + 8) & kBinFlagRing) != 0;
   out.dropped = get_u64(p + 16);
-  out.ok = true;
 
   std::size_t offset = kBinHeaderSize;
   out.events.reserve((data.size() - offset) / kBinRecordSize);
@@ -248,13 +245,42 @@ ParsedBinFile read_bin_file(const std::string& path) {
     if (parse_bin_record(p + offset, e)) {
       out.events.push_back(e);
     } else {
-      ++out.bad_records;
+      ++out.bad;
     }
     offset += kBinRecordSize;
   }
-  if (offset != data.size()) ++out.bad_records;  // trailing partial record
-  return out;
+  if (offset != data.size()) ++out.bad;  // trailing partial record
+  out.records = out.events.size() + out.bad;
+  return true;
 }
+
+/// The JSONL half: one event per non-empty line.  A first line that
+/// does not parse means the file is not a trace log at all; a bad line
+/// after it only bumps `bad`.
+[[nodiscard]] bool read_jsonl(const std::string& path, ParsedTraceFile& out) {
+  std::ifstream is(path);
+  if (!is) {
+    out.error = "cannot open " + path;
+    return false;
+  }
+  std::string line;
+  while (std::getline(is, line)) {
+    if (line.empty()) continue;
+    ++out.records;
+    Event e;
+    if (parse_jsonl_line(line, e)) {
+      out.events.push_back(e);
+    } else if (out.records == 1) {
+      out.error = path + ": first line is not a URN JSONL event";
+      return false;
+    } else {
+      ++out.bad;
+    }
+  }
+  return true;
+}
+
+}  // namespace
 
 ParsedTraceFile read_trace_file(const std::string& path) {
   ParsedTraceFile out;
@@ -277,32 +303,7 @@ ParsedTraceFile read_trace_file(const std::string& path) {
     out.binary = got == sizeof(magic) &&
                  std::memcmp(magic, kBinMagic, sizeof(magic)) == 0;
   }
-  if (out.binary) {
-    ParsedBinFile bin = read_bin_file(path);
-    if (!bin.ok) {
-      out.error = std::move(bin.error);
-      return out;
-    }
-    out.records = bin.events.size() + bin.bad_records;
-    out.bad = bin.bad_records;
-    out.dropped = bin.dropped;
-    out.events = std::move(bin.events);
-    out.ok = true;
-    return out;
-  }
-  ParsedLogFile log = read_jsonl_file(path);
-  if (!log.ok) {
-    out.error = "cannot open " + path;
-    return out;
-  }
-  if (log.first_line_bad) {
-    out.error = path + ": first line is not a URN JSONL event";
-    return out;
-  }
-  out.records = log.lines;
-  out.bad = log.bad_lines;
-  out.events = std::move(log.events);
-  out.ok = true;
+  out.ok = out.binary ? read_bin(path, out) : read_jsonl(path, out);
   return out;
 }
 

@@ -1,6 +1,7 @@
 /// \file bintrace.hpp
 /// \brief Compact binary trace capture: a fixed-record little-endian
-///        event writer (`BinSink`) and its reader (`read_bin_file`).
+///        event writer (`BinSink`) and the trace reader
+///        (`read_trace_file`, URNB or JSONL).
 ///
 /// URNB is the one on-line log format: each `Event` is one fixed 32-byte
 /// little-endian record behind a 24-byte versioned header, a bounded
@@ -27,7 +28,7 @@
 ///
 /// The record is a field-for-field image of `obs::Event`: every stream
 /// of events round-trips bit-exactly through `BinSink` →
-/// `read_bin_file`, so every trace consumer (monitor replay, Fig. 2
+/// `read_trace_file`, so every trace consumer (monitor replay, Fig. 2
 /// validation, metrics re-derivation, `urn_trace --export`) works
 /// unchanged on events read back from a `.bin` capture.
 ///
@@ -111,25 +112,12 @@ class BinSink {
   std::uint64_t bytes_ = 0;      ///< file bytes emitted
 };
 
-/// Result of reading a binary trace file.
-struct ParsedBinFile {
-  std::vector<Event> events;
-  bool ok = false;           ///< header read and validated
-  bool ring = false;         ///< file was captured in ring mode
-  std::uint64_t dropped = 0; ///< events evicted before the suffix (ring)
-  std::size_t bad_records = 0;  ///< trailing partial / undecodable records
-  std::string error;         ///< human-readable reason when !ok
-};
-
-/// Read a `BinSink` file back into events.  Tolerant past the header:
-/// a truncated tail only bumps `bad_records`.
-[[nodiscard]] ParsedBinFile read_bin_file(const std::string& path);
-
 /// A trace log of either format, auto-detected.
 struct ParsedTraceFile {
   std::vector<Event> events;
   bool ok = false;
   bool binary = false;      ///< detected format
+  bool ring = false;        ///< URNB captured in ring mode (suffix only)
   std::size_t records = 0;  ///< lines (JSONL) or records (binary) seen
   std::size_t bad = 0;      ///< malformed lines / records (non-fatal)
   std::uint64_t dropped = 0;  ///< ring-mode evictions (binary only)
@@ -137,8 +125,9 @@ struct ParsedTraceFile {
                             ///< first JSONL line unparseable)
 };
 
-/// Open `path`, sniff the first four bytes for the binary magic, and
-/// parse accordingly (anything else is treated as JSONL).  `ok` is
+/// The one way to read a trace back.  Opens `path`, sniffs the first
+/// four bytes for the binary magic, and parses accordingly (anything
+/// else is treated as JSONL).  `ok` is
 /// false — with `error` set — when the file cannot be opened, is empty,
 /// a binary header is malformed, or a JSONL file's first non-empty line
 /// does not parse (i.e. the file is not a trace log at all).  Tails are

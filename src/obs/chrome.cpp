@@ -6,29 +6,11 @@
 #include <fstream>
 #include <ostream>
 
+#include "obs/json.hpp"
+
 namespace urn::obs {
 
 namespace {
-
-/// Minimal JSON string escape (quotes, backslashes, control bytes).
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out.append(buf);
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
 
 /// Display name of the Fig. 2 state a phase event enters.
 std::string phase_state_name(const Event& e) {
@@ -38,12 +20,6 @@ std::string phase_state_name(const Event& e) {
       e.phase == static_cast<std::uint8_t>(PhaseCode::kDecided) ? 'C' : 'A';
   std::snprintf(buf, sizeof(buf), "%c%d", head, e.color);
   return buf;
-}
-
-void append_i64(std::string& out, std::int64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-  out.append(buf);
 }
 
 /// Microseconds with sub-µs precision for nanosecond span timestamps.
@@ -75,33 +51,49 @@ void ChromeTraceWriter::emit(const std::string& body) {
   ++emitted_;
 }
 
-void ChromeTraceWriter::meta_process(int pid, const char* name) {
-  std::string body = "\"name\":\"process_name\",\"ph\":\"M\",\"ts\":0,";
-  body.append("\"pid\":");
-  append_i64(body, pid);
-  body.append(",\"tid\":0,\"args\":{\"name\":\"");
-  body.append(name);
-  body.append("\"}");
+void ChromeTraceWriter::name_process(int pid, std::string_view name) {
+  std::string body = "\"name\":\"process_name\",\"ph\":\"M\",\"ts\":0,\"pid\":";
+  json::append_int(body, pid);
+  body.append(",\"tid\":0,\"args\":{\"name\":");
+  json::append_quoted(body, name);
+  body.push_back('}');
   emit(body);
 }
 
-void ChromeTraceWriter::meta_thread(int pid, std::uint64_t tid,
-                                    const std::string& name) {
-  std::string body = "\"name\":\"thread_name\",\"ph\":\"M\",\"ts\":0,";
-  body.append("\"pid\":");
-  append_i64(body, pid);
+void ChromeTraceWriter::name_thread(int pid, std::uint64_t tid,
+                                    std::string_view name) {
+  std::string body = "\"name\":\"thread_name\",\"ph\":\"M\",\"ts\":0,\"pid\":";
+  json::append_int(body, pid);
   body.append(",\"tid\":");
-  append_i64(body, static_cast<std::int64_t>(tid));
-  body.append(",\"args\":{\"name\":\"");
-  body.append(escape(name));
-  body.append("\"}");
+  json::append_uint(body, tid);
+  body.append(",\"args\":{\"name\":");
+  json::append_quoted(body, name);
+  body.push_back('}');
+  emit(body);
+}
+
+void ChromeTraceWriter::slice(std::string_view name, const char* cat,
+                              std::int64_t ts, std::int64_t dur, int pid,
+                              std::uint64_t tid) {
+  std::string body = "\"name\":";
+  json::append_quoted(body, name);
+  body.append(",\"cat\":");
+  json::append_quoted(body, cat);
+  body.append(",\"ph\":\"X\",\"ts\":");
+  json::append_int(body, ts);
+  body.append(",\"dur\":");
+  json::append_int(body, dur);
+  body.append(",\"pid\":");
+  json::append_int(body, pid);
+  body.append(",\"tid\":");
+  json::append_uint(body, tid);
   emit(body);
 }
 
 std::size_t ChromeTraceWriter::add_events(const std::vector<Event>& events) {
   const std::size_t before = emitted_;
   if (events.empty()) return 0;
-  meta_process(kSlotPid, "slots (one track per node)");
+  name_process(kSlotPid, "slots (one track per node)");
 
   Slot last_slot = 0;
   for (const Event& e : events) last_slot = std::max(last_slot, e.slot);
@@ -119,20 +111,12 @@ std::size_t ChromeTraceWriter::add_events(const std::vector<Event>& events) {
     bool& s = seen[v];
     if (!s) {
       s = true;
-      meta_thread(kSlotPid, v, "node " + std::to_string(v));
+      name_thread(kSlotPid, v, "node " + std::to_string(v));
     }
   };
   auto close_slice = [&](NodeId v, const OpenPhase& p, Slot end) {
-    std::string body = "\"name\":\"" + escape(p.name) +
-                       "\",\"cat\":\"phase\",\"ph\":\"X\",\"ts\":";
-    append_i64(body, p.since);
-    body.append(",\"dur\":");
-    append_i64(body, std::max<Slot>(end - p.since, 0));
-    body.append(",\"pid\":");
-    append_i64(body, kSlotPid);
-    body.append(",\"tid\":");
-    append_i64(body, v);
-    emit(body);
+    slice(p.name, "phase", p.since, std::max<Slot>(end - p.since, 0),
+          kSlotPid, v);
   };
 
   for (const Event& e : events) {
@@ -157,20 +141,18 @@ std::size_t ChromeTraceWriter::add_events(const std::vector<Event>& events) {
                     ? "medium"
                     : "protocol");
     body.append("\",\"ph\":\"i\",\"s\":\"t\",\"ts\":");
-    append_i64(body, e.slot);
+    json::append_int(body, e.slot);
     body.append(",\"pid\":");
-    append_i64(body, kSlotPid);
+    json::append_int(body, kSlotPid);
     body.append(",\"tid\":");
-    append_i64(body, e.node);
+    json::append_int(body, e.node);
     body.append(",\"args\":{");
     bool first_arg = true;
     auto arg = [&](const char* key, std::int64_t v) {
       if (!first_arg) body.push_back(',');
       first_arg = false;
-      body.push_back('"');
-      body.append(key);
-      body.append("\":");
-      append_i64(body, v);
+      json::append_key(body, key);
+      json::append_int(body, v);
     };
     if (e.peer != kNoNode) arg("peer", e.peer);
     if (e.color >= 0) arg("color", e.color);
@@ -193,24 +175,24 @@ std::size_t ChromeTraceWriter::add_spans(
     const std::map<std::uint32_t, std::string>& track_names) {
   const std::size_t before = emitted_;
   if (spans.empty()) return 0;
-  meta_process(kSpanPid, "wall clock (one track per worker)");
+  name_process(kSpanPid, "wall clock (one track per worker)");
   for (const auto& [track, name] : track_names) {
-    meta_thread(kSpanPid, track, name);
+    name_thread(kSpanPid, track, name);
   }
   for (const SpanRecord& s : spans) {
-    std::string body = "\"name\":\"";
-    body.append(escape(s.name));
-    body.append("\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":");
+    std::string body = "\"name\":";
+    json::append_quoted(body, s.name);
+    body.append(",\"cat\":\"span\",\"ph\":\"X\",\"ts\":");
     append_us(body, s.start_ns);
     body.append(",\"dur\":");
     append_us(body, s.dur_ns);
     body.append(",\"pid\":");
-    append_i64(body, kSpanPid);
+    json::append_int(body, kSpanPid);
     body.append(",\"tid\":");
-    append_i64(body, s.track);
+    json::append_int(body, s.track);
     if (s.arg >= 0) {
       body.append(",\"args\":{\"arg\":");
-      append_i64(body, s.arg);
+      json::append_int(body, s.arg);
       body.append("}");
     }
     emit(body);

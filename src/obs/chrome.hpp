@@ -28,6 +28,7 @@
 #include <iosfwd>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/event.hpp"
@@ -58,6 +59,13 @@ class ChromeTraceWriter {
       const std::vector<SpanRecord>& spans,
       const std::map<std::uint32_t, std::string>& track_names);
 
+  /// Name a process or a thread track (`"M"` metadata records).
+  void name_process(int pid, std::string_view name);
+  void name_thread(int pid, std::uint64_t tid, std::string_view name);
+  /// One complete (`"X"`) slice on the slot timebase.
+  void slice(std::string_view name, const char* cat, std::int64_t ts,
+             std::int64_t dur, int pid, std::uint64_t tid);
+
   /// Close the traceEvents array and the outer object.
   void finish();
 
@@ -65,8 +73,6 @@ class ChromeTraceWriter {
   /// Emit one record object given its body (everything between the
   /// braces); handles the comma discipline.
   void emit(const std::string& body);
-  void meta_process(int pid, const char* name);
-  void meta_thread(int pid, std::uint64_t tid, const std::string& name);
 
   std::ostream& os_;
   bool first_ = true;

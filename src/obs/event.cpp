@@ -2,7 +2,8 @@
 
 #include <array>
 #include <charconv>
-#include <cstdio>
+
+#include "obs/json.hpp"
 
 namespace urn::obs {
 
@@ -18,53 +19,56 @@ constexpr std::array<const char*, 4> kMsgNames = {"compete", "decided",
 constexpr std::array<const char*, 3> kPhaseNames = {"verify", "request",
                                                     "decided"};
 
-void append_key_int(std::string& out, const char* key, std::int64_t v) {
-  char buf[32];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(",\"").append(key).append("\":").append(buf,
-                                                     std::size_t(ptr - buf));
+/// The JSONL fields, in the order `append_jsonl` may write them.
+enum Field : std::size_t {
+  kSlot, kKind, kNode, kPeer, kMsg, kColor, kValue, kPhaseName, kNumFields
+};
+
+/// `{"slot":` or `,"key":` per field, rendered by the codec's key
+/// primitive on first use, so the per-event path only copies it.
+const std::array<std::string, kNumFields>& field_prefixes() {
+  static const std::array<std::string, kNumFields> prefixes = [] {
+    constexpr std::array<const char*, kNumFields> names = {
+        "slot", "kind", "node", "peer", "msg", "color", "value", "phase"};
+    std::array<std::string, kNumFields> out;
+    for (std::size_t i = 0; i < kNumFields; ++i) {
+      out[i].push_back(i == kSlot ? '{' : ',');
+      json::append_key(out[i], names[i]);
+    }
+    return out;
+  }();
+  return prefixes;
 }
 
-void append_key_str(std::string& out, const char* key, const char* v) {
-  out.append(",\"").append(key).append("\":\"").append(v).append("\"");
+void field(std::string& out, const std::string& prefix, std::int64_t v) {
+  out += prefix;
+  json::append_int(out, v);
 }
 
-/// Locate `"key":` in `line` and return a view starting at the value.
-[[nodiscard]] bool find_value(std::string_view line, std::string_view key,
-                              std::string_view& value) {
-  std::string pattern;
-  pattern.reserve(key.size() + 3);
-  pattern.push_back('"');
-  pattern.append(key);
-  pattern.append("\":");
-  const std::size_t pos = line.find(pattern);
-  if (pos == std::string_view::npos) return false;
-  value = line.substr(pos + pattern.size());
-  while (!value.empty() && (value.front() == ' ' || value.front() == '\t')) {
-    value.remove_prefix(1);
-  }
-  return !value.empty();
+void field(std::string& out, const std::string& prefix, const char* v) {
+  out += prefix;
+  json::append_quoted(out, v);
 }
 
-[[nodiscard]] bool get_int(std::string_view line, std::string_view key,
-                           std::int64_t& out) {
-  std::string_view v;
-  if (!find_value(line, key, v)) return false;
-  const auto [ptr, ec] =
-      std::from_chars(v.data(), v.data() + v.size(), out);
-  return ec == std::errc{};
-}
-
-[[nodiscard]] bool get_str(std::string_view line, std::string_view key,
-                           std::string_view& out) {
-  std::string_view v;
-  if (!find_value(line, key, v)) return false;
-  if (v.front() != '"') return false;
-  v.remove_prefix(1);
-  const std::size_t end = v.find('"');
-  if (end == std::string_view::npos) return false;
-  out = v.substr(0, end);
+/// An integer member, read exactly from its text (a double would lose
+/// int64 slots and values).  False when absent or not an integer.
+[[nodiscard]] bool int_field(const json::Doc& doc, std::string_view key,
+                             std::int64_t& out) {
+  const json::Entry* e = doc.find(key);
+  if (e == nullptr) return false;
+  const char* end = e->raw.data() + e->raw.size();
+  std::int64_t v = 0;
+  const auto [ptr, ec] = std::from_chars(e->raw.data(), end, v);
+  if (ec != std::errc{} || ptr != end) return false;
+  out = v;
   return true;
+}
+
+/// The decoded text of a string member, or nullptr.
+[[nodiscard]] const std::string* str_field(const json::Doc& doc,
+                                           std::string_view key) {
+  const json::Entry* e = doc.find(key);
+  return e != nullptr && e->is_string() ? &e->text : nullptr;
 }
 
 }  // namespace
@@ -113,83 +117,73 @@ bool phase_from_name(std::string_view name, std::uint8_t& out) {
 }
 
 void append_jsonl(std::string& out, const Event& e) {
-  out.append("{\"slot\":");
-  {
-    char buf[32];
-    const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), e.slot);
-    out.append(buf, std::size_t(ptr - buf));
-  }
-  append_key_str(out, "kind", kind_name(e.kind));
-  append_key_int(out, "node", static_cast<std::int64_t>(e.node));
+  const auto& key = field_prefixes();
+  field(out, key[kSlot], e.slot);
+  field(out, key[kKind], kind_name(e.kind));
+  field(out, key[kNode], static_cast<std::int64_t>(e.node));
   switch (e.kind) {
     case EventKind::kWake:
     case EventKind::kCollision:
       break;
     case EventKind::kTransmit:
-      append_key_str(out, "msg", msg_name(e.msg));
-      append_key_int(out, "color", e.color);
+      field(out, key[kMsg], msg_name(e.msg));
+      field(out, key[kColor], e.color);
       if (e.msg == static_cast<std::uint8_t>(MsgCode::kCompete)) {
-        append_key_int(out, "value", e.value);
+        field(out, key[kValue], e.value);
       }
       break;
     case EventKind::kDelivery:
-      append_key_int(out, "peer", static_cast<std::int64_t>(e.peer));
-      append_key_str(out, "msg", msg_name(e.msg));
-      append_key_int(out, "color", e.color);
+      field(out, key[kPeer], static_cast<std::int64_t>(e.peer));
+      field(out, key[kMsg], msg_name(e.msg));
+      field(out, key[kColor], e.color);
       break;
     case EventKind::kDrop:
-      append_key_int(out, "peer", static_cast<std::int64_t>(e.peer));
-      append_key_str(out, "msg", msg_name(e.msg));
+      field(out, key[kPeer], static_cast<std::int64_t>(e.peer));
+      field(out, key[kMsg], msg_name(e.msg));
       break;
     case EventKind::kPhase:
-      append_key_str(out, "phase", phase_name(e.phase));
-      append_key_int(out, "color", e.color);
+      field(out, key[kPhaseName], phase_name(e.phase));
+      field(out, key[kColor], e.color);
       break;
     case EventKind::kReset:
-      append_key_int(out, "color", e.color);
-      append_key_int(out, "value", e.value);
-      break;
     case EventKind::kDecision:
-      append_key_int(out, "color", e.color);
-      append_key_int(out, "value", e.value);
+      field(out, key[kColor], e.color);
+      field(out, key[kValue], e.value);
       break;
     case EventKind::kServe:
-      append_key_int(out, "peer", static_cast<std::int64_t>(e.peer));
-      append_key_int(out, "value", e.value);
+      field(out, key[kPeer], static_cast<std::int64_t>(e.peer));
+      field(out, key[kValue], e.value);
       break;
   }
   out.append("}\n");
 }
 
 bool parse_jsonl_line(std::string_view line, Event& out) {
+  const json::Doc doc = json::parse(line);
+  if (!doc.ok) return false;
   Event e;
-  std::int64_t slot = 0;
-  std::string_view kind;
-  if (!get_int(line, "slot", slot)) return false;
-  if (!get_str(line, "kind", kind)) return false;
-  if (!kind_from_name(kind, e.kind)) return false;
-  e.slot = slot;
-
+  const std::string* kind = str_field(doc, "kind");
+  if (!int_field(doc, "slot", e.slot) || kind == nullptr ||
+      !kind_from_name(*kind, e.kind)) {
+    return false;
+  }
   std::int64_t node = 0;
-  if (!get_int(line, "node", node) || node < 0) return false;
+  if (!int_field(doc, "node", node) || node < 0) return false;
   e.node = static_cast<NodeId>(node);
 
   std::int64_t peer = 0;
-  if (get_int(line, "peer", peer) && peer >= 0) {
+  if (int_field(doc, "peer", peer) && peer >= 0) {
     e.peer = static_cast<NodeId>(peer);
   }
   std::int64_t color = 0;
-  if (get_int(line, "color", color)) {
+  if (int_field(doc, "color", color)) {
     e.color = static_cast<std::int32_t>(color);
   }
-  std::int64_t value = 0;
-  if (get_int(line, "value", value)) e.value = value;
-  std::string_view msg;
-  if (get_str(line, "msg", msg) && !msg_from_name(msg, e.msg)) return false;
-  std::string_view phase;
-  if (get_str(line, "phase", phase) && !phase_from_name(phase, e.phase)) {
-    return false;
-  }
+  (void)int_field(doc, "value", e.value);
+  const std::string* msg = str_field(doc, "msg");
+  if (msg != nullptr && !msg_from_name(*msg, e.msg)) return false;
+  const std::string* phase = str_field(doc, "phase");
+  if (phase != nullptr && !phase_from_name(*phase, e.phase)) return false;
   out = e;
   return true;
 }

@@ -205,9 +205,10 @@ struct Event {
 /// "msg":"compete","color":0}
 void append_jsonl(std::string& out, const Event& e);
 
-/// Parse one JSONL line produced by `append_jsonl` (tolerates extra
-/// whitespace and unknown keys).  Returns false on malformed input or an
-/// unknown kind.
+/// Parse one JSONL line produced by `append_jsonl` with the flat-JSON
+/// codec (obs/json.hpp); integer fields are read exactly from their
+/// text.  Tolerates extra whitespace and unknown keys.  Returns false on
+/// malformed input or an unknown kind.
 [[nodiscard]] bool parse_jsonl_line(std::string_view line, Event& out);
 
 }  // namespace urn::obs

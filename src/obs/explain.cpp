@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <array>
-#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <unordered_set>
 #include <utility>
 
+#include "obs/chrome.hpp"
 #include "obs/fig2.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -17,22 +18,18 @@ namespace urn::obs {
 
 namespace {
 
-void append_i64(std::string& out, std::int64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-  out.append(buf);
-}
-
-/// Round-trip-exact, locale-independent number rendering: integers as
-/// integers, everything else with 17 significant digits.
-void append_num(std::string& out, double v) {
+/// Round-trip-exact number rendering: integers as integers, everything
+/// else with 17 significant digits.
+std::string num_text(double v) {
+  std::string out;
   if (v == std::floor(v) && std::abs(v) < 9.007199254740992e15) {
-    append_i64(out, static_cast<std::int64_t>(v));
-    return;
+    json::append_int(out, static_cast<std::int64_t>(v));
+    return out;
   }
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   out.append(buf);
+  return out;
 }
 
 /// Same-slot claim priority: a collision outranks a drop outranks a
@@ -124,8 +121,8 @@ const char* phase_bucket_name(PhaseBucket b) {
 TraceStats compute_trace_stats(const std::vector<Event>& events) {
   TraceStats stats;
   stats.events = events.size();
-  std::vector<NodeId> ids;
-  ids.reserve(events.size());
+  std::unordered_set<NodeId> ids;  // distinct nodes: a few hundred, not
+                                   // one entry per event to sort
   bool any_slot = false;
   for (const Event& e : events) {
     const auto kind = static_cast<std::size_t>(e.kind);
@@ -137,30 +134,28 @@ TraceStats compute_trace_stats(const std::vector<Event>& events) {
       stats.first_slot = std::min(stats.first_slot, e.slot);
       stats.last_slot = std::max(stats.last_slot, e.slot);
     }
-    if (e.node != kNoNode) ids.push_back(e.node);
+    if (e.node != kNoNode) ids.insert(e.node);
   }
-  std::sort(ids.begin(), ids.end());
-  stats.nodes = static_cast<std::size_t>(
-      std::unique(ids.begin(), ids.end()) - ids.begin());
+  stats.nodes = ids.size();
   return stats;
 }
 
 std::string TraceStats::one_line() const {
   std::string out;
   out.append("events=");
-  append_i64(out, static_cast<std::int64_t>(events));
+  json::append_int(out, static_cast<std::int64_t>(events));
   out.append(" nodes=");
-  append_i64(out, static_cast<std::int64_t>(nodes));
+  json::append_int(out, static_cast<std::int64_t>(nodes));
   out.append(" slots=[");
-  append_i64(out, first_slot);
+  json::append_int(out, first_slot);
   out.push_back(',');
-  append_i64(out, last_slot);
+  json::append_int(out, last_slot);
   out.push_back(']');
   for (std::size_t k = 0; k < kNumEventKinds; ++k) {
     out.push_back(' ');
     out.append(kind_name(static_cast<EventKind>(k)));
     out.push_back('=');
-    append_i64(out, static_cast<std::int64_t>(by_kind[k]));
+    json::append_int(out, static_cast<std::int64_t>(by_kind[k]));
   }
   return out;
 }
@@ -436,20 +431,17 @@ ExplainDiff diff_explain(const ExplainReport& a, const ExplainReport& b,
   return diff;
 }
 
-std::vector<ExplainEntry> explain_entries(const ExplainReport& report) {
-  std::vector<ExplainEntry> out;
+json::Doc explain_doc(const ExplainReport& report) {
+  json::Doc doc;
   auto num = [&](std::string key, double v) {
-    out.push_back({std::move(key), v, {}, false});
-  };
-  auto str = [&](std::string key, std::string v) {
-    out.push_back({std::move(key), 0.0, std::move(v), true});
+    doc.add_raw(std::move(key), num_text(v));
   };
   num("explain.nodes", static_cast<double>(report.nodes.size()));
   num("explain.decided", static_cast<double>(report.decided_nodes));
   num("explain.exact", static_cast<double>(report.exact_nodes));
   num("explain.violations", static_cast<double>(report.fig2_violations));
   num("explain.total_stall", static_cast<double>(report.total_stall()));
-  str("explain.top_cause", cause_name(report.top_cause()));
+  doc.add("explain.top_cause", cause_name(report.top_cause()));
   for (std::size_t c = 0; c < kNumCauses; ++c) {
     const auto cause = static_cast<Cause>(c);
     const std::string base = std::string("explain.cause.") + cause_name(cause);
@@ -471,40 +463,13 @@ std::vector<ExplainEntry> explain_entries(const ExplainReport& report) {
     num(base + ".p50", per_node.count() ? per_node.percentile(50.0) : 0.0);
     num(base + ".p95", per_node.count() ? per_node.percentile(95.0) : 0.0);
   }
-  return out;
+  return doc;
 }
 
-std::string explain_json(const ExplainReport& report) {
-  std::string out = "{";
-  bool first = true;
-  for (const ExplainEntry& e : explain_entries(report)) {
-    if (!first) out.push_back(',');
-    first = false;
-    out.append("\n  \"");
-    out.append(e.key);
-    out.append("\": ");
-    if (e.is_str) {
-      out.push_back('"');
-      out.append(e.str);
-      out.push_back('"');
-    } else {
-      append_num(out, e.num);
-    }
-  }
-  out.append("\n}\n");
-  return out;
-}
-
-std::string explain_diff_json(const ExplainDiff& diff) {
-  std::string out = "{";
-  bool first = true;
-  auto num = [&](const std::string& key, double v) {
-    if (!first) out.push_back(',');
-    first = false;
-    out.append("\n  \"");
-    out.append(key);
-    out.append("\": ");
-    append_num(out, v);
+json::Doc explain_diff_doc(const ExplainDiff& diff) {
+  json::Doc doc;
+  auto num = [&](std::string key, double v) {
+    doc.add_raw(std::move(key), num_text(v));
   };
   num("diff.nodes_a", static_cast<double>(diff.nodes_a));
   num("diff.nodes_b", static_cast<double>(diff.nodes_b));
@@ -524,8 +489,7 @@ std::string explain_diff_json(const ExplainDiff& diff) {
     num(base + ".ci_hi", d.ci_hi);
     num(base + ".significant", d.significant ? 1.0 : 0.0);
   }
-  out.append("\n}\n");
-  return out;
+  return doc;
 }
 
 bool write_explain_chrome_file(const std::string& path,
@@ -536,38 +500,18 @@ bool write_explain_chrome_file(const std::string& path,
   // One thread track per node; each cause span is an X slice with the
   // same slot-as-µs timebase as the phase timeline export, so the two
   // files line up when loaded side by side in Perfetto.
-  os << "{\"traceEvents\":[\n";
-  bool first = true;
-  auto emit = [&](const std::string& body) {
-    if (!first) os << ",\n";
-    first = false;
-    os << '{' << body << '}';
-  };
-  emit("\"name\":\"process_name\",\"ph\":\"M\",\"ts\":0,\"pid\":0,"
-       "\"tid\":0,\"args\":{\"name\":\"latency causes (one track per "
-       "node)\"}");
+  ChromeTraceWriter writer(os);
+  constexpr int kPid = ChromeTraceWriter::kSlotPid;
+  writer.name_process(kPid, "latency causes (one track per node)");
   for (std::size_t i = 0; i < report.nodes.size(); ++i) {
-    const NodeAttribution& n = report.nodes[i];
-    std::string meta = "\"name\":\"thread_name\",\"ph\":\"M\",\"ts\":0,"
-                       "\"pid\":0,\"tid\":";
-    append_i64(meta, n.node);
-    meta.append(",\"args\":{\"name\":\"node ");
-    append_i64(meta, n.node);
-    meta.append("\"}");
-    emit(meta);
+    const NodeId v = report.nodes[i].node;
+    writer.name_thread(kPid, v, "node " + std::to_string(v));
     for (const CauseSpan& s : report.spans[i]) {
-      std::string body = "\"name\":\"";
-      body.append(cause_name(s.cause));
-      body.append("\",\"cat\":\"cause\",\"ph\":\"X\",\"ts\":");
-      append_i64(body, s.begin);
-      body.append(",\"dur\":");
-      append_i64(body, s.end - s.begin);
-      body.append(",\"pid\":0,\"tid\":");
-      append_i64(body, n.node);
-      emit(body);
+      writer.slice(cause_name(s.cause), "cause", s.begin, s.end - s.begin,
+                   kPid, v);
     }
   }
-  os << "\n]}\n";
+  writer.finish();
   os.flush();
   return static_cast<bool>(os);
 }

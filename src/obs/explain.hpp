@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "obs/event.hpp"
+#include "obs/json.hpp"
 
 namespace urn::obs {
 
@@ -242,31 +243,20 @@ struct ExplainDiff {
 
 // --- exports ------------------------------------------------------------
 
-/// One flat machine-readable entry (dotted key, numeric or string
-/// value) — the single source for both `explain_json` and the
-/// `explain.*` bench keys.
-struct ExplainEntry {
-  std::string key;
-  double num = 0.0;
-  std::string str;  ///< used instead of `num` when `is_str`
-  bool is_str = false;
-};
+/// The report as one flat document: per-cause slot totals and shares,
+/// top cause, exactness counters, and per-phase p50/p95 stall slots over
+/// nodes, numbers in a round-trip form (integers as integers, the rest
+/// with 17 significant digits).  `urn_explain --json` renders it as a
+/// block and `bench::explain_emit` copies it into `explain.*` keys.
+[[nodiscard]] json::Doc explain_doc(const ExplainReport& report);
 
-/// Flat `explain.*` entries for a report: per-cause slot totals and
-/// shares, top cause, exactness counters, and per-phase p50/p95 stall
-/// slots over nodes.
-[[nodiscard]] std::vector<ExplainEntry> explain_entries(
-    const ExplainReport& report);
+/// The diff (per-cause deltas + CIs) as one flat document, same number
+/// form.
+[[nodiscard]] json::Doc explain_diff_doc(const ExplainDiff& diff);
 
-/// `explain_entries` rendered as one flat JSON object (stable key
-/// order, trailing newline).
-[[nodiscard]] std::string explain_json(const ExplainReport& report);
-
-/// Flat JSON object for a diff (per-cause deltas + CIs).
-[[nodiscard]] std::string explain_diff_json(const ExplainDiff& diff);
-
-/// Write a chrome://tracing "icicle" of per-node cause spans (one tid
-/// per node, one X slice per span; 1 slot = 1 µs).  Requires a report
+/// Write a chrome://tracing "icicle" of per-node cause spans through
+/// `ChromeTraceWriter` (one tid per node, one X slice per span;
+/// 1 slot = 1 µs).  Requires a report
 /// built with `collect_spans`.  Returns false on I/O failure or when
 /// spans were not collected.
 [[nodiscard]] bool write_explain_chrome_file(const std::string& path,

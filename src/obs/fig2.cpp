@@ -81,7 +81,6 @@ std::vector<std::string> Fig2Walker::advance(const Event& e) {
   if (is_decided(e) && !decided_) {
     decided_ = true;
     decided_color_ = e.color;
-    decided_slot_ = e.slot;
     if (pending_decision_color_ >= 0 &&
         pending_decision_color_ != decided_color_) {
       errors.push_back(

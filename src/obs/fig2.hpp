@@ -57,7 +57,6 @@ class Fig2Walker {
   [[nodiscard]] bool decided() const { return decided_; }
   /// The i of the decided C_i (-1 while undecided).
   [[nodiscard]] std::int32_t decided_color() const { return decided_color_; }
-  [[nodiscard]] Slot decided_slot() const { return decided_slot_; }
   /// Number of state-to-state hops checked (first entry excluded).
   [[nodiscard]] std::size_t transitions_checked() const {
     return transitions_checked_;
@@ -71,7 +70,6 @@ class Fig2Walker {
   Event prev_;  ///< last phase event consumed (valid once started_)
   bool decided_ = false;
   std::int32_t decided_color_ = -1;
-  Slot decided_slot_ = -1;
   /// Color claimed by a kDecision event that arrived before any decided
   /// transition (-1 = none pending).
   std::int32_t pending_decision_color_ = -1;

@@ -101,23 +101,6 @@ bool TimeSeries::write_csv_file(const std::string& path) const {
   return static_cast<bool>(os);
 }
 
-void TimeSeries::write_json(std::ostream& os) const {
-  os << "{\"window\":" << window_ << ",\"rows\":[";
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
-    const MetricsRow& r = rows_[i];
-    if (i != 0) os << ',';
-    os << "{\"start\":" << r.start << ",\"wakes\":" << r.wakes
-       << ",\"decisions\":" << r.decisions
-       << ",\"tx\":" << r.transmissions << ",\"rx\":" << r.deliveries
-       << ",\"collisions\":" << r.collisions << ",\"drops\":" << r.drops
-       << ",\"resets\":" << r.resets << ",\"serves\":" << r.serves
-       << ",\"phase_changes\":" << r.phase_changes
-       << ",\"awake\":" << r.awake_end << ",\"decided\":" << r.decided_end
-       << "}";
-  }
-  os << "]}";
-}
-
 std::uint64_t TimeSeries::peak_collisions() const {
   std::uint64_t peak = 0;
   for (const MetricsRow& r : rows_) peak = std::max(peak, r.collisions);

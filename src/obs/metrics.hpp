@@ -6,7 +6,7 @@
 /// windows of `window` slots and accumulates per-window counts plus the
 /// cumulative awake/decided population.  `finish()` produces a
 /// `TimeSeries` covering the whole run (empty windows included, so rows
-/// are evenly spaced), exportable as CSV or JSON for plotting.
+/// are evenly spaced), exportable as CSV for plotting.
 ///
 /// The trajectory quantities here are exactly what the paper's per-node
 /// guarantees talk about: when the awake population ramps up, how long
@@ -66,9 +66,6 @@ class TimeSeries {
   void write_csv(std::ostream& os) const;
   /// Write to a file; returns false if the file could not be opened.
   bool write_csv_file(const std::string& path) const;
-
-  /// JSON object {"window":W,"rows":[{...},...]}.
-  void write_json(std::ostream& os) const;
 
   /// Peak per-window collision count (0 for an empty series) — the
   /// headline "when/how hard did the medium congest" number.

@@ -10,6 +10,8 @@
 #include <limits>
 #include <utility>
 
+#include "obs/json.hpp"
+
 namespace urn::obs::postmortem {
 
 namespace {
@@ -165,30 +167,6 @@ bool write_text_file(const std::string& path, const std::string& body) {
   return (std::fclose(f) == 0) && wrote;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char hex[8];
-          std::snprintf(hex, sizeof(hex), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += hex;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string monitor_report_json(const MonitorReport& report) {
   std::string out = "{\n";
   out += "  \"total_violations\": " +
@@ -204,7 +182,8 @@ std::string monitor_report_json(const MonitorReport& report) {
     if (p.count > 0) {
       out += ", \"first_slot\": " + std::to_string(p.first_slot);
       out += ", \"first_node\": " + std::to_string(p.first_node);
-      out += ", \"first_what\": \"" + json_escape(p.first_what) + "\"";
+      out += ", \"first_what\": ";
+      json::append_quoted(out, p.first_what);
     }
     out += "}";
     out += (i + 1 < kNumInvariants) ? ",\n" : "\n";

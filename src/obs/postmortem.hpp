@@ -261,11 +261,9 @@ bool ensure_dir(const std::string& path);
 /// Write `body` to `path` (truncating).  Returns false on I/O failure.
 bool write_text_file(const std::string& path, const std::string& body);
 
-/// JSON string escaping for the manifest / monitor report writers.
-[[nodiscard]] std::string json_escape(const std::string& s);
-
-/// Render a MonitorReport as a small JSON document (the bundle's
-/// `monitor.json`): total/per-invariant counts plus each first violation.
+/// Render a MonitorReport as a small nested JSON document (the bundle's
+/// `monitor.json`): total/per-invariant counts plus each first violation,
+/// strings quoted by `json::append_quoted` (obs/json.hpp).
 [[nodiscard]] std::string monitor_report_json(const MonitorReport& report);
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 /// \file regress.hpp
-/// \brief Bench regression comparison: parse the flat `BENCH_<name>.json`
-///        summaries the experiment binaries emit and diff a fresh run
-///        against a committed baseline with per-metric tolerances.
+/// \brief Bench regression comparison: diff a fresh `BENCH_<name>.json`
+///        summary against a committed baseline with per-metric
+///        tolerances.
 ///
-/// The summaries are deliberately flat ({"dotted.key": scalar, ...}), so
-/// no general JSON machinery is needed: keys map to either a number, a
-/// bool, or a quoted string.  `diff_bench` walks the *baseline's* keys —
+/// The summaries are flat objects ({"dotted.key": scalar, ...}) read
+/// with the one flat-JSON codec (`json::read_file`, obs/json.hpp), so a
+/// value is a number, a bool or a quoted string.  `diff_bench` walks the
+/// *baseline's* keys —
 /// a key missing from the fresh run is a regression (a metric silently
 /// disappeared), while extra fresh keys are fine (new metrics land
 /// without invalidating old baselines).  Numeric values compare within
@@ -29,31 +30,11 @@
 
 #include <cstddef>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "obs/json.hpp"
+
 namespace urn::obs {
-
-/// One parsed key/value pair of a bench summary.
-struct BenchEntry {
-  std::string key;
-  std::string raw;       ///< value text as written (strings keep quotes)
-  bool numeric = false;  ///< raw parsed fully as a double
-  double value = 0.0;    ///< numeric value (0 when !numeric)
-};
-
-/// A parsed `BENCH_<name>.json` document (flat object, ordered).
-struct BenchDoc {
-  std::vector<BenchEntry> entries;
-  bool ok = false;  ///< false: unreadable / not a flat JSON object
-
-  [[nodiscard]] const BenchEntry* find(std::string_view key) const;
-};
-
-/// Parse a flat JSON object as produced by `bench::BenchSummary`.
-[[nodiscard]] BenchDoc parse_bench_json(std::string_view text);
-/// Read and parse a file; `ok` is false when it cannot be opened.
-[[nodiscard]] BenchDoc read_bench_json_file(const std::string& path);
 
 /// Tolerances and exclusions for the comparison.
 struct DiffOptions {
@@ -100,8 +81,8 @@ struct DiffReport {
 };
 
 /// Compare `fresh` against `baseline` (see file comment for semantics).
-[[nodiscard]] DiffReport diff_bench(const BenchDoc& baseline,
-                                    const BenchDoc& fresh,
+[[nodiscard]] DiffReport diff_bench(const json::Doc& baseline,
+                                    const json::Doc& fresh,
                                     const DiffOptions& options = {});
 
 }  // namespace urn::obs

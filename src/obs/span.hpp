@@ -86,31 +86,4 @@ class SpanSink {
   std::map<std::uint32_t, std::string> track_names_;
 };
 
-/// RAII span: records [construction, destruction) into the sink.  A
-/// null sink makes it a no-op (instrumentation sites stay branch-cheap).
-class ProfileSpan {
- public:
-  ProfileSpan(SpanSink* sink, const char* name, std::uint32_t track,
-              std::int64_t arg = -1)
-      : sink_(sink), name_(name), track_(track), arg_(arg),
-        start_ns_(sink != nullptr ? sink->now_ns() : 0) {}
-
-  ProfileSpan(const ProfileSpan&) = delete;
-  ProfileSpan& operator=(const ProfileSpan&) = delete;
-
-  ~ProfileSpan() {
-    if (sink_ != nullptr) {
-      sink_->record(name_, track_, start_ns_, sink_->now_ns() - start_ns_,
-                    arg_);
-    }
-  }
-
- private:
-  SpanSink* sink_;
-  const char* name_;
-  std::uint32_t track_;
-  std::int64_t arg_;
-  std::uint64_t start_ns_;
-};
-
 }  // namespace urn::obs

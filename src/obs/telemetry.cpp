@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "obs/json.hpp"
+
 namespace urn::obs::telemetry {
 
 namespace {
@@ -19,34 +21,6 @@ const V* find_in(const std::vector<std::pair<std::string, V>>& entries,
       });
   if (it == entries.end() || it->first != name) return nullptr;
   return &it->second;
-}
-
-/// %.17g survives a double round trip; %.6g is what BenchSummary uses for
-/// derived statistics — telemetry lines are monitoring data, so the
-/// shorter form keeps the stream readable and is precise enough.
-void append_double(std::string& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  out += buf;
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%llu",
-                static_cast<unsigned long long>(v));
-  out += buf;
-}
-
-void append_i64(std::string& out, std::int64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  out += buf;
-}
-
-void append_json_key(std::string& out, std::string_view key) {
-  out += '"';
-  out += key;  // metric names are dotted identifiers; nothing to escape
-  out += "\":";
 }
 
 }  // namespace
@@ -201,14 +175,14 @@ std::string to_prometheus(const Snapshot& snap) {
     const std::string prom = prom_name(name, "_total");
     out += "# TYPE " + prom + " counter\n";
     out += prom + " ";
-    append_u64(out, value);
+    json::append_uint(out, value);
     out += '\n';
   }
   for (const auto& [name, value] : snap.gauges) {
     const std::string prom = prom_name(name);
     out += "# TYPE " + prom + " gauge\n";
     out += prom + " ";
-    append_i64(out, value);
+    json::append_int(out, value);
     out += '\n';
   }
   for (const auto& [name, hist] : snap.histograms) {
@@ -222,19 +196,19 @@ std::string to_prometheus(const Snapshot& snap) {
       if (hist.buckets[b] == 0) continue;
       cumulative += hist.buckets[b];
       out += prom + "_bucket{le=\"";
-      append_double(out, static_cast<double>(bucket_upper(b)));
+      json::append_g6(out, static_cast<double>(bucket_upper(b)));
       out += "\"} ";
-      append_u64(out, cumulative);
+      json::append_uint(out, cumulative);
       out += '\n';
     }
     out += prom + "_bucket{le=\"+Inf\"} ";
-    append_u64(out, hist.count);
+    json::append_uint(out, hist.count);
     out += '\n';
     out += prom + "_sum ";
-    append_u64(out, hist.sum);
+    json::append_uint(out, hist.sum);
     out += '\n';
     out += prom + "_count ";
-    append_u64(out, hist.count);
+    json::append_uint(out, hist.count);
     out += '\n';
   }
   return out;
@@ -265,53 +239,27 @@ bool write_prometheus_file(const std::string& path, const Snapshot& snap) {
 // JSONL export
 
 std::string to_jsonl_line(const Snapshot& snap) {
-  std::string out = "{";
-  append_json_key(out, "telemetry.seq");
-  append_u64(out, snap.seq);
-  out += ',';
-  append_json_key(out, "telemetry.wall_ms");
-  append_u64(out, snap.wall_ms);
-  out += ',';
-  append_json_key(out, "telemetry.uptime_s");
-  append_double(out, snap.uptime_s);
-  for (const auto& [name, value] : snap.counters) {
-    out += ',';
-    append_json_key(out, name);
-    append_u64(out, value);
-  }
-  for (const auto& [name, value] : snap.gauges) {
-    out += ',';
-    append_json_key(out, name);
-    append_i64(out, value);
-  }
+  // %.6g (Doc::add(double)) is short enough to keep the stream readable
+  // and precise enough for monitoring data.
+  json::Doc doc;
+  doc.add("telemetry.seq", snap.seq);
+  doc.add("telemetry.wall_ms", snap.wall_ms);
+  doc.add("telemetry.uptime_s", snap.uptime_s);
+  for (const auto& [name, value] : snap.counters) doc.add(name, value);
+  for (const auto& [name, value] : snap.gauges) doc.add(name, value);
   for (const auto& [name, hist] : snap.histograms) {
-    out += ',';
-    append_json_key(out, name + ".count");
-    append_u64(out, hist.count);
-    out += ',';
-    append_json_key(out, name + ".sum");
-    append_u64(out, hist.sum);
-    out += ',';
-    append_json_key(out, name + ".mean");
-    append_double(out, hist.mean());
-    out += ',';
-    append_json_key(out, name + ".p50");
-    append_double(out, hist.quantile(0.50));
-    out += ',';
-    append_json_key(out, name + ".p95");
-    append_double(out, hist.quantile(0.95));
-    out += ',';
-    append_json_key(out, name + ".max");
-    append_u64(out, hist.max_bound());
+    doc.add(name + ".count", hist.count);
+    doc.add(name + ".sum", hist.sum);
+    doc.add(name + ".mean", hist.mean());
+    doc.add(name + ".p50", hist.quantile(0.50));
+    doc.add(name + ".p95", hist.quantile(0.95));
+    doc.add(name + ".max", hist.max_bound());
     for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
       if (hist.buckets[b] == 0) continue;
-      out += ',';
-      append_json_key(out, name + ".bucket" + std::to_string(b));
-      append_u64(out, hist.buckets[b]);
+      doc.add(name + ".bucket" + std::to_string(b), hist.buckets[b]);
     }
   }
-  out += "}\n";
-  return out;
+  return doc.render(json::Layout::kLine);
 }
 
 bool append_jsonl_file(const std::string& path, const Snapshot& snap) {
@@ -335,7 +283,7 @@ Snapshotter::Snapshotter(Registry& registry, SnapshotterOptions options)
       options_(std::move(options)),
       start_(std::chrono::steady_clock::now()) {
   if (options_.interval_ms == 0) options_.interval_ms = 1;
-  if (options_.truncate && !options_.jsonl_path.empty()) {
+  if (!options_.jsonl_path.empty()) {
     if (std::FILE* f = std::fopen(options_.jsonl_path.c_str(), "wb")) {
       std::fclose(f);
     }

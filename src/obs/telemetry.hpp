@@ -18,7 +18,7 @@
 ///    shards **merge by bucket-wise addition**: merging any partition of a
 ///    sample stream, in any order, is bit-identical to recording the whole
 ///    stream into one histogram — the same partition-invariant algebra the
-///    trial executor relies on for `Samples`/`RunLedger` (test-pinned).
+///    trial executor relies on for `Samples` (test-pinned).
 ///  * `Registry` — the named-metric namespace, and the repo's one
 ///    registry type (the profile counters of profile.hpp are an instance
 ///    of it).  Metric objects have stable addresses for the process
@@ -287,10 +287,10 @@ class Registry {
 /// scrape never sees a torn file.  Returns false on I/O failure.
 bool write_prometheus_file(const std::string& path, const Snapshot& snap);
 
-/// One snapshot as a single flat JSON object line (the format
-/// `obs::parse_bench_json` reads, which is how `urn_top` parses the
-/// stream): `telemetry.seq` / `telemetry.wall_ms` / `telemetry.uptime_s`,
-/// every counter and gauge under its registry name, and per histogram
+/// One snapshot as a single flat JSON object line (`json::Layout::kLine`
+/// of obs/json.hpp; `urn_top` parses the stream with `json::parse`):
+/// `telemetry.seq` / `telemetry.wall_ms` / `telemetry.uptime_s`, every
+/// counter and gauge under its registry name, and per histogram
 /// `<name>.count/.sum/.mean/.p50/.p95/.max` plus `<name>.bucket<b>` for
 /// each non-empty bucket (so downstream consumers can re-merge).
 [[nodiscard]] std::string to_jsonl_line(const Snapshot& snap);
@@ -301,17 +301,15 @@ bool append_jsonl_file(const std::string& path, const Snapshot& snap);
 // Snapshotter
 
 struct SnapshotterOptions {
-  /// Append-only flat-JSON time series (`urn_top` tails this).  Empty =
-  /// no JSONL export.
+  /// Flat-JSON time series, truncated at start and appended per
+  /// snapshot (one run = one stream; `urn_top` tails it).  Empty = no
+  /// JSONL export.
   std::string jsonl_path;
   /// Prometheus text exposition, atomically rewritten per snapshot (point
   /// a file-based scrape or node_exporter textfile collector at it).
   std::string prom_path;
   /// Sampling period.
   std::uint64_t interval_ms = 1000;
-  /// Truncate an existing JSONL file instead of appending (default on:
-  /// one run = one stream).
-  bool truncate = true;
   /// Optional in-process observer, called on the snapshotter thread after
   /// each export (progress meters; keep it cheap).
   std::function<void(const Snapshot&)> on_snapshot;

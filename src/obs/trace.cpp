@@ -2,39 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <istream>
 #include <map>
 
 #include "obs/fig2.hpp"
 
 namespace urn::obs {
-
-ParsedLog read_jsonl(std::istream& is) {
-  ParsedLog out;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    ++out.lines;
-    Event e;
-    if (parse_jsonl_line(line, e)) {
-      out.events.push_back(e);
-    } else {
-      if (out.lines == 1) out.first_line_bad = true;
-      ++out.bad_lines;
-    }
-  }
-  return out;
-}
-
-ParsedLogFile read_jsonl_file(const std::string& path) {
-  ParsedLogFile out;
-  std::ifstream is(path);
-  if (!is) return out;
-  static_cast<ParsedLog&>(out) = read_jsonl(is);
-  out.ok = true;
-  return out;
-}
 
 bool write_jsonl_file(const std::string& path,
                       const std::vector<Event>& events) {

@@ -18,35 +18,12 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "obs/event.hpp"
 
 namespace urn::obs {
-
-/// Result of parsing a JSONL stream (tolerant: bad lines are counted,
-/// not fatal).
-struct ParsedLog {
-  std::vector<Event> events;
-  std::size_t lines = 0;
-  std::size_t bad_lines = 0;
-  /// The first non-empty line failed to parse — the hallmark of a file
-  /// that is not a trace log at all (binary garbage, wrong file).
-  /// Consumers that want fail-fast semantics (urn_trace) treat this as
-  /// fatal; a bad line later in an otherwise-good log stays tolerant.
-  bool first_line_bad = false;
-};
-
-/// Parse every line of `is` with `parse_jsonl_line`.
-[[nodiscard]] ParsedLog read_jsonl(std::istream& is);
-
-/// Parse a JSONL file.  `ok` is false if the file could not be opened.
-struct ParsedLogFile : ParsedLog {
-  bool ok = false;
-};
-[[nodiscard]] ParsedLogFile read_jsonl_file(const std::string& path);
 
 /// Write `events` as a JSONL log (one `append_jsonl` line each, in order),
 /// truncating `path`.  This is the only JSONL writer: on-line capture is

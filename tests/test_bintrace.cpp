@@ -136,11 +136,11 @@ TEST(BinSink, RoundTripMatchesMemorySinkCaptureOfSameRun) {
     EXPECT_EQ(bin.retained(), memory.size());
   }
 
-  const ParsedBinFile parsed = read_bin_file(path);
+  const ParsedTraceFile parsed = read_trace_file(path);
   ASSERT_TRUE(parsed.ok) << parsed.error;
   EXPECT_FALSE(parsed.ring);
   EXPECT_EQ(parsed.dropped, 0u);
-  EXPECT_EQ(parsed.bad_records, 0u);
+  EXPECT_EQ(parsed.bad, 0u);
   ASSERT_EQ(parsed.events.size(), memory.size());
   for (std::size_t i = 0; i < parsed.events.size(); ++i) {
     ASSERT_EQ(parsed.events[i], memory.events()[i]) << "event " << i;
@@ -170,7 +170,7 @@ TEST(BinSink, StepDrivenEngineFlushMakesEventsReadable) {
   for (int s = 0; s < 200; ++s) engine.step();
   engine.flush();
 
-  const ParsedBinFile parsed = read_bin_file(path);
+  const ParsedTraceFile parsed = read_trace_file(path);
   ASSERT_TRUE(parsed.ok) << parsed.error;
   EXPECT_EQ(parsed.events.size(), sink.written());
   ASSERT_GT(parsed.events.size(), 0u);
@@ -185,7 +185,7 @@ TEST(BinSink, SyntheticExtremesSurviveTheFile) {
     ASSERT_TRUE(sink.ok());
     for (const Event& e : events) sink.record(e);
   }
-  const ParsedBinFile parsed = read_bin_file(path);
+  const ParsedTraceFile parsed = read_trace_file(path);
   ASSERT_TRUE(parsed.ok) << parsed.error;
   ASSERT_EQ(parsed.events.size(), events.size());
   for (std::size_t i = 0; i < events.size(); ++i) {
@@ -208,7 +208,7 @@ TEST(BinSink, RingModeRetainsExactlyTheLastNEvents) {
     EXPECT_EQ(sink.written(), static_cast<std::uint64_t>(kTotal));
     EXPECT_EQ(sink.retained(), kCap);
   }
-  const ParsedBinFile parsed = read_bin_file(path);
+  const ParsedTraceFile parsed = read_trace_file(path);
   ASSERT_TRUE(parsed.ok) << parsed.error;
   EXPECT_TRUE(parsed.ring);
   EXPECT_EQ(parsed.dropped, static_cast<std::uint64_t>(kTotal) - kCap);
@@ -227,7 +227,7 @@ TEST(BinSink, RingModeBelowCapacityKeepsEverything) {
     BinSink sink(path, 16);
     for (Slot s = 0; s < 5; ++s) sink.record(Event::wake(s, 1));
   }
-  const ParsedBinFile parsed = read_bin_file(path);
+  const ParsedTraceFile parsed = read_trace_file(path);
   ASSERT_TRUE(parsed.ok) << parsed.error;
   EXPECT_TRUE(parsed.ring);
   EXPECT_EQ(parsed.dropped, 0u);
@@ -279,10 +279,10 @@ TEST(BinSink, TruncatedTailCountsAsBadRecord) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(data.data(), static_cast<std::streamsize>(data.size()));
   }
-  const ParsedBinFile parsed = read_bin_file(path);
+  const ParsedTraceFile parsed = read_trace_file(path);
   ASSERT_TRUE(parsed.ok) << parsed.error;
   EXPECT_EQ(parsed.events.size(), 1u);
-  EXPECT_EQ(parsed.bad_records, 1u);
+  EXPECT_EQ(parsed.bad, 1u);
   std::remove(path.c_str());
 }
 
@@ -391,7 +391,7 @@ TEST(BinTrace, MonitoredRunReplayedFromBinMatchesLiveReport) {
   ASSERT_TRUE(run.monitor.has_value());
   const MonitorReport& live = *run.monitor;
 
-  const ParsedBinFile parsed = read_bin_file(path);
+  const ParsedTraceFile parsed = read_trace_file(path);
   ASSERT_TRUE(parsed.ok) << parsed.error;
   ASSERT_EQ(parsed.events.size(), run.events_recorded);
 

@@ -6,7 +6,7 @@
 // of the serial loop — same counts, same sample streams in the same
 // order, same percentiles, same first-violation attribution.  The tests
 // here check that property at every layer: the chunk plan (fuzzed), the
-// pool, the generic executor, the merge algebra of Samples / RunLedger /
+// pool, the generic executor, the merge algebra of Samples /
 // CoreAggregate, and finally the public run_core_trials entry point
 // against real protocol runs.
 
@@ -26,7 +26,6 @@
 #include "exec/parallel.hpp"
 #include "exec/pool.hpp"
 #include "graph/generators.hpp"
-#include "obs/ledger.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 
@@ -246,65 +245,6 @@ TEST(SamplesMerge, EmptyIsIdentity) {
   Samples b;
   b.merge(a);
   EXPECT_EQ(b.values(), a.values());
-}
-
-// --------------------------------------------------------- RunLedger merge -
-
-TEST(RunLedgerMerge, PartitionedLedgersEqualSerialLedger) {
-  Rng rng(0x1ED6);
-  const char* metrics[] = {"latency.max", "slots.run", "collisions"};
-  for (int iter = 0; iter < 50; ++iter) {
-    const auto trials = static_cast<std::size_t>(1 + rng.below(60));
-    std::vector<std::vector<double>> stream(3);
-    for (std::size_t m = 0; m < 3; ++m) {
-      for (std::size_t t = 0; t < trials; ++t) {
-        stream[m].push_back(rng.uniform(0.0, 1e4));
-      }
-    }
-
-    obs::RunLedger whole;
-    for (std::size_t t = 0; t < trials; ++t) {
-      for (std::size_t m = 0; m < 3; ++m) {
-        whole.add(metrics[m], stream[m][t]);
-      }
-    }
-
-    obs::RunLedger merged;
-    std::size_t i = 0;
-    while (i < trials) {
-      const auto len = static_cast<std::size_t>(1 + rng.below(trials - i));
-      obs::RunLedger block;
-      for (std::size_t t = i; t < i + len; ++t) {
-        for (std::size_t m = 0; m < 3; ++m) {
-          block.add(metrics[m], stream[m][t]);
-        }
-      }
-      merged.merge(block);
-      i += len;
-    }
-
-    ASSERT_EQ(merged.num_metrics(), whole.num_metrics());
-    for (const char* m : metrics) {
-      const obs::LedgerSummary a = merged.summarize(m);
-      const obs::LedgerSummary b = whole.summarize(m);
-      EXPECT_EQ(a.trials, b.trials);
-      EXPECT_EQ(a.min, b.min);
-      EXPECT_EQ(a.mean, b.mean);
-      EXPECT_EQ(a.p50, b.p50);
-      EXPECT_EQ(a.p95, b.p95);
-      EXPECT_EQ(a.max, b.max);
-    }
-  }
-}
-
-TEST(RunLedgerMerge, AdoptsUnknownMetrics) {
-  obs::RunLedger a;
-  a.add("x", 1.0);
-  obs::RunLedger b;
-  b.add("y", 2.0);
-  a.merge(b);
-  EXPECT_EQ(a.num_metrics(), 2u);
-  EXPECT_EQ(a.trials("y"), 1u);
 }
 
 }  // namespace

@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <map>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/params.hpp"
@@ -14,6 +18,7 @@
 #include "core/runner.hpp"
 #include "graph/generators.hpp"
 #include "obs/explain.hpp"
+#include "obs/json.hpp"
 #include "obs/sink.hpp"
 #include "reference_engine.hpp"
 #include "support/rng.hpp"
@@ -111,7 +116,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- span collection ------------------------------------------------------
 
-TEST(ExplainSpans, TileEachNodesWindowAndMatchTheCauseTotals) {
+/// A traced 40-node run attributed with cause spans.
+obs::ExplainReport spans_report() {
   Rng rng(7);
   const graph::Graph g = graph::random_udg(40, 4.5, 1.5, rng).graph;
   const core::Params params = params_for(g);
@@ -128,8 +134,11 @@ TEST(ExplainSpans, TileEachNodesWindowAndMatchTheCauseTotals) {
   config.kappa2 = params.kappa2;
   config.passive_slots = params.passive_slots();
   config.collect_spans = true;
-  const obs::ExplainReport report =
-      obs::explain_trace(events.events(), config);
+  return obs::explain_trace(events.events(), config);
+}
+
+TEST(ExplainSpans, TileEachNodesWindowAndMatchTheCauseTotals) {
+  const obs::ExplainReport report = spans_report();
   ASSERT_EQ(report.spans.size(), report.nodes.size());
 
   for (std::size_t i = 0; i < report.nodes.size(); ++i) {
@@ -146,6 +155,54 @@ TEST(ExplainSpans, TileEachNodesWindowAndMatchTheCauseTotals) {
       EXPECT_EQ(per_cause[c], node.causes[c])
           << "node " << node.node << " cause " << c;
     }
+  }
+}
+
+TEST(ExplainSpans, ChromeIcicleHasOneTrackPerNodeTilingItsWindow) {
+  const obs::ExplainReport report = spans_report();
+  const std::string path = ::testing::TempDir() + "explain_icicle.json";
+  ASSERT_TRUE(obs::write_explain_chrome_file(path, report));
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good());
+  // One record per line between the `{"traceEvents":[` and `]}` lines.
+  std::vector<std::string> records;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("{\"name\"", 0) != 0) continue;
+    if (line.back() == ',') line.pop_back();
+    records.push_back(line);
+  }
+  in.close();
+  std::remove(path.c_str());
+
+  std::size_t threads = 0;
+  std::map<std::uint64_t, std::vector<std::pair<obs::Slot, obs::Slot>>>
+      slices;  // tid -> (ts, dur), file order
+  for (const std::string& r : records) {
+    for (const char* key : {"\"ph\":", "\"ts\":", "\"pid\":", "\"tid\":"}) {
+      EXPECT_NE(r.find(key), std::string::npos) << key << " in " << r;
+    }
+    if (r.find("\"thread_name\"") != std::string::npos) ++threads;
+    if (r.find("\"ph\":\"X\"") == std::string::npos) continue;
+    const obs::json::Doc slice = obs::json::parse(r);  // X records are flat
+    ASSERT_TRUE(slice.ok) << r;
+    slices[static_cast<std::uint64_t>(slice.find("tid")->value)].emplace_back(
+        static_cast<obs::Slot>(slice.find("ts")->value),
+        static_cast<obs::Slot>(slice.find("dur")->value));
+  }
+  EXPECT_EQ(threads, report.nodes.size());
+  ASSERT_FALSE(report.nodes.empty());
+  for (const obs::NodeAttribution& n : report.nodes) {
+    ASSERT_GE(n.wake_slot, 0);
+    const obs::Slot window_end =
+        n.decided ? n.decision_slot : report.stats.last_slot + 1;
+    obs::Slot cursor = 0;
+    for (const auto& [ts, dur] : slices[n.node]) {
+      EXPECT_EQ(ts, cursor) << "node " << n.node;
+      EXPECT_GT(dur, 0) << "node " << n.node;
+      cursor = ts + dur;
+    }
+    EXPECT_EQ(cursor, window_end) << "node " << n.node;
   }
 }
 

@@ -1,5 +1,5 @@
-// Tests for the online invariant monitor, the cross-run telemetry
-// ledger and the bench regression differ.
+// Tests for the online invariant monitor and the bench regression
+// differ.
 //
 // The monitor half works on hand-built adversarial event streams: one
 // stream per invariant, each violating exactly the property under test,
@@ -14,7 +14,7 @@
 
 #include "core/runner.hpp"
 #include "graph/generators.hpp"
-#include "obs/ledger.hpp"
+#include "obs/json.hpp"
 #include "obs/monitor.hpp"
 #include "obs/regress.hpp"
 #include "radio/wakeup.hpp"
@@ -290,54 +290,18 @@ TEST(LeaderElectionTraced, HonorsMediumOptions) {
   EXPECT_EQ(ideal.medium.dropped, 0u);
 }
 
-// ---- RunLedger -----------------------------------------------------------
-
-TEST(RunLedger, PercentilesOverTrials) {
-  RunLedger ledger;
-  for (int i = 1; i <= 100; ++i) {
-    ledger.add("latency.max", static_cast<double>(i));
-  }
-  const LedgerSummary s = ledger.summarize("latency.max");
-  EXPECT_EQ(s.trials, 100u);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 100.0);
-  EXPECT_NEAR(s.mean, 50.5, 1e-9);
-  EXPECT_NEAR(s.p50, 50.5, 0.5);
-  EXPECT_NEAR(s.p95, 95.0, 1.0);
-}
-
-TEST(RunLedger, UnknownMetricIsZero) {
-  RunLedger ledger;
-  const LedgerSummary s = ledger.summarize("nope");
-  EXPECT_EQ(s.trials, 0u);
-  EXPECT_DOUBLE_EQ(s.max, 0.0);
-}
-
-TEST(RunLedger, SummariesAreSortedByName) {
-  RunLedger ledger;
-  ledger.add("b", 2.0);
-  ledger.add("a", 1.0);
-  ledger.add_all("c", {3.0, 4.0});
-  const auto all = ledger.summaries();
-  ASSERT_EQ(all.size(), 3u);
-  EXPECT_EQ(all[0].first, "a");
-  EXPECT_EQ(all[1].first, "b");
-  EXPECT_EQ(all[2].first, "c");
-  EXPECT_EQ(all[2].second.trials, 2u);
-}
-
 // ---- bench regression differ ---------------------------------------------
 
 TEST(BenchRegress, ParsesFlatJson) {
-  const BenchDoc doc = parse_bench_json(
+  const json::Doc doc = json::parse(
       "{\n  \"a.b\": 1.5,\n  \"s\": \"text\",\n  \"flag\": true\n}\n");
   ASSERT_TRUE(doc.ok);
   ASSERT_EQ(doc.entries.size(), 3u);
-  const BenchEntry* a = doc.find("a.b");
+  const json::Entry* a = doc.find("a.b");
   ASSERT_NE(a, nullptr);
   EXPECT_TRUE(a->numeric);
   EXPECT_DOUBLE_EQ(a->value, 1.5);
-  const BenchEntry* s = doc.find("s");
+  const json::Entry* s = doc.find("s");
   ASSERT_NE(s, nullptr);
   EXPECT_FALSE(s->numeric);
   EXPECT_EQ(s->raw, "\"text\"");
@@ -345,15 +309,15 @@ TEST(BenchRegress, ParsesFlatJson) {
 }
 
 TEST(BenchRegress, IdenticalDocsPass) {
-  const BenchDoc a = parse_bench_json("{\"x\": 3, \"y\": \"z\"}");
+  const json::Doc a = json::parse("{\"x\": 3, \"y\": \"z\"}");
   const DiffReport r = diff_bench(a, a);
   EXPECT_TRUE(r.ok());
   EXPECT_EQ(r.compared, 2u);
 }
 
 TEST(BenchRegress, NumericDriftBeyondToleranceFails) {
-  const BenchDoc base = parse_bench_json("{\"x\": 100}");
-  const BenchDoc fresh = parse_bench_json("{\"x\": 104}");
+  const json::Doc base = json::parse("{\"x\": 100}");
+  const json::Doc fresh = json::parse("{\"x\": 104}");
   EXPECT_FALSE(diff_bench(base, fresh).ok());
   DiffOptions tol;
   tol.rel_tol = 0.05;
@@ -364,8 +328,8 @@ TEST(BenchRegress, NumericDriftBeyondToleranceFails) {
 }
 
 TEST(BenchRegress, MissingKeyIsARegression) {
-  const BenchDoc base = parse_bench_json("{\"x\": 1, \"gone\": 2}");
-  const BenchDoc fresh = parse_bench_json("{\"x\": 1}");
+  const json::Doc base = json::parse("{\"x\": 1, \"gone\": 2}");
+  const json::Doc fresh = json::parse("{\"x\": 1}");
   const DiffReport r = diff_bench(base, fresh);
   ASSERT_EQ(r.regressions.size(), 1u);
   EXPECT_EQ(r.regressions[0].key, "gone");
@@ -373,16 +337,16 @@ TEST(BenchRegress, MissingKeyIsARegression) {
 }
 
 TEST(BenchRegress, ExtraFreshKeysAreFine) {
-  const BenchDoc base = parse_bench_json("{\"x\": 1}");
-  const BenchDoc fresh = parse_bench_json("{\"x\": 1, \"new\": 9}");
+  const json::Doc base = json::parse("{\"x\": 1}");
+  const json::Doc fresh = json::parse("{\"x\": 1, \"new\": 9}");
   EXPECT_TRUE(diff_bench(base, fresh).ok());
 }
 
 TEST(BenchRegress, WallClockKeysSkippedByDefault) {
-  const BenchDoc base =
-      parse_bench_json("{\"profile.core.ns\": 123, \"x\": 1}");
-  const BenchDoc fresh =
-      parse_bench_json("{\"profile.core.ns\": 999, \"x\": 1}");
+  const json::Doc base =
+      json::parse("{\"profile.core.ns\": 123, \"x\": 1}");
+  const json::Doc fresh =
+      json::parse("{\"profile.core.ns\": 999, \"x\": 1}");
   const DiffReport r = diff_bench(base, fresh);
   EXPECT_TRUE(r.ok());
   EXPECT_EQ(r.skipped, 1u);
@@ -390,8 +354,8 @@ TEST(BenchRegress, WallClockKeysSkippedByDefault) {
 }
 
 TEST(BenchRegress, StringVsNumberNeverEqual) {
-  const BenchDoc base = parse_bench_json("{\"x\": \"5\"}");
-  const BenchDoc fresh = parse_bench_json("{\"x\": 5}");
+  const json::Doc base = json::parse("{\"x\": \"5\"}");
+  const json::Doc fresh = json::parse("{\"x\": 5}");
   EXPECT_FALSE(diff_bench(base, fresh).ok());
 }
 
@@ -400,10 +364,10 @@ TEST(BenchRegress, StringVsNumberNeverEqual) {
 TEST(BenchRegress, RateKeysNeverComparedExactly) {
   // Machine-dependent throughput halves; with the default rate class the
   // key is checked for presence + numeric only, never for equality.
-  const BenchDoc base =
-      parse_bench_json("{\"engine.noderate.udg\": 200.0, \"x\": 1}");
-  const BenchDoc fresh =
-      parse_bench_json("{\"engine.noderate.udg\": 100.0, \"x\": 1}");
+  const json::Doc base =
+      json::parse("{\"engine.noderate.udg\": 200.0, \"x\": 1}");
+  const json::Doc fresh =
+      json::parse("{\"engine.noderate.udg\": 100.0, \"x\": 1}");
   const DiffReport r = diff_bench(base, fresh);
   EXPECT_TRUE(r.ok());
   EXPECT_EQ(r.compared, 2u);  // rate keys count as compared, not skipped
@@ -411,38 +375,38 @@ TEST(BenchRegress, RateKeysNeverComparedExactly) {
 }
 
 TEST(BenchRegress, MissingRateKeyIsARegression) {
-  const BenchDoc base = parse_bench_json("{\"engine.noderate.udg\": 200.0}");
-  const BenchDoc fresh = parse_bench_json("{\"x\": 1}");
+  const json::Doc base = json::parse("{\"engine.noderate.udg\": 200.0}");
+  const json::Doc fresh = json::parse("{\"x\": 1}");
   const DiffReport r = diff_bench(base, fresh);
   ASSERT_EQ(r.regressions.size(), 1u);
   EXPECT_NE(r.regressions[0].what.find("missing"), std::string::npos);
 }
 
 TEST(BenchRegress, NonNumericRateKeyIsARegression) {
-  const BenchDoc base = parse_bench_json("{\"engine.noderate.udg\": 200.0}");
-  const BenchDoc fresh =
-      parse_bench_json("{\"engine.noderate.udg\": \"fast\"}");
+  const json::Doc base = json::parse("{\"engine.noderate.udg\": 200.0}");
+  const json::Doc fresh =
+      json::parse("{\"engine.noderate.udg\": \"fast\"}");
   const DiffReport r = diff_bench(base, fresh);
   ASSERT_EQ(r.regressions.size(), 1u);
   EXPECT_NE(r.regressions[0].what.find("not numeric"), std::string::npos);
 }
 
 TEST(BenchRegress, RateTolFlagsOneSidedDrops) {
-  const BenchDoc base = parse_bench_json("{\"engine.noderate.udg\": 200.0}");
-  const BenchDoc slower = parse_bench_json("{\"engine.noderate.udg\": 120.0}");
-  const BenchDoc faster = parse_bench_json("{\"engine.noderate.udg\": 900.0}");
+  const json::Doc base = json::parse("{\"engine.noderate.udg\": 200.0}");
+  const json::Doc slower = json::parse("{\"engine.noderate.udg\": 120.0}");
+  const json::Doc faster = json::parse("{\"engine.noderate.udg\": 900.0}");
   DiffOptions opt;
   opt.rate_rel_tol = 0.3;  // floor = 140.0
   EXPECT_FALSE(diff_bench(base, slower, opt).ok());
   EXPECT_TRUE(diff_bench(base, faster, opt).ok());  // faster is never wrong
-  const BenchDoc at_floor =
-      parse_bench_json("{\"engine.noderate.udg\": 140.0}");
+  const json::Doc at_floor =
+      json::parse("{\"engine.noderate.udg\": 140.0}");
   EXPECT_TRUE(diff_bench(base, at_floor, opt).ok());  // floor is inclusive
 }
 
 TEST(BenchRegress, EmptyRateClassFallsBackToExact) {
-  const BenchDoc base = parse_bench_json("{\"engine.noderate.udg\": 200.0}");
-  const BenchDoc fresh = parse_bench_json("{\"engine.noderate.udg\": 100.0}");
+  const json::Doc base = json::parse("{\"engine.noderate.udg\": 200.0}");
+  const json::Doc fresh = json::parse("{\"engine.noderate.udg\": 100.0}");
   DiffOptions opt;
   opt.rate_substrings.clear();
   EXPECT_FALSE(diff_bench(base, fresh, opt).ok());
@@ -453,25 +417,25 @@ TEST(BenchRegress, EmptyRateClassFallsBackToExact) {
 TEST(BenchRegress, ExplainKeysExactByDefault) {
   // With the default explain_tol = 0 the class degrades to an exact
   // comparison, so the committed gate stays bit-identical.
-  const BenchDoc base =
-      parse_bench_json("{\"explain.cause.collision.share\": 0.25}");
-  const BenchDoc same =
-      parse_bench_json("{\"explain.cause.collision.share\": 0.25}");
-  const BenchDoc drifted =
-      parse_bench_json("{\"explain.cause.collision.share\": 0.26}");
+  const json::Doc base =
+      json::parse("{\"explain.cause.collision.share\": 0.25}");
+  const json::Doc same =
+      json::parse("{\"explain.cause.collision.share\": 0.25}");
+  const json::Doc drifted =
+      json::parse("{\"explain.cause.collision.share\": 0.26}");
   EXPECT_TRUE(diff_bench(base, same).ok());
   EXPECT_FALSE(diff_bench(base, drifted).ok());
 }
 
 TEST(BenchRegress, ExplainTolAllowsTwoSidedDrift) {
-  const BenchDoc base =
-      parse_bench_json("{\"explain.cause.collision.share\": 0.25}");
-  const BenchDoc up =
-      parse_bench_json("{\"explain.cause.collision.share\": 0.30}");
-  const BenchDoc down =
-      parse_bench_json("{\"explain.cause.collision.share\": 0.20}");
-  const BenchDoc far_off =
-      parse_bench_json("{\"explain.cause.collision.share\": 0.60}");
+  const json::Doc base =
+      json::parse("{\"explain.cause.collision.share\": 0.25}");
+  const json::Doc up =
+      json::parse("{\"explain.cause.collision.share\": 0.30}");
+  const json::Doc down =
+      json::parse("{\"explain.cause.collision.share\": 0.20}");
+  const json::Doc far_off =
+      json::parse("{\"explain.cause.collision.share\": 0.60}");
   DiffOptions opt;
   opt.explain_tol = 0.1;  // allowed = 0.1 + 0.1*0.25 = 0.125, both sides
   EXPECT_TRUE(diff_bench(base, up, opt).ok());
@@ -481,9 +445,9 @@ TEST(BenchRegress, ExplainTolAllowsTwoSidedDrift) {
 
 TEST(BenchRegress, ExplainTolDoesNotLoosenOtherMetrics) {
   // The explain tolerance must not leak into the exact class.
-  const BenchDoc base = parse_bench_json(
+  const json::Doc base = json::parse(
       "{\"explain.total_stall\": 100, \"coloring.latency.max\": 100}");
-  const BenchDoc fresh = parse_bench_json(
+  const json::Doc fresh = json::parse(
       "{\"explain.total_stall\": 105, \"coloring.latency.max\": 105}");
   DiffOptions opt;
   opt.explain_tol = 0.1;  // allowed = 0.1 + 10 = 10.1 for explain keys
@@ -493,10 +457,10 @@ TEST(BenchRegress, ExplainTolDoesNotLoosenOtherMetrics) {
 }
 
 TEST(BenchRegress, ExplainStringKeyExactAtZeroTol) {
-  const BenchDoc base =
-      parse_bench_json("{\"explain.top_cause\": \"collision\"}");
-  const BenchDoc changed =
-      parse_bench_json("{\"explain.top_cause\": \"phase_wait\"}");
+  const json::Doc base =
+      json::parse("{\"explain.top_cause\": \"collision\"}");
+  const json::Doc changed =
+      json::parse("{\"explain.top_cause\": \"phase_wait\"}");
   EXPECT_FALSE(diff_bench(base, changed).ok());
   DiffOptions opt;
   opt.explain_tol = 0.1;  // nonzero tol: presence is enough for strings
@@ -504,8 +468,8 @@ TEST(BenchRegress, ExplainStringKeyExactAtZeroTol) {
 }
 
 TEST(BenchRegress, MissingExplainKeyIsARegression) {
-  const BenchDoc base = parse_bench_json("{\"explain.total_stall\": 100}");
-  const BenchDoc fresh = parse_bench_json("{\"x\": 1}");
+  const json::Doc base = json::parse("{\"explain.total_stall\": 100}");
+  const json::Doc fresh = json::parse("{\"x\": 1}");
   DiffOptions opt;
   opt.explain_tol = 1.0;  // tolerance never excuses a vanished metric
   const DiffReport r = diff_bench(base, fresh, opt);
@@ -514,8 +478,8 @@ TEST(BenchRegress, MissingExplainKeyIsARegression) {
 }
 
 TEST(BenchRegress, EmptyExplainClassFallsBackToExact) {
-  const BenchDoc base = parse_bench_json("{\"explain.total_stall\": 100}");
-  const BenchDoc fresh = parse_bench_json("{\"explain.total_stall\": 105}");
+  const json::Doc base = json::parse("{\"explain.total_stall\": 100}");
+  const json::Doc fresh = json::parse("{\"explain.total_stall\": 105}");
   DiffOptions opt;
   opt.explain_substrings.clear();
   opt.explain_tol = 1.0;  // without the class the tolerance is inert

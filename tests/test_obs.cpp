@@ -10,6 +10,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/params.hpp"
@@ -18,6 +19,7 @@
 #include "graph/generators.hpp"
 #include "obs/bintrace.hpp"
 #include "obs/event.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/sink.hpp"
@@ -135,6 +137,89 @@ TEST(Event, KindNamesRoundTrip) {
   EXPECT_FALSE(kind_from_name("nope", dummy));
 }
 
+// ---------------------------- flat-JSON codec -----------------------------
+
+TEST(JsonCodec, QuoterAndParserRoundTripEveryByteClass) {
+  // Every control byte, the two backslash escapes and multi-byte UTF-8,
+  // in a key and in a value, through both layouts.
+  std::string nasty;
+  for (int c = 0; c < 0x20; ++c) nasty.push_back(static_cast<char>(c));
+  nasty += "\"\\/ plain \xc3\xa9 \xe5\xad\x97 \xf0\x9f\x98\x80 \x7f";
+  json::Doc doc;
+  doc.add(nasty, nasty);
+  doc.add("k." + nasty, std::int64_t{-7});
+  for (const auto layout : {json::Layout::kBlock, json::Layout::kLine}) {
+    const std::string text = doc.render(layout);
+    ASSERT_EQ(text.back(), '\n');
+    for (const char c : text.substr(0, text.size() - 1)) {
+      // No raw control byte survives quoting; before the final newline
+      // only the block layout's own line breaks remain.
+      if (static_cast<unsigned char>(c) < 0x20) {
+        EXPECT_EQ(c, '\n');
+        EXPECT_EQ(layout, json::Layout::kBlock);
+      }
+    }
+    const json::Doc back = json::parse(text);
+    ASSERT_TRUE(back.ok) << text;
+    ASSERT_EQ(back.entries.size(), 2u);
+    EXPECT_EQ(back.entries[0].key, nasty);
+    EXPECT_TRUE(back.entries[0].is_string());
+    EXPECT_EQ(back.entries[0].text, nasty);
+    EXPECT_EQ(back.entries[0].raw, doc.entries[0].raw);
+    EXPECT_EQ(back.entries[1].key, "k." + nasty);
+    EXPECT_TRUE(back.entries[1].numeric);
+    EXPECT_EQ(back.entries[1].value, -7.0);
+  }
+  std::string literal;
+  json::append_quoted(literal, std::string_view("a\"b\\c\n\r\t\x01\0", 10));
+  EXPECT_EQ(literal, R"("a\"b\\c\n\r\t\u0001\u0000")");
+}
+
+TEST(JsonCodec, ParserDecodesTheQuotersEscapesAndRejectsOthers) {
+  const json::Doc doc =
+      json::parse(R"({"s":"\"\\\n\r\t\u0001\u0041"})");
+  ASSERT_TRUE(doc.ok);
+  EXPECT_EQ(doc.find("s")->text, "\"\\\n\r\t\x01" "A");
+  for (const char* bad : {R"({"s":"\x"})", R"({"s":"\/"})", R"({"s":"\b"})",
+                          R"({"s":"\u12"})", R"({"s":"\u00e9"})",
+                          R"({"\q":1})", R"({"s":"open)", R"({"s" 1})",
+                          R"({"s":})", R"({"s":1)", "not json", ""}) {
+    EXPECT_FALSE(json::parse(bad).ok) << bad;
+  }
+}
+
+TEST(JsonCodec, RendersTheTwoLayoutsAndParsesThemBack) {
+  json::Doc doc;
+  doc.add("a.int", std::int64_t{-3});
+  doc.add("b.u64", std::uint64_t{18446744073709551615ull});
+  doc.add("c.g6", 1.0 / 3.0);
+  doc.add("d.flag", true);
+  doc.add("e.str", "x y");
+  doc.add_raw("f.raw", "0.1000");
+  EXPECT_EQ(doc.render(json::Layout::kBlock),
+            "{\n  \"a.int\": -3,\n  \"b.u64\": 18446744073709551615,\n"
+            "  \"c.g6\": 0.333333,\n  \"d.flag\": true,\n"
+            "  \"e.str\": \"x y\",\n  \"f.raw\": 0.1000\n}\n");
+  EXPECT_EQ(doc.render(json::Layout::kLine),
+            "{\"a.int\":-3,\"b.u64\":18446744073709551615,\"c.g6\":0.333333,"
+            "\"d.flag\":true,\"e.str\":\"x y\",\"f.raw\":0.1000}\n");
+  EXPECT_EQ(json::Doc{}.render(json::Layout::kBlock), "{\n}\n");
+  EXPECT_EQ(json::Doc{}.render(json::Layout::kLine), "{}\n");
+  // An added member reads exactly like its parsed twin.
+  for (const auto layout : {json::Layout::kBlock, json::Layout::kLine}) {
+    const json::Doc back = json::parse(doc.render(layout));
+    ASSERT_TRUE(back.ok);
+    ASSERT_EQ(back.entries.size(), doc.entries.size());
+    for (std::size_t i = 0; i < doc.entries.size(); ++i) {
+      EXPECT_EQ(back.entries[i].key, doc.entries[i].key);
+      EXPECT_EQ(back.entries[i].raw, doc.entries[i].raw);
+      EXPECT_EQ(back.entries[i].text, doc.entries[i].text);
+      EXPECT_EQ(back.entries[i].numeric, doc.entries[i].numeric);
+      EXPECT_EQ(back.entries[i].value, doc.entries[i].value);
+    }
+  }
+}
+
 // -------------------------------- sinks ----------------------------------
 
 TEST(Sinks, MemorySinkStoresInOrder) {
@@ -151,9 +236,10 @@ TEST(JsonlExport, WritesParseableFile) {
   const std::string path = ::testing::TempDir() + "obs_jsonl_export.jsonl";
   ASSERT_TRUE(write_jsonl_file(
       path, {Event::wake(0, 0), Event::decision(9, 0, 3, 9)}));
-  const ParsedLogFile log = read_jsonl_file(path);
-  ASSERT_TRUE(log.ok);
-  EXPECT_EQ(log.bad_lines, 0u);
+  const ParsedTraceFile log = read_trace_file(path);
+  ASSERT_TRUE(log.ok) << log.error;
+  EXPECT_FALSE(log.binary);
+  EXPECT_EQ(log.bad, 0u);
   ASSERT_EQ(log.events.size(), 2u);
   EXPECT_EQ(log.events[0], Event::wake(0, 0));
   EXPECT_EQ(log.events[1], Event::decision(9, 0, 3, 9));
@@ -238,17 +324,6 @@ TEST(Metrics, CsvHasHeaderAndOneLinePerRow) {
   std::size_t lines = 0;
   for (char c : csv) lines += (c == '\n') ? 1u : 0u;
   EXPECT_EQ(lines, 1u + series.size());
-}
-
-TEST(Metrics, JsonExportIsWellFormedEnough) {
-  MetricsSink sink(/*window=*/8);
-  sink.record(Event::wake(1, 0));
-  const TimeSeries series = sink.finish(8);
-  std::ostringstream os;
-  series.write_json(os);
-  const std::string json = os.str();
-  EXPECT_NE(json.find("\"window\""), std::string::npos);
-  EXPECT_NE(json.find("\"rows\""), std::string::npos);
 }
 
 // ---------------------------- trace analyzer ------------------------------

@@ -8,13 +8,14 @@
 //  * merge algebra — HistogramSnapshot::merge over *any* partition of a
 //    sample stream, in any order, is bit-identical to recording the whole
 //    stream into one histogram (the same partition-invariant algebra the
-//    trial executor pins for Samples / RunLedger);
+//    trial executor pins for Samples);
 //  * probe fidelity — an EngineProbe-instrumented run leaves the registry
 //    equal, field for field, to the run's own RunStats, with zero gauge
 //    residue, and never perturbs results (bit-identity);
 //  * export round-trip — the JSONL snapshot line parses with
-//    obs::parse_bench_json (what urn_top tails) and the Prometheus
-//    exposition is well-formed (cumulative buckets, +Inf == count);
+//    obs::json::parse (what urn_top tails), its bytes are pinned, and the
+//    Prometheus exposition is well-formed (cumulative buckets, +Inf ==
+//    count);
 //  * the bench regression differ skips `telemetry.*` keys by default, so
 //    telemetry-enabled bench runs can never flake the gate.
 
@@ -37,6 +38,7 @@
 #include "exec/pool.hpp"
 #include "graph/generators.hpp"
 #include "obs/profile.hpp"
+#include "obs/json.hpp"
 #include "obs/regress.hpp"
 #include "obs/telemetry.hpp"
 #include "radio/misaligned_engine.hpp"
@@ -295,9 +297,9 @@ TEST(TelemetryExport, JsonlLineParsesAsBenchDoc) {
   const std::string line = to_jsonl_line(snap);
   ASSERT_FALSE(line.empty());
   EXPECT_EQ(line.back(), '\n');
-  const BenchDoc doc = parse_bench_json(line);
+  const json::Doc doc = json::parse(line);
   ASSERT_TRUE(doc.ok);
-  const BenchEntry* seq = doc.find("telemetry.seq");
+  const json::Entry* seq = doc.find("telemetry.seq");
   ASSERT_NE(seq, nullptr);
   EXPECT_EQ(seq->value, 5.0);
   EXPECT_EQ(doc.find("engine.slots")->value, 12.0);
@@ -307,6 +309,36 @@ TEST(TelemetryExport, JsonlLineParsesAsBenchDoc) {
   // Non-empty buckets are re-mergeable downstream.
   EXPECT_NE(doc.find("run.lat.bucket0"), nullptr);
   EXPECT_NE(doc.find("run.lat.bucket5"), nullptr);
+}
+
+TEST(TelemetryExport, JsonlLineBytesArePinned) {
+  // The exact line, byte for byte: key order (header, counters, gauges,
+  // histograms), integer counts, %.6g means and quantiles, and only the
+  // non-empty buckets.
+  Registry reg;
+  reg.counter("engine.slots").add(12);
+  reg.counter("engine.transmissions").add(7);
+  reg.gauge("engine.undecided").set(-3);
+  Histogram& h = reg.histogram("run.lat");
+  for (std::uint64_t v = 0; v < 32; ++v) h.record(v);
+  reg.histogram("pool.chunk_wait.ns").record(1500);
+  Snapshot snap = reg.snapshot();
+  snap.seq = 5;
+  snap.wall_ms = 1700000000123ull;
+  snap.uptime_s = 2.5;
+  EXPECT_EQ(
+      to_jsonl_line(snap),
+      "{\"telemetry.seq\":5,\"telemetry.wall_ms\":1700000000123,"
+      "\"telemetry.uptime_s\":2.5,\"engine.slots\":12,"
+      "\"engine.transmissions\":7,\"engine.undecided\":-3,"
+      "\"pool.chunk_wait.ns.count\":1,\"pool.chunk_wait.ns.sum\":1500,"
+      "\"pool.chunk_wait.ns.mean\":1500,\"pool.chunk_wait.ns.p50\":1024,"
+      "\"pool.chunk_wait.ns.p95\":1024,\"pool.chunk_wait.ns.max\":2047,"
+      "\"pool.chunk_wait.ns.bucket11\":1,\"run.lat.count\":32,"
+      "\"run.lat.sum\":496,\"run.lat.mean\":15.5,\"run.lat.p50\":15,"
+      "\"run.lat.p95\":29,\"run.lat.max\":31,\"run.lat.bucket0\":1,"
+      "\"run.lat.bucket1\":1,\"run.lat.bucket2\":2,\"run.lat.bucket3\":4,"
+      "\"run.lat.bucket4\":8,\"run.lat.bucket5\":16}\n");
 }
 
 TEST(TelemetrySnapshotter, StreamsAndFlushesFinalSnapshot) {
@@ -339,7 +371,7 @@ TEST(TelemetrySnapshotter, StreamsAndFlushesFinalSnapshot) {
   const std::size_t prev_nl = text.rfind('\n', last_nl - 1);
   const std::string last_line = text.substr(
       prev_nl == std::string::npos ? 0 : prev_nl + 1, last_nl);
-  const BenchDoc doc = parse_bench_json(last_line);
+  const json::Doc doc = json::parse(last_line);
   ASSERT_TRUE(doc.ok);
   EXPECT_EQ(doc.find("test.work")->value, 42.0);
   EXPECT_GE(doc.find("telemetry.seq")->value, 1.0);
@@ -614,10 +646,10 @@ TEST(TelemetryThreading, PoolWorkersHammerSharedRegistries) {
 // ------------------------------------------------ differ telemetry skip --
 
 TEST(TelemetryDiffer, TelemetryKeysAreSkippedByDefault) {
-  const BenchDoc base = parse_bench_json(
+  const json::Doc base = json::parse(
       "{\"m2.cell.slots_run\": 100, \"telemetry.engine.slots\": 5,"
       " \"telemetry.pool.busy.ns\": 999}");
-  const BenchDoc fresh = parse_bench_json(
+  const json::Doc fresh = json::parse(
       "{\"m2.cell.slots_run\": 100, \"telemetry.engine.slots\": 7,"
       " \"telemetry.pool.busy.ns\": 123456}");
   ASSERT_TRUE(base.ok);
@@ -631,17 +663,17 @@ TEST(TelemetryDiffer, TelemetryKeysAreSkippedByDefault) {
 TEST(TelemetryDiffer, MissingTelemetryKeyIsNotARegression) {
   // A telemetry-enabled baseline diffed against a telemetry-off fresh
   // run: the telemetry keys vanish, which must not trip the gate.
-  const BenchDoc base = parse_bench_json(
+  const json::Doc base = json::parse(
       "{\"m2.cell.slots_run\": 100, \"telemetry.engine.slots\": 5}");
-  const BenchDoc fresh = parse_bench_json("{\"m2.cell.slots_run\": 100}");
+  const json::Doc fresh = json::parse("{\"m2.cell.slots_run\": 100}");
   const DiffReport report = diff_bench(base, fresh);
   EXPECT_TRUE(report.ok());
 }
 
 TEST(TelemetryDiffer, NonTelemetryDriftStillFails) {
-  const BenchDoc base = parse_bench_json(
+  const json::Doc base = json::parse(
       "{\"m2.cell.slots_run\": 100, \"telemetry.engine.slots\": 5}");
-  const BenchDoc fresh = parse_bench_json(
+  const json::Doc fresh = json::parse(
       "{\"m2.cell.slots_run\": 101, \"telemetry.engine.slots\": 5}");
   const DiffReport report = diff_bench(base, fresh);
   ASSERT_EQ(report.regressions.size(), 1u);

@@ -147,14 +147,13 @@ int main(int argc, char** argv) {
   for (const fs::path& base_path : baseline_files) {
     const fs::path fresh_path =
         dir_mode ? fresh_root / base_path.filename() : fresh_root;
-    const obs::BenchDoc base = obs::read_bench_json_file(base_path.string());
+    const obs::json::Doc base = obs::json::read_file(base_path.string());
     if (!base.ok) {
       std::fprintf(stderr, "error: cannot parse %s\n",
                    base_path.string().c_str());
       return 2;
     }
-    const obs::BenchDoc fresh =
-        obs::read_bench_json_file(fresh_path.string());
+    const obs::json::Doc fresh = obs::json::read_file(fresh_path.string());
     if (!fresh.ok) {
       std::printf("REGRESSION %s: fresh file %s missing or unparsable\n",
                   base_path.filename().string().c_str(),

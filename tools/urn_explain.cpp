@@ -26,6 +26,7 @@
 
 #include "obs/bintrace.hpp"
 #include "obs/explain.hpp"
+#include "obs/json.hpp"
 #include "support/cli.hpp"
 
 namespace {
@@ -96,7 +97,9 @@ int cmd_summarize(const std::vector<std::string>& args,
   const obs::ExplainReport report = obs::explain_trace(log.events, config);
 
   if (json) {
-    std::fputs(obs::explain_json(report).c_str(), stdout);
+    std::fputs(obs::explain_doc(report).render(obs::json::Layout::kBlock)
+                   .c_str(),
+               stdout);
   } else {
     std::printf("%s: %s %s\n", args[0].c_str(),
                 log.binary ? "binary" : "jsonl",
@@ -137,19 +140,20 @@ int cmd_node(const std::vector<std::string>& args,
   for (const obs::NodeAttribution& n : report.nodes) {
     if (n.node != static_cast<obs::NodeId>(id)) continue;
     if (json) {
-      std::printf("{\n  \"node\": %u,\n  \"wake\": %lld,\n"
-                  "  \"decision\": %lld,\n  \"latency\": %lld,\n"
-                  "  \"color\": %d,\n  \"resets\": %u,\n  \"exact\": %s",
-                  n.node, static_cast<long long>(n.wake_slot),
-                  static_cast<long long>(n.decision_slot),
-                  static_cast<long long>(n.latency()), n.final_color,
-                  n.resets, n.exact() ? "true" : "false");
+      obs::json::Doc doc;
+      doc.add("node", n.node);
+      doc.add("wake", n.wake_slot);
+      doc.add("decision", n.decision_slot);
+      doc.add("latency", n.latency());
+      doc.add("color", n.final_color);
+      doc.add("resets", n.resets);
+      doc.add("exact", n.exact());
       for (std::size_t c = 0; c < obs::kNumCauses; ++c) {
-        std::printf(",\n  \"cause.%s\": %lld",
+        doc.add(std::string("cause.") +
                     obs::cause_name(static_cast<obs::Cause>(c)),
-                    static_cast<long long>(n.causes[c]));
+                n.causes[c]);
       }
-      std::printf("\n}\n");
+      std::fputs(doc.render(obs::json::Layout::kBlock).c_str(), stdout);
       return 0;
     }
     std::printf("node %u: wake %lld decision %lld latency %lld color %d "
@@ -185,7 +189,9 @@ int cmd_diff(const std::vector<std::string>& args,
   const obs::ExplainReport b = obs::explain_trace(log_b.events, config);
   const obs::ExplainDiff diff = obs::diff_explain(a, b, options);
   if (json) {
-    std::fputs(obs::explain_diff_json(diff).c_str(), stdout);
+    std::fputs(obs::explain_diff_doc(diff).render(obs::json::Layout::kBlock)
+                   .c_str(),
+               stdout);
     return 0;
   }
   std::printf("A %s: %zu decided nodes, mean latency %.2f\n",

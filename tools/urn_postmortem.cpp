@@ -91,7 +91,7 @@ void print_event(const obs::Event& e) {
 void print_timeline(const std::string& ring_path, std::int64_t node,
                     std::int64_t around, std::int64_t window,
                     std::int64_t tail) {
-  const obs::ParsedBinFile ring = obs::read_bin_file(ring_path);
+  const obs::ParsedTraceFile ring = obs::read_trace_file(ring_path);
   if (!ring.ok) {
     std::printf("ring: unreadable (%s)\n", ring.error.c_str());
     return;

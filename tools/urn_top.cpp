@@ -3,8 +3,8 @@
 ///        `--telemetry-out` run appends to and render a refreshing
 ///        one-screen status.
 ///
-/// Each line of the stream is one flat-JSON registry snapshot (the
-/// format `obs::parse_bench_json` reads — see obs/telemetry.hpp).  The
+/// Each line of the stream is one flat-JSON registry snapshot, read with
+/// the codec's `json::parse` (see obs/telemetry.hpp and obs/json.hpp).  The
 /// viewer re-reads the file every `--interval-ms`, renders the newest
 /// snapshot, and derives *rates* (slots/s, transmissions/s, ...) from
 /// the last two snapshots' counter deltas over their `telemetry.wall_ms`
@@ -28,18 +28,18 @@
 #include <thread>
 #include <vector>
 
-#include "obs/regress.hpp"
+#include "obs/json.hpp"
 #include "support/cli.hpp"
 
 namespace {
 
-using urn::obs::BenchDoc;
-using urn::obs::BenchEntry;
+using urn::obs::json::Doc;
+using urn::obs::json::Entry;
 
 /// The last two non-empty lines of the stream (older first).
 struct Tail {
-  std::optional<BenchDoc> prev;
-  std::optional<BenchDoc> last;
+  std::optional<Doc> prev;
+  std::optional<Doc> last;
   std::size_t lines = 0;
 };
 
@@ -61,24 +61,24 @@ Tail read_tail(const std::string& path) {
   }
   std::fclose(f);
   if (!prev_text.empty()) {
-    BenchDoc doc = urn::obs::parse_bench_json(prev_text);
+    Doc doc = urn::obs::json::parse(prev_text);
     if (doc.ok) tail.prev = std::move(doc);
   }
   if (!last_text.empty()) {
-    BenchDoc doc = urn::obs::parse_bench_json(last_text);
+    Doc doc = urn::obs::json::parse(last_text);
     if (doc.ok) tail.last = std::move(doc);
   }
   return tail;
 }
 
 /// Numeric lookup; nullopt when the key is absent or non-numeric.
-std::optional<double> num(const BenchDoc& doc, std::string_view key) {
-  const BenchEntry* e = doc.find(key);
+std::optional<double> num(const Doc& doc, std::string_view key) {
+  const Entry* e = doc.find(key);
   if (e == nullptr || !e->numeric) return std::nullopt;
   return e->value;
 }
 
-double value_or(const BenchDoc& doc, std::string_view key, double fallback) {
+double value_or(const Doc& doc, std::string_view key, double fallback) {
   return num(doc, key).value_or(fallback);
 }
 
@@ -112,7 +112,7 @@ std::string human(double v) {
 }
 
 /// One histogram summary line, if `<name>.count` is present.
-void print_histogram(const BenchDoc& doc, const char* label,
+void print_histogram(const Doc& doc, const char* label,
                      const std::string& name) {
   const auto count = num(doc, name + ".count");
   if (!count) return;
@@ -126,7 +126,7 @@ void print_histogram(const BenchDoc& doc, const char* label,
 
 void render(const std::string& path, const Tail& tail, bool follow) {
   if (follow) std::printf("\x1b[H\x1b[2J");  // home + clear
-  const BenchDoc& doc = *tail.last;
+  const Doc& doc = *tail.last;
   std::printf("urn_top — %s\n", path.c_str());
   std::printf("  snapshot #%-6.0f uptime %.1fs    (%zu snapshots in stream)\n",
               value_or(doc, "telemetry.seq", 0),
@@ -186,7 +186,7 @@ void render(const std::string& path, const Tail& tail, bool follow) {
   // Any counters outside the families above (e.g. m2.cells_done) —
   // shown raw so custom instrumentation surfaces without a new viewer.
   bool header = false;
-  for (const BenchEntry& e : doc.entries) {
+  for (const Entry& e : doc.entries) {
     if (!e.numeric) continue;
     const std::string& k = e.key;
     if (k.rfind("telemetry.", 0) == 0 || k.rfind("engine.", 0) == 0 ||

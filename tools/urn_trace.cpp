@@ -94,18 +94,14 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(log.dropped));
   }
 
-  // ---- per-kind totals ----------------------------------------------------
-  std::size_t by_kind[obs::kNumEventKinds] = {};
-  obs::Slot last_slot = 0;
-  for (const obs::Event& e : log.events) {
-    ++by_kind[static_cast<std::size_t>(e.kind)];
-    last_slot = std::max(last_slot, e.slot);
-  }
+  // ---- per-kind totals (the shared indexer) -------------------------------
+  const obs::TraceStats stats = obs::compute_trace_stats(log.events);
+  const obs::Slot last_slot = std::max<obs::Slot>(0, stats.last_slot);
   std::printf("slots [0, %lld]:", static_cast<long long>(last_slot));
   for (std::size_t k = 0; k < obs::kNumEventKinds; ++k) {
-    if (by_kind[k] != 0) {
+    if (stats.by_kind[k] != 0) {
       std::printf(" %s=%zu", obs::kind_name(static_cast<obs::EventKind>(k)),
-                  by_kind[k]);
+                  stats.by_kind[k]);
     }
   }
   std::printf("\n");
