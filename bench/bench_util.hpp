@@ -212,7 +212,6 @@ inline core::RunResult run_traced(const Args& args,
                                   std::uint64_t seed,
                                   radio::MediumOptions medium = {}) {
   core::TraceOptions opts = args.run.trace_options();
-  opts.spans = args.spans;
   opts.telemetry = args.telemetry;
   opts.memory = args.explain_events;
   const core::RunResult run = core::run_coloring_traced(

@@ -43,7 +43,8 @@ int urn::bench::e1_correctness(const Args& args) {
          analysis::Table::num(agg.mean_latency.mean(), 0),
          analysis::Table::num(agg.max_latency.max(), 0)});
     ledger_from_aggregate(ledger, agg);
-    const std::string prefix = "n" + std::to_string(n);
+    std::string prefix = "n";
+    prefix += std::to_string(n);
     summary.set(prefix + ".valid_fraction", agg.valid_fraction());
     summary.set(prefix + ".completed_fraction", agg.completed_fraction());
     summary.set(prefix + ".max_color", agg.max_color.max());

@@ -338,21 +338,27 @@ BENCHMARK(BM_MpColoring)->Arg(1024);
 // --- Telemetry family -----------------------------------------------------
 //
 // The zero-overhead claim has two halves.  Disabled: BM_ProtocolSlots
-// runs the engine with the default NullEngineProbe — the probe hooks are
-// `if constexpr`-eliminated, so BM_TelemetryProtocolProbed vs
-// BM_ProtocolSlots is the *entire* cost of turning telemetry on, and
-// there is no disabled-path cost left to measure.  Enabled: the
-// primitives below must stay in the low-ns range (one relaxed fetch_add
-// per counter hit, three per histogram record).
+// runs the engine with the default NullEngineProbe — the probe hooks
+// (per-tick counts and the layer clock) are `if constexpr`-eliminated.
+// Enabled: BM_TelemetryProtocolProbed vs BM_ProtocolSlots, the same
+// whole run with and without a probe, is the *entire* cost of turning
+// telemetry on, and every probe-cost claim rests on that pair.  The
+// primitives below (one relaxed fetch_add per counter hit, three per
+// histogram record) each take about a nanosecond, so one per iteration
+// would time code layout; each iteration runs a batch of kTelemetryBatch
+// operations, and items/s counts operations.
+
+constexpr int kTelemetryBatch = 64;
 
 void BM_TelemetryCounterAdd(benchmark::State& state) {
   obs::telemetry::Counter counter;
   std::uint64_t i = 0;
   for (auto _ : state) {
-    counter.add(++i & 7);
+    for (int k = 0; k < kTelemetryBatch; ++k) counter.add(++i & 7);
   }
   benchmark::DoNotOptimize(counter.value());
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kTelemetryBatch);
 }
 BENCHMARK(BM_TelemetryCounterAdd);
 
@@ -360,10 +366,11 @@ void BM_TelemetryGaugeSet(benchmark::State& state) {
   obs::telemetry::Gauge gauge;
   std::int64_t i = 0;
   for (auto _ : state) {
-    gauge.set(++i & 1023);
+    for (int k = 0; k < kTelemetryBatch; ++k) gauge.set(++i & 1023);
   }
   benchmark::DoNotOptimize(gauge.value());
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kTelemetryBatch);
 }
 BENCHMARK(BM_TelemetryGaugeSet);
 
@@ -371,10 +378,11 @@ void BM_TelemetryHistogramRecord(benchmark::State& state) {
   obs::telemetry::Histogram hist;
   std::uint64_t i = 0;
   for (auto _ : state) {
-    hist.record(++i & 0xffff);
+    for (int k = 0; k < kTelemetryBatch; ++k) hist.record(++i & 0xffff);
   }
   benchmark::DoNotOptimize(hist.snapshot().count);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kTelemetryBatch);
 }
 BENCHMARK(BM_TelemetryHistogramRecord);
 
@@ -396,6 +404,8 @@ BENCHMARK(BM_TelemetrySnapshot)->Arg(16)->Arg(64);
 void BM_TelemetryProtocolProbed(benchmark::State& state) {
   // Whole-protocol throughput with a live engine probe — compare
   // against BM_ProtocolSlots (identical workload, probe compiled out).
+  // The user counters are the probe's phase split: each layer's
+  // `engine.layer.<name>.ns` in % of the four layers' sum.
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(4);
   const double side = 1.5 * std::sqrt(static_cast<double>(n) / 2.8);
@@ -416,6 +426,17 @@ void BM_TelemetryProtocolProbed(benchmark::State& state) {
                   static_cast<std::int64_t>(n);
   }
   state.SetItemsProcessed(node_slots);
+  const auto layer_ns = [&](std::size_t i) {
+    return static_cast<double>(
+        registry.counter(obs::telemetry::layer_counter(i)).value());
+  };
+  const auto& layers = obs::telemetry::kEngineLayers;
+  double total_ns = 0.0;
+  for (std::size_t i = 0; i < layers.size(); ++i) total_ns += layer_ns(i);
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    state.counters[std::string(layers[i]) + "%"] =
+        100.0 * layer_ns(i) / total_ns;
+  }
 }
 BENCHMARK(BM_TelemetryProtocolProbed)
     ->Arg(128)

@@ -39,6 +39,7 @@
 #include "core/runner.hpp"
 #include "graph/graph.hpp"
 #include "obs/monitor.hpp"
+#include "obs/span.hpp"
 #include "radio/wakeup.hpp"
 #include "support/stats.hpp"
 
@@ -74,7 +75,8 @@ struct TrialExecOptions {
   radio::Slot max_slots = 0;
   /// Optional wall-clock timeline (obs::SpanSink): each executor chunk
   /// is recorded on its worker's track, giving a per-worker utilization
-  /// view exportable to Perfetto via `urn_trace --export chrome:`.
+  /// view (`urn_repro --spans-out` exports it for Perfetto through
+  /// `obs::write_chrome_spans_file`).
   /// Spans never feed back into results.  Not owned; must outlive the
   /// call.
   obs::SpanSink* spans = nullptr;

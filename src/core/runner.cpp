@@ -51,8 +51,7 @@ template <obs::EventSink S = obs::NullSink,
 RunResult run_impl(const graph::Graph& g, const Params& params,
                    const radio::WakeSchedule& schedule, std::uint64_t seed,
                    Slot max_slots, radio::MediumOptions medium,
-                   S* sink = nullptr, obs::SpanSink* spans = nullptr,
-                   T* probe = nullptr) {
+                   S* sink = nullptr, T* probe = nullptr) {
   params.validate();
   URN_CHECK(schedule.size() == g.num_nodes());
   if (max_slots == 0) max_slots = default_slot_budget(params, schedule);
@@ -66,7 +65,6 @@ RunResult run_impl(const graph::Graph& g, const Params& params,
   }
   using Engine = radio::Engine<ColoringNode, S, T>;
   Engine engine(g, schedule, std::move(nodes), seed, medium, sink);
-  engine.set_span_sink(spans);
   engine.set_telemetry(probe);
   const radio::RunStats stats = engine.run(max_slots);
 
@@ -105,8 +103,7 @@ template <obs::EventSink S = obs::NullSink,
 LeaderElectionResult leader_election_impl(
     const graph::Graph& g, const Params& params,
     const radio::WakeSchedule& schedule, std::uint64_t seed, Slot max_slots,
-    radio::MediumOptions medium, S* sink = nullptr,
-    obs::SpanSink* spans = nullptr, T* probe = nullptr) {
+    radio::MediumOptions medium, S* sink = nullptr, T* probe = nullptr) {
   params.validate();
   URN_CHECK(schedule.size() == g.num_nodes());
   if (max_slots == 0) max_slots = default_slot_budget(params, schedule);
@@ -120,7 +117,6 @@ LeaderElectionResult leader_election_impl(
   }
   radio::Engine<ColoringNode, S, T> engine(g, schedule, std::move(nodes),
                                            seed, medium, sink);
-  engine.set_span_sink(spans);
   engine.set_telemetry(probe);
   if constexpr (T::kEnabled) {
     // Step()-driven loop below: run()'s automatic probe bracketing never
@@ -259,10 +255,10 @@ class RunObserver {
 
 /// The one dispatch from `trace` to an engine instantiation, shared by
 /// the coloring, leader-election and postmortem paths: `impl(sink, probe)`
-/// gets a `RunObserver` only when `trace` asks for events or spans or
-/// `ckpt` is given, and an `EngineProbe` only when `trace.telemetry`
-/// names a registry.  All off is the untraced NullSink path; telemetry
-/// alone keeps it, so a probed sweep runs at untraced speed.
+/// gets a `RunObserver` only when `trace` asks for events or `ckpt` is
+/// given, and an `EngineProbe` only when `trace.telemetry` names a
+/// registry.  All off is the untraced NullSink path; telemetry alone
+/// keeps it, so a probed sweep runs the untraced loop.
 template <typename Impl>
 auto run_observed(const graph::Graph& g, const Params& params,
                   const radio::WakeSchedule& schedule,
@@ -278,7 +274,7 @@ auto run_observed(const graph::Graph& g, const Params& params,
   };
   const bool observed = ckpt != nullptr || trace.metrics ||
                         !trace.events_bin.empty() || trace.monitor ||
-                        trace.memory != nullptr || trace.spans != nullptr;
+                        trace.memory != nullptr;
   if (!observed) return with_probe(static_cast<obs::NullSink*>(nullptr));
   RunObserver observer(g, params, schedule, trace, ckpt);
   auto result = with_probe(&observer);
@@ -351,7 +347,7 @@ RunResult run_coloring_postmortem(const graph::Graph& g, const Params& params,
   RunResult result = run_observed(
       g, params, schedule, local, &ckpt, [&](auto* sink, auto* probe) {
         return run_impl(g, params, schedule, seed, max_slots, medium, sink,
-                        local.spans, probe);
+                        probe);
       });
   pm::disarm_crash_handler();
   URN_CHECK_MSG(!ckpt.failed(),
@@ -415,7 +411,7 @@ RunResult run_coloring_traced(const graph::Graph& g, const Params& params,
   return run_observed(
       g, params, schedule, trace, nullptr, [&](auto* sink, auto* probe) {
         return run_impl(g, params, schedule, seed, max_slots, medium, sink,
-                        trace.spans, probe);
+                        probe);
       });
 }
 
@@ -434,7 +430,7 @@ LeaderElectionResult run_leader_election_traced(
   return run_observed(
       g, params, schedule, trace, nullptr, [&](auto* sink, auto* probe) {
         return leader_election_impl(g, params, schedule, seed, max_slots,
-                                    medium, sink, trace.spans, probe);
+                                    medium, sink, probe);
       });
 }
 

@@ -7,6 +7,11 @@
 /// extracts everything the experiments need: the coloring itself, per-node
 /// decision latencies T_v (Sect. 2), cluster structure, medium statistics,
 /// and protocol event counters.
+///
+/// `run_coloring_traced` runs the same engine with what `TraceOptions`
+/// asks for: one observer for every event consumer and postmortem
+/// bundle, and an `obs::telemetry::EngineProbe` when a registry is given,
+/// which also times the engine's phases (`engine.layer.*.ns`).
 
 #pragma once
 
@@ -22,7 +27,6 @@
 #include "obs/metrics.hpp"
 #include "obs/monitor.hpp"
 #include "obs/sink.hpp"
-#include "obs/span.hpp"
 #include "radio/engine.hpp"
 #include "radio/wakeup.hpp"
 
@@ -123,17 +127,14 @@ struct TraceOptions {
   /// Check the paper's invariants online (`make_monitor_config` builds
   /// the configuration) and fill `RunResult::monitor`.
   bool monitor = false;
-  /// Optional wall-clock span timeline: the engine records per-slot
-  /// phase residencies (wake-up processing / protocol step / medium
-  /// resolution) into it.  Not owned; must outlive the run.
-  obs::SpanSink* spans = nullptr;
   /// Optional live telemetry: run the engine with an
   /// `obs::telemetry::EngineProbe` feeding this registry (slot/medium
-  /// counters, the live `engine.undecided` gauge, and the
-  /// `run.decision_latency` histogram).  Telemetry alone does NOT turn
-  /// on event emission: with every other knob off the run executes on
-  /// the NullSink engine instantiation plus the probe, so a monitored
-  /// sweep keeps its untraced throughput.  Not owned; must outlive the
+  /// counters, the `engine.layer.*.ns` phase times, the live
+  /// `engine.undecided` gauge, and the `run.decision_latency`
+  /// histogram).  Telemetry alone does NOT turn on event emission: with
+  /// every other knob off the run executes on the NullSink engine
+  /// instantiation plus the probe, so a monitored sweep runs the
+  /// untraced loop.  Not owned; must outlive the
   /// run.
   obs::telemetry::Registry* telemetry = nullptr;
   /// Optional in-memory event capture: every event is also recorded

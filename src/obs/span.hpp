@@ -3,14 +3,12 @@
 ///
 /// `ProfileScope` (profile.hpp) answers "how much time in total"; a
 /// `SpanSink` answers "when exactly, and on which track" — the data a
-/// timeline viewer needs.  Two producers feed it:
-///
-///  * the radio engine's traced instantiations record one span per
-///    runner phase per slot (wake-up processing, protocol step, medium
-///    resolution) on the runner track;
-///  * `exec::parallel_for_trials` records one span per claimed chunk on
-///    its worker's track, so a parallel sweep renders as a per-worker
-///    timeline (idle gaps = load imbalance, visible at a glance).
+/// timeline viewer needs.  `exec::parallel_for_trials` records one span
+/// per claimed chunk on its worker's track, so a parallel sweep renders
+/// as a per-worker timeline (idle gaps = load imbalance, visible at a
+/// glance); perfbench records its per-layer spans on a track of its own.
+/// The engine's phase times are not spans: they are the telemetry
+/// probe's `engine.layer.*.ns` counters (telemetry.hpp).
 ///
 /// Spans carry `const char*` names and are appended under a mutex —
 /// cheap enough for opt-in capture, and safe from concurrent workers.
@@ -34,10 +32,10 @@ namespace urn::obs {
 /// duration (string literals at the instrumentation sites).
 struct SpanRecord {
   const char* name = "";
-  std::uint32_t track = 0;      ///< worker index / runner track
+  std::uint32_t track = 0;      ///< worker index (or a caller's own track)
   std::uint64_t start_ns = 0;   ///< since the sink's epoch
   std::uint64_t dur_ns = 0;
-  std::int64_t arg = -1;        ///< optional payload (slot, chunk, …)
+  std::int64_t arg = -1;        ///< optional payload (chunk index, …)
 };
 
 /// Thread-safe collector of completed spans.
@@ -60,7 +58,7 @@ class SpanSink {
     spans_.push_back({name, track, start_ns, dur_ns, arg});
   }
 
-  /// Attach a display name to a track ("worker 3", "runner").
+  /// Attach a display name to a track ("worker 3").
   void name_track(std::uint32_t track, std::string name) {
     std::lock_guard<std::mutex> lock(mu_);
     track_names_[track] = std::move(name);

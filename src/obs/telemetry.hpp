@@ -39,10 +39,11 @@
 /// engines exactly like `obs::NullSink`: the default `NullEngineProbe` has
 /// `kEnabled == false` and every instrumentation site sits behind
 /// `if constexpr`, so the untraced hot loop is byte-for-byte the
-/// uninstrumented loop (`BM_Telemetry*` in m1_micro pins this).  Enabled
-/// probes aggregate **per slot**, not per node: one `on_slot` call issues
-/// a handful of relaxed sharded adds, keeping the enabled path in the
-/// low-nanoseconds-per-increment range.
+/// uninstrumented loop.  Enabled probes aggregate **per slot**, not per
+/// node: one `on_slot` call issues a handful of relaxed sharded adds, and
+/// the engine probe's layer clock reads `steady_clock` five times per
+/// tick.  m1_micro's `BM_TelemetryProtocolProbed` vs `BM_ProtocolSlots`
+/// (the same whole run with and without a probe) is the enabled cost.
 ///
 /// Metric naming: dotted lowercase paths (`engine.slots`,
 /// `run.decision_latency`), wall-clock totals suffixed `.ns`.  Exported
@@ -372,15 +373,39 @@ struct SlotSample {
   std::uint64_t undecided = 0;  ///< current population (not a delta)
 };
 
+/// The four phases of an engine tick, in tick order, that an
+/// `EngineProbe` times as `engine.layer.<phase>.ns`: wake admission, the
+/// protocols' transmit decisions, collision resolution with delivery,
+/// and the decision scan.  The kLayer* constants index this list.
+inline constexpr std::array<const char*, 4> kEngineLayers = {
+    "wake", "protocol", "medium", "decide"};
+inline constexpr std::size_t kLayerWake = 0;
+inline constexpr std::size_t kLayerProtocol = 1;
+inline constexpr std::size_t kLayerMedium = 2;
+inline constexpr std::size_t kLayerDecide = 3;
+
+/// The registry name of layer `i`'s counter, `engine.layer.<phase>.ns`.
+[[nodiscard]] inline std::string layer_counter(std::size_t i) {
+  return std::string("engine.layer.") + kEngineLayers[i] + ".ns";
+}
+
 /// Enabled engine instrumentation: resolves its metrics once at
 /// construction (one per run — construction cost is a few map lookups),
 /// then every `on_slot` is a handful of relaxed sharded adds.
+///
+/// The probe also owns the engine's layer clock (`std::chrono::
+/// steady_clock`): `Engine::step` calls `begin_tick` at the top of a
+/// tick and `lap(layer)` at the end of each phase, five clock reads per
+/// stepped tick, and each lap adds the time since the previous read to
+/// the phase's `layer_counter`.  Fast-forwarded slots run no phase and
+/// add no time.
 ///
 /// Registry metric map:
 ///   counters `engine.slots`, `engine.node_slots`, `engine.wakes`,
 ///            `engine.decisions`, `engine.transmissions`,
 ///            `engine.deliveries`, `engine.collisions`, `engine.drops`,
-///            `engine.runs`, `engine.runs_completed`
+///            `engine.runs`, `engine.runs_completed`,
+///            `engine.layer.{wake,protocol,medium,decide}.ns`
 ///   gauge    `engine.undecided` (live across all concurrently running
 ///            engines; returns to 0 when runs drain)
 ///   histogram `run.decision_latency` (slots from wake to decision)
@@ -400,11 +425,26 @@ class EngineProbe {
         runs_(&reg.counter("engine.runs")),
         runs_completed_(&reg.counter("engine.runs_completed")),
         undecided_(&reg.gauge("engine.undecided")),
-        latency_(&reg.histogram("run.decision_latency")) {}
+        latency_(&reg.histogram("run.decision_latency")) {
+    for (std::size_t i = 0; i < layers_.size(); ++i) {
+      layers_[i] = &reg.counter(layer_counter(i));
+    }
+  }
 
   ~EngineProbe() { end_run(); }
 
   void begin_run() { runs_->add(1); }
+
+  /// Start the layer clock for one tick.
+  void begin_tick() { mark_ = std::chrono::steady_clock::now(); }
+  /// End phase `layer` (kLayerWake … kLayerDecide) of the tick.
+  void lap(std::size_t layer) {
+    const auto now = std::chrono::steady_clock::now();
+    layers_[layer]->add(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(now - mark_)
+            .count()));
+    mark_ = now;
+  }
 
   void on_slot(const SlotSample& s) {
     slots_->add(s.slots);
@@ -451,6 +491,8 @@ class EngineProbe {
   Counter* runs_completed_;
   Gauge* undecided_;
   Histogram* latency_;
+  std::array<Counter*, kEngineLayers.size()> layers_{};
+  std::chrono::steady_clock::time_point mark_;  ///< layer clock's last read
   std::uint64_t last_undecided_ = 0;
   bool run_counted_done_ = false;
 };

@@ -41,6 +41,14 @@
 /// `batch_slots` pass).  An observer that also defines `on_tick(engine,
 /// tick)` is offered the engine at the top of every `run()` iteration;
 /// the runner's postmortem checkpoints ride on that hook.
+///
+/// **Timing.**  The third parameter is the telemetry probe, the one
+/// timing seam: an enabled `obs::telemetry::EngineProbe` receives each
+/// tick's counts and times the tick's four phases — wake admission, the
+/// protocol pass, medium resolution with delivery, the decision scan —
+/// on its clock, as the `engine.layer.*.ns` counters, on traced and
+/// untraced engines alike.  The default `NullEngineProbe` compiles both
+/// away.
 
 #pragma once
 
@@ -57,7 +65,6 @@
 #include "obs/event.hpp"
 #include "obs/postmortem.hpp"
 #include "obs/sink.hpp"
-#include "obs/span.hpp"
 #include "obs/telemetry.hpp"
 #include "radio/message.hpp"
 #include "radio/wakeup.hpp"
@@ -316,10 +323,10 @@ class AlignedMedium {
 /// optionally with an `on_tick(engine, tick)` hook that `run()` calls at
 /// the top of every loop iteration (positions are ticks); the default
 /// `obs::NullSink` compiles all tracing away.  `T` is the telemetry probe
-/// (`obs::telemetry::EngineProbe`), the count-only seam: the default
-/// `NullEngineProbe` compiles the per-tick aggregate sampling away the
-/// same way, and an enabled probe on a NullSink engine samples counts at
-/// untraced speed.
+/// (`obs::telemetry::EngineProbe`), the count and phase-time seam: the
+/// default `NullEngineProbe` compiles the per-tick sampling and the
+/// layer clock away the same way, and an enabled probe on a NullSink
+/// engine samples the untraced loop.
 template <NodeProtocol P, obs::EventSink S = obs::NullSink,
           typename T = obs::telemetry::NullEngineProbe,
           typename Medium = AlignedMedium>
@@ -344,29 +351,19 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Attach a wall-clock span sink: each tick then records one span per
-  /// runner phase (wake / protocol / medium) on `kSpanTrack`.  Only
-  /// meaningful on sink-enabled instantiations — with `obs::NullSink`
-  /// the span hooks compile away along with the event emission sites,
-  /// so the untraced hot loop stays untouched.
-  void set_span_sink(obs::SpanSink* spans) { spans_ = spans; }
-
   /// Attach a telemetry probe: each tick then feeds one aggregate
   /// `SlotSample` (counts only — no events, no RNG use; `slots` counts
-  /// local slots) to the probe.  Only meaningful on probe-enabled
-  /// instantiations; with the default `NullEngineProbe` the sampling
-  /// sites compile away.  The probe must outlive the engine.  `run()`
-  /// brackets execution with `begin_run`/`end_run`; step()-driven users
-  /// bracket it themselves.
+  /// local slots) to the probe, and times the tick's four phases on the
+  /// probe's layer clock (`engine.layer.*.ns`).  Only meaningful on
+  /// probe-enabled instantiations; with the default `NullEngineProbe` the
+  /// sampling sites compile away.  The probe must outlive the engine.
+  /// `run()` brackets execution with `begin_run`/`end_run`; step()-driven
+  /// users bracket it themselves.
   void set_telemetry(T* probe) { probe_ = probe; }
-
-  /// The track id engine phase spans are recorded under.
-  static constexpr std::uint32_t kSpanTrack = 0;
 
   /// Advance the simulation one tick.
   void step() {
     const Slot tick = tick_;
-    const std::uint64_t ts_wake = span_now();
     const std::size_t lane = static_cast<std::size_t>(tick) % kLanes;
     std::vector<NodeId>& awake = awake_[lane];
     const Slot now = local_slot(lane, tick);
@@ -381,6 +378,7 @@ class Engine {
         probe_before = stats_;
         probe_wakes_before = next_wake_;
         probe_pending_before = pending_live_;
+        probe_->begin_tick();
       }
     }
 
@@ -426,7 +424,7 @@ class Engine {
     // and events in scalar order — bit-identical by the protocol's
     // contract), with the event hook in the slot context when traced.
     // Protocols without a hot block take the per-node loop.
-    const std::uint64_t ts_protocol = span_now();
+    probe_lap(obs::telemetry::kLayerWake);
     transmitters_.clear();
     if constexpr (kHasHotState<P>) {
       P::batch_slots(hot_, awake.data(), awake.size(), slot_context(now),
@@ -442,10 +440,11 @@ class Engine {
       }
     }
     stats_.transmissions += transmitters_.size();
+    probe_lap(obs::telemetry::kLayerProtocol);
 
     // (3) Resolve the medium and deliver.
-    const std::uint64_t ts_medium = span_now();
     medium_.resolve(*this, tick);
+    probe_lap(obs::telemetry::kLayerMedium);
 
     // (4) Track decisions, each lane at its own local slot, compacting
     // decided nodes out of the scan so its cost follows the number of
@@ -475,10 +474,7 @@ class Engine {
       }
       undecided.resize(keep);
     }
-
-    span_emit("wake", ts_wake, ts_protocol, now);
-    span_emit("protocol", ts_protocol, ts_medium, now);
-    span_emit("medium", ts_medium, span_now(), now);
+    probe_lap(obs::telemetry::kLayerDecide);
 
     ++tick_;
     stats_.slots_run = tick_ / static_cast<Slot>(kLanes);
@@ -783,21 +779,11 @@ class Engine {
     }
   }
 
-  /// Span-sink timestamp; a compile-time 0 when tracing is off, so the
-  /// phase-boundary reads in `step` fold away with `span_emit`.
-  [[nodiscard]] std::uint64_t span_now() const {
-    if constexpr (S::kEnabled) {
-      if (spans_ != nullptr) return spans_->now_ns();
-    }
-    return 0;
-  }
-
-  void span_emit(const char* name, std::uint64_t begin, std::uint64_t end,
-                 Slot slot) {
-    if constexpr (S::kEnabled) {
-      if (spans_ != nullptr) {
-        spans_->record(name, kSpanTrack, begin, end - begin, slot);
-      }
+  /// End phase `layer` of this tick on the probe's layer clock —
+  /// compiled away on probe-disabled instantiations.
+  void probe_lap(std::size_t layer) {
+    if constexpr (T::kEnabled) {
+      if (probe_ != nullptr) probe_->lap(layer);
     }
   }
 
@@ -833,8 +819,7 @@ class Engine {
   HotStateOf<P> hot_;
   Medium medium_;
   S* sink_;
-  obs::SpanSink* spans_ = nullptr;  ///< wall-clock phase spans (optional)
-  T* probe_ = nullptr;              ///< telemetry probe (optional)
+  T* probe_ = nullptr;  ///< telemetry probe (optional)
   std::vector<Rng> rngs_;
 
   Slot tick_ = 0;

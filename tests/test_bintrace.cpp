@@ -41,8 +41,7 @@ namespace {
 /// calls with the same seed see the identical event stream.
 template <typename S>
 radio::RunStats run_with_sink(std::uint64_t seed, std::size_t n, S* sink,
-                              core::Params* params_out = nullptr,
-                              SpanSink* spans = nullptr) {
+                              core::Params* params_out = nullptr) {
   Rng rng(seed);
   auto net = graph::random_udg(n, 5.5, 1.4, rng);
   const graph::Graph g = std::move(net.graph);
@@ -58,7 +57,6 @@ radio::RunStats run_with_sink(std::uint64_t seed, std::size_t n, S* sink,
   radio::Engine<core::ColoringNode, S> engine(
       g, radio::WakeSchedule::uniform(g.num_nodes(), 400, wrng),
       std::move(nodes), seed, {}, sink);
-  engine.set_span_sink(spans);
   return engine.run(core::default_slot_budget(params, engine.schedule()));
 }
 
@@ -641,46 +639,7 @@ TEST(ChromeExport, SpanCaptureExportsWorkerTracks) {
   std::remove(path.c_str());
 }
 
-// ------------------------------ span hooks --------------------------------
-
-TEST(Spans, TracedEngineRecordsThreePhaseSpansPerSlot) {
-  MemorySink memory;
-  SpanSink spans;
-  const auto stats = run_with_sink(/*seed=*/33, 24, &memory, nullptr, &spans);
-  ASSERT_GT(stats.slots_run, 0);
-  // Spans are recorded only for slots the engine actually steps: the
-  // run() fast-forward jumps over the empty prefix before the first
-  // wake, so those slots count in slots_run but execute no phases.
-  // Recompute the schedule run_with_sink built to find that prefix.
-  Rng wrng(mix_seed(/*seed=*/33, 5));
-  const auto schedule = radio::WakeSchedule::uniform(24, 400, wrng);
-  radio::Slot first_wake = std::numeric_limits<radio::Slot>::max();
-  for (graph::NodeId v = 0; v < 24; ++v) {
-    first_wake = std::min(first_wake, schedule.wake_slot(v));
-  }
-  const auto stepped =
-      static_cast<std::size_t>(stats.slots_run - first_wake);
-  EXPECT_EQ(spans.size(), 3u * stepped);
-  std::size_t wake = 0, protocol = 0, medium = 0;
-  for (const SpanRecord& s : spans.snapshot()) {
-    EXPECT_EQ(s.track, 0u);
-    const std::string name = s.name;
-    wake += name == "wake" ? 1u : 0u;
-    protocol += name == "protocol" ? 1u : 0u;
-    medium += name == "medium" ? 1u : 0u;
-  }
-  EXPECT_EQ(wake, stepped);
-  EXPECT_EQ(protocol, stepped);
-  EXPECT_EQ(medium, stepped);
-}
-
-TEST(Spans, NullSinkEngineCompilesSpanHooksAway) {
-  SpanSink spans;
-  const auto stats =
-      run_with_sink<NullSink>(/*seed=*/33, 24, nullptr, nullptr, &spans);
-  ASSERT_GT(stats.slots_run, 0);
-  EXPECT_EQ(spans.size(), 0u);  // guarded by if constexpr (S::kEnabled)
-}
+// -------------------------- worker chunk spans ----------------------------
 
 TEST(Spans, ParallelTrialsRecordChunkSpansOnWorkerTracks) {
   SpanSink spans;

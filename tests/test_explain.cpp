@@ -106,12 +106,11 @@ INSTANTIATE_TEST_SUITE_P(
                       FuzzCase{0.20, "uniform", 24},
                       FuzzCase{0.35, "sync", 25},
                       FuzzCase{0.35, "uniform", 26}),
-    [](const ::testing::TestParamInfo<FuzzCase>& info) {
+    [](const ::testing::TestParamInfo<FuzzCase>& param_info) {
+      const FuzzCase& c = param_info.param;
       return "drop" +
-             std::to_string(
-                 static_cast<int>(100.0 * std::get<0>(info.param))) +
-             "_" + std::get<1>(info.param) + "_s" +
-             std::to_string(std::get<2>(info.param));
+             std::to_string(static_cast<int>(100.0 * std::get<0>(c))) +
+             "_" + std::get<1>(c) + "_s" + std::to_string(std::get<2>(c));
     });
 
 // ---- span collection ------------------------------------------------------

@@ -601,6 +601,70 @@ TEST(TelemetryTrialLoop, TelemetryNeverPerturbsAggregates) {
   EXPECT_EQ(*snap.find_gauge("pool.workers"), 3);
 }
 
+// The probe's layer clock: a probed run times its four phases within
+// the call's wall time, and a parallel sweep's concurrent probes add
+// their phase times into the one registry without changing results.
+TEST(TelemetryTrialLoop, LayerClockTimesFourPhasesPerProbe) {
+  Rng rng(41);
+  const auto net = graph::random_udg(64, 5.5, 1.6, rng);
+  const std::size_t n = net.graph.num_nodes();
+  const auto params =
+      small_params(n, std::max(2u, net.graph.max_closed_degree()));
+  const auto layer_total = [](const Snapshot& snap) {
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < kEngineLayers.size(); ++i) {
+      const std::uint64_t* ns = snap.find_counter(layer_counter(i));
+      EXPECT_NE(ns, nullptr) << layer_counter(i);
+      if (ns != nullptr) total += *ns;
+    }
+    return total;
+  };
+  const auto elapsed_ns = [](std::chrono::steady_clock::time_point t0) {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+  };
+
+  {
+    Registry reg;
+    core::TraceOptions topts;
+    topts.telemetry = &reg;
+    const auto t0 = std::chrono::steady_clock::now();
+    const core::RunResult run = core::run_coloring_traced(
+        net.graph, params, radio::WakeSchedule::synchronous(n), 9, topts);
+    const std::uint64_t wall_ns = elapsed_ns(t0);
+    ASSERT_TRUE(run.all_decided);
+    const Snapshot snap = reg.snapshot();
+    ASSERT_NE(snap.find_counter("engine.layer.protocol.ns"), nullptr);
+    EXPECT_GT(*snap.find_counter("engine.layer.protocol.ns"), 0u);
+    EXPECT_LE(layer_total(snap), wall_ns);
+  }
+
+  const auto schedules = analysis::uniform_schedule(n, 64);
+  analysis::TrialExecOptions exec;
+  exec.jobs = 4;
+  const analysis::CoreAggregate plain =
+      analysis::run_core_trials(net.graph, params, schedules, 12, 5, exec);
+  Registry reg;
+  exec.telemetry = &reg;
+  const analysis::CoreAggregate probed =
+      analysis::run_core_trials(net.graph, params, schedules, 12, 5, exec);
+  EXPECT_EQ(probed.valid, plain.valid);
+  EXPECT_EQ(probed.completed, plain.completed);
+  EXPECT_EQ(probed.max_color.values(), plain.max_color.values());
+  EXPECT_EQ(probed.slots_run.values(), plain.slots_run.values());
+  EXPECT_EQ(probed.mean_latency.values(), plain.mean_latency.values());
+  EXPECT_EQ(probed.max_latency.values(), plain.max_latency.values());
+
+  // Every probe's phases ran inside a pool chunk, so together they stay
+  // within the workers' summed busy time.
+  const Snapshot snap = reg.snapshot();
+  EXPECT_EQ(*snap.find_counter("engine.runs"), 12u);
+  EXPECT_GT(*snap.find_counter("engine.layer.protocol.ns"), 0u);
+  EXPECT_LE(layer_total(snap), *snap.find_counter("pool.busy.ns"));
+}
+
 // ----------------------------------- shared-registry concurrency (TSan) --
 
 // Hammer the live telemetry registry's type and a profile-style registry

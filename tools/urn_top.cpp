@@ -29,12 +29,15 @@
 #include <vector>
 
 #include "obs/json.hpp"
+#include "obs/telemetry.hpp"
 #include "support/cli.hpp"
 
 namespace {
 
 using urn::obs::json::Doc;
 using urn::obs::json::Entry;
+using urn::obs::telemetry::kEngineLayers;
+using urn::obs::telemetry::layer_counter;
 
 /// The last two non-empty lines of the stream (older first).
 struct Tail {
@@ -155,6 +158,19 @@ void render(const std::string& path, const Tail& tail, bool follow) {
                 human(rate(tail, "engine.deliveries")).c_str(),
                 human(rate(tail, "engine.collisions")).c_str(),
                 human(rate(tail, "engine.drops")).c_str());
+    // The probe's phase times (engine.layer.*.ns) as shares of their sum.
+    double layer_total = 0.0;
+    for (std::size_t i = 0; i < kEngineLayers.size(); ++i) {
+      layer_total += value_or(doc, layer_counter(i), 0);
+    }
+    if (layer_total > 0.0) {
+      std::printf("  layers    ");
+      for (std::size_t i = 0; i < kEngineLayers.size(); ++i) {
+        std::printf(" %s %.1f%%", kEngineLayers[i],
+                    100.0 * value_or(doc, layer_counter(i), 0) / layer_total);
+      }
+      std::printf("\n");
+    }
   }
 
   const auto workers = num(doc, "pool.workers");
