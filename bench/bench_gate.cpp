@@ -87,7 +87,7 @@ int urn::bench::bench_gate(const Args& args) {
         Rng wrng(mix_seed(0xCA7EB, t));
         const auto ws =
             radio::WakeSchedule::uniform(n, 2 * params.threshold(), wrng);
-        return core::run_leader_election_traced(
+        return core::run_leader_election(
             net.graph, params, ws, mix_seed(0xCA7EC, t), leader_opts);
       });
   std::size_t covered = 0;

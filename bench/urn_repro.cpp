@@ -69,8 +69,8 @@ int main(int argc, char** argv) {
   CliFlags flags;
   analysis::RunFlags::declare(flags);
   flags.add_string("spans-out", "",
-                   "record wall-clock span timelines (runner phases, "
-                   "executor workers) as Chrome trace-event JSON");
+                   "record the executor workers' trial chunks as a "
+                   "wall-clock Chrome trace-event JSON timeline");
   flags.add_bool("explain", false,
                  "attribute the representative run's per-node decision "
                  "latency to causes and export explain.* keys into "

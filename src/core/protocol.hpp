@@ -98,6 +98,11 @@ struct ColoringHot {
   [[nodiscard]] bool decided(NodeId v) const {
     return klass[v] >= kDecidedOther;
   }
+  /// First-stage goal (`radio::Goal::kCovered`): left A₀ for R or C₀.
+  /// Exact for a node still in A₀ at the previous tick's scan, which is
+  /// all the engine asks: A₀ exits only to R or C₀ within a tick, and R
+  /// is left only on a later slot's receive.
+  [[nodiscard]] bool covered(NodeId v) const { return klass[v] >= kRequest; }
 
   std::vector<std::uint8_t> klass;              ///< state byte per node
   std::vector<std::int64_t> counter;            ///< c_v

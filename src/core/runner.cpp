@@ -43,20 +43,25 @@ namespace {
 
 namespace pm = obs::postmortem;
 
-/// The one shared execution path: build nodes, run the engine, extract
-/// everything the experiments need.  `S` is the run's observer (the
-/// zero-overhead NullSink when untraced), `T` the telemetry probe.
-template <obs::EventSink S = obs::NullSink,
+/// The one shared execution path: build nodes, run the engine to goal
+/// `G`, extract everything the experiments need — a `RunResult` for the
+/// full coloring (`kDecided`), a `LeaderElectionResult` for the first
+/// stage (`kCovered`).  `S` is the run's observer (the zero-overhead
+/// NullSink when untraced), `T` the telemetry probe.
+template <radio::Goal G, obs::EventSink S = obs::NullSink,
           typename T = obs::telemetry::NullEngineProbe>
-RunResult run_impl(const graph::Graph& g, const Params& params,
-                   const radio::WakeSchedule& schedule, std::uint64_t seed,
-                   Slot max_slots, radio::MediumOptions medium,
-                   S* sink = nullptr, T* probe = nullptr) {
+auto run_stage(const graph::Graph& g, const Params& params,
+               const radio::WakeSchedule& schedule, std::uint64_t seed,
+               Slot max_slots, radio::MediumOptions medium,
+               S* sink = nullptr, T* probe = nullptr) {
+  constexpr bool kColoring = G == radio::Goal::kDecided;
+  const std::string name =
+      kColoring ? "core.run_coloring" : "core.run_leader_election";
   params.validate();
   URN_CHECK(schedule.size() == g.num_nodes());
   if (max_slots == 0) max_slots = default_slot_budget(params, schedule);
 
-  obs::ProfileScope profile("core.run_coloring");
+  obs::ProfileScope profile(name);
 
   std::vector<ColoringNode> nodes;
   nodes.reserve(g.num_nodes());
@@ -66,112 +71,37 @@ RunResult run_impl(const graph::Graph& g, const Params& params,
   using Engine = radio::Engine<ColoringNode, S, T>;
   Engine engine(g, schedule, std::move(nodes), seed, medium, sink);
   engine.set_telemetry(probe);
-  const radio::RunStats stats = engine.run(max_slots);
+  const radio::RunStats stats = engine.template run<G>(max_slots);
 
-  // The extraction lives in harvest_coloring so the checkpoint-resume
-  // path (core/checkpoint.cpp) produces field-for-field identical
-  // results by construction.
-  RunResult result = harvest_coloring(engine, g, schedule, stats);
-  if constexpr (T::kEnabled) {
-    if (probe != nullptr) {
-      for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-        if (engine.decision_slot(v) != Engine::kUndecided) {
-          probe->record_decision_latency(
-              static_cast<std::uint64_t>(engine.decision_latency(v)));
-        }
-      }
-    }
-  }
-
-  // Sharded counters: run_impl executes concurrently under the trial
+  // Sharded counters: runs execute concurrently under the trial
   // executor (exec::parallel_for_trials).
   auto& profile_counters = obs::profile_registry();
-  profile_counters.counter("core.run_coloring.runs").add(1);
-  profile_counters.counter("core.run_coloring.slots")
+  profile_counters.counter(name + ".runs").add(1);
+  profile_counters.counter(name + ".slots")
       .add(static_cast<std::uint64_t>(stats.slots_run));
-  profile_counters.counter("core.run_coloring.node_slots")
-      .add(static_cast<std::uint64_t>(stats.slots_run) * g.num_nodes());
-  return result;
-}
-
-/// Run only the first stage (leader election + cluster association) on
-/// the same engine path as `run_impl`: identical node construction,
-/// medium options and event emission — only the stopping rule differs
-/// (manual stepping until every node is covered).
-template <obs::EventSink S = obs::NullSink,
-          typename T = obs::telemetry::NullEngineProbe>
-LeaderElectionResult leader_election_impl(
-    const graph::Graph& g, const Params& params,
-    const radio::WakeSchedule& schedule, std::uint64_t seed, Slot max_slots,
-    radio::MediumOptions medium, S* sink = nullptr, T* probe = nullptr) {
-  params.validate();
-  URN_CHECK(schedule.size() == g.num_nodes());
-  if (max_slots == 0) max_slots = default_slot_budget(params, schedule);
-
-  obs::ProfileScope profile("core.run_leader_election");
-
-  std::vector<ColoringNode> nodes;
-  nodes.reserve(g.num_nodes());
-  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    nodes.emplace_back(&params, v);
-  }
-  radio::Engine<ColoringNode, S, T> engine(g, schedule, std::move(nodes),
-                                           seed, medium, sink);
-  engine.set_telemetry(probe);
-  if constexpr (T::kEnabled) {
-    // Step()-driven loop below: run()'s automatic probe bracketing never
-    // fires, so bracket the run here.
-    if (probe != nullptr) probe->begin_run();
-  }
-
-  LeaderElectionResult result;
-  result.leader_of.assign(g.num_nodes(), graph::kInvalidNode);
-  result.cover_latency.assign(g.num_nodes(), -1);
-
-  // "Covered" = decided (leader or any later color) or past A₀ (knows a
-  // leader).  We step manually and record first-coverage times.
-  auto covered = [&engine](graph::NodeId v) {
-    const ColoringNode& node = engine.node(v);
-    if (node.decided()) return true;
-    if (node.phase() == Phase::kRequest) return true;
-    return node.phase() == Phase::kVerify && node.verifying_color() > 0;
-  };
-  std::size_t uncovered = g.num_nodes();
-  while (engine.current_slot() < max_slots && uncovered > 0) {
-    engine.step();
-    const Slot now = engine.current_slot() - 1;
+  if constexpr (kColoring) {
+    profile_counters.counter(name + ".node_slots")
+        .add(static_cast<std::uint64_t>(stats.slots_run) * g.num_nodes());
+    // The extraction lives in harvest_coloring so the checkpoint-resume
+    // path (core/checkpoint.cpp) produces field-for-field identical
+    // results by construction.
+    return harvest_coloring(engine, g, schedule, stats);
+  } else {
+    LeaderElectionResult result;
+    result.leader_of.resize(g.num_nodes());
+    result.cover_latency.assign(g.num_nodes(), -1);
     for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (result.cover_latency[v] >= 0) continue;
-      if (now < schedule.wake_slot(v)) continue;
-      if (covered(v)) {
-        result.cover_latency[v] = now - schedule.wake_slot(v);
-        --uncovered;
+      const ColoringNode& node = engine.node(v);
+      if (node.is_leader()) result.leaders.push_back(v);
+      result.leader_of[v] = node.leader();
+      if (engine.decision_slot(v) != Engine::kUndecided) {
+        result.cover_latency[v] = engine.decision_latency(v);
       }
     }
+    result.all_covered = stats.all_decided;
+    result.medium = stats;
+    return result;
   }
-  engine.flush();  // step()-driven loop: run()'s automatic flush never fires
-  result.all_covered = uncovered == 0;
-  result.medium = engine.stats();
-  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    const ColoringNode& node = engine.node(v);
-    if (node.is_leader()) result.leaders.push_back(v);
-    result.leader_of[v] = node.leader();
-    if constexpr (T::kEnabled) {
-      if (probe != nullptr && result.cover_latency[v] >= 0) {
-        probe->record_decision_latency(
-            static_cast<std::uint64_t>(result.cover_latency[v]));
-      }
-    }
-  }
-  if constexpr (T::kEnabled) {
-    if (probe != nullptr) probe->end_run();
-  }
-
-  auto& profile_counters = obs::profile_registry();
-  profile_counters.counter("core.run_leader_election.runs").add(1);
-  profile_counters.counter("core.run_leader_election.slots")
-      .add(static_cast<std::uint64_t>(result.medium.slots_run));
-  return result;
 }
 
 /// The run's one observer: the engine's event sink on every traced run.
@@ -346,8 +276,9 @@ RunResult run_coloring_postmortem(const graph::Graph& g, const Params& params,
   pm::arm_crash_handler(po.dir);
   RunResult result = run_observed(
       g, params, schedule, local, &ckpt, [&](auto* sink, auto* probe) {
-        return run_impl(g, params, schedule, seed, max_slots, medium, sink,
-                        probe);
+        return run_stage<radio::Goal::kDecided>(g, params, schedule, seed,
+                                                max_slots, medium, sink,
+                                                probe);
       });
   pm::disarm_crash_handler();
   URN_CHECK_MSG(!ckpt.failed(),
@@ -397,7 +328,8 @@ RunResult run_coloring(const graph::Graph& g, const Params& params,
                        const radio::WakeSchedule& schedule,
                        std::uint64_t seed, Slot max_slots,
                        radio::MediumOptions medium) {
-  return run_impl(g, params, schedule, seed, max_slots, medium);
+  return run_stage<radio::Goal::kDecided>(g, params, schedule, seed,
+                                         max_slots, medium);
 }
 
 RunResult run_coloring_traced(const graph::Graph& g, const Params& params,
@@ -410,27 +342,24 @@ RunResult run_coloring_traced(const graph::Graph& g, const Params& params,
   }
   return run_observed(
       g, params, schedule, trace, nullptr, [&](auto* sink, auto* probe) {
-        return run_impl(g, params, schedule, seed, max_slots, medium, sink,
-                        probe);
+        return run_stage<radio::Goal::kDecided>(g, params, schedule, seed,
+                                                max_slots, medium, sink,
+                                                probe);
       });
 }
 
 LeaderElectionResult run_leader_election(const graph::Graph& g,
                                          const Params& params,
                                          const radio::WakeSchedule& schedule,
-                                         std::uint64_t seed, Slot max_slots,
+                                         std::uint64_t seed,
+                                         const TraceOptions& trace,
+                                         Slot max_slots,
                                          radio::MediumOptions medium) {
-  return leader_election_impl(g, params, schedule, seed, max_slots, medium);
-}
-
-LeaderElectionResult run_leader_election_traced(
-    const graph::Graph& g, const Params& params,
-    const radio::WakeSchedule& schedule, std::uint64_t seed,
-    const TraceOptions& trace, Slot max_slots, radio::MediumOptions medium) {
   return run_observed(
       g, params, schedule, trace, nullptr, [&](auto* sink, auto* probe) {
-        return leader_election_impl(g, params, schedule, seed, max_slots,
-                                    medium, sink, probe);
+        return run_stage<radio::Goal::kCovered>(g, params, schedule, seed,
+                                                max_slots, medium, sink,
+                                                probe);
       });
 }
 

@@ -12,6 +12,8 @@
 /// asks for: one observer for every event consumer and postmortem
 /// bundle, and an `obs::telemetry::EngineProbe` when a registry is given,
 /// which also times the engine's phases (`engine.layer.*.ns`).
+/// `run_leader_election` runs the first stage alone on the same path, to
+/// `radio::Goal::kCovered`.
 
 #pragma once
 
@@ -107,10 +109,11 @@ struct PostmortemOptions {
   [[nodiscard]] bool enabled() const { return !dir.empty(); }
 };
 
-/// Observability knobs for `run_coloring_traced`.  Everything defaults to
-/// off, which runs the same zero-overhead `obs::NullSink` engine as
-/// `run_coloring`; any event consumer or a postmortem bundle puts one
-/// observer on the run that fans events out to all of them.
+/// Observability knobs for `run_coloring_traced` and
+/// `run_leader_election`.  Everything defaults to off, which runs the
+/// zero-overhead `obs::NullSink` engine of the plain run; any event
+/// consumer or a postmortem bundle puts one observer on the run that
+/// fans events out to all of them.
 struct TraceOptions {
   /// Collect a per-window obs::TimeSeries into RunResult::series.
   bool metrics = false;
@@ -143,8 +146,8 @@ struct TraceOptions {
   /// outlive the run.
   obs::MemorySink* memory = nullptr;
   /// Periodic checkpointing + violation bundle capture (see
-  /// `PostmortemOptions`).  Only honored by `run_coloring_traced`; the
-  /// leader-election entry points ignore it.
+  /// `PostmortemOptions`).  Only honored by `run_coloring_traced`;
+  /// `run_leader_election` ignores it.
   PostmortemOptions postmortem;
 };
 
@@ -222,20 +225,14 @@ struct LeaderElectionResult : TraceArtifacts {
 /// Run the protocol only until every node is a leader or knows one
 /// (i.e. left A₀), then stop.  The leader set is, with high probability,
 /// a maximal independent set of g.  Runs on the same engine path as
-/// `run_coloring`, so failure injection (`medium`) and — via the traced
-/// variant — the run's observer apply to leader-election runs too.
+/// `run_coloring_traced`, to `radio::Goal::kCovered` instead of
+/// quiescence: failure injection (`medium`) and everything in `trace`
+/// but `postmortem` apply, and `TraceOptions{}` is the untraced run.
+/// `medium.all_decided` equals `all_covered`.
 [[nodiscard]] LeaderElectionResult run_leader_election(
     const graph::Graph& g, const Params& params,
     const radio::WakeSchedule& schedule, std::uint64_t seed,
-    Slot max_slots = 0, radio::MediumOptions medium = {});
-
-/// `run_leader_election` with observability: identical execution (same
-/// seeds and RNG streams), plus the metrics / log / monitor / telemetry
-/// requested by `trace` (postmortem options are ignored).
-[[nodiscard]] LeaderElectionResult run_leader_election_traced(
-    const graph::Graph& g, const Params& params,
-    const radio::WakeSchedule& schedule, std::uint64_t seed,
-    const TraceOptions& trace, Slot max_slots = 0,
+    const TraceOptions& trace = {}, Slot max_slots = 0,
     radio::MediumOptions medium = {});
 
 }  // namespace urn::core

@@ -408,7 +408,11 @@ inline constexpr std::size_t kLayerDecide = 3;
 ///            `engine.layer.{wake,protocol,medium,decide}.ns`
 ///   gauge    `engine.undecided` (live across all concurrently running
 ///            engines; returns to 0 when runs drain)
-///   histogram `run.decision_latency` (slots from wake to decision)
+///   histogram `run.decision_latency` (slots from wake to decision,
+///            recorded once per node at the end of `Engine::run`)
+/// On a leader-election run (`radio::Goal::kCovered`) "decided" reads
+/// "covered": `engine.decisions` counts covers, `engine.undecided` the
+/// uncovered nodes, and the histogram holds the cover latencies.
 class EngineProbe {
  public:
   static constexpr bool kEnabled = true;

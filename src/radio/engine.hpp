@@ -132,6 +132,7 @@ concept NodeProtocol = requires(P p, const P cp, SlotContext& ctx,
 //                             const SlotContext& slot, P* nodes, Rng* rngs,
 //                             std::vector<Message>& out);
 //     bool Hot::decided(NodeId) const;        // node-object-free test
+//     bool Hot::covered(NodeId) const;        // Goal::kCovered runs only
 //
 // The engine then (a) owns one block per run and attaches every node to
 // it at construction, and (b) replaces the per-node `on_slot` loop with
@@ -168,6 +169,17 @@ using HotStateOf = typename HotStateOfT<P>::type;
 template <typename P>
 inline constexpr bool kHasHotState =
     !std::is_same_v<HotStateOf<P>, NoHotState>;
+
+/// What `Engine::run` drives every node to, fixed at compile time:
+/// `kDecided` (the default), the irrevocable colour of the full coloring
+/// run; or `kCovered`, the paper's first stage (leader election), reached
+/// once a node leaves A₀ for C₀ (a leader) or R (associated with one) and
+/// answered by the hot block's `covered(v)` (aligned medium only).  On a
+/// covered run "covered" replaces "decided" in `all_decided`,
+/// `decision_slot` and the probe's `engine.decisions` /
+/// `engine.undecided`; `Event::decision` still marks only a node that is
+/// decided when covered (a leader).
+enum class Goal : std::uint8_t { kDecided, kCovered };
 
 /// Aggregate medium statistics for one run.
 struct RunStats {
@@ -357,12 +369,17 @@ class Engine {
   /// probe's layer clock (`engine.layer.*.ns`).  Only meaningful on
   /// probe-enabled instantiations; with the default `NullEngineProbe` the
   /// sampling sites compile away.  The probe must outlive the engine.
-  /// `run()` brackets execution with `begin_run`/`end_run`; step()-driven
-  /// users bracket it themselves.
+  /// `run()` brackets execution with `begin_run`/`end_run` and records
+  /// each node's latency to the goal; a bare `step()` feeds only the
+  /// tick's sample and layer times.
   void set_telemetry(T* probe) { probe_ = probe; }
 
-  /// Advance the simulation one tick.
+  /// Advance the simulation one tick, scanning for nodes that reach `G`.
+  template <Goal G = Goal::kDecided>
   void step() {
+    static_assert(G == Goal::kDecided || kAligned,
+                  "leader election (Goal::kCovered) runs on the aligned "
+                  "medium only");
     const Slot tick = tick_;
     const std::size_t lane = static_cast<std::size_t>(tick) % kLanes;
     std::vector<NodeId>& awake = awake_[lane];
@@ -446,28 +463,25 @@ class Engine {
     medium_.resolve(*this, tick);
     probe_lap(obs::telemetry::kLayerMedium);
 
-    // (4) Track decisions, each lane at its own local slot, compacting
-    // decided nodes out of the scan so its cost follows the number of
-    // still-undecided nodes, not n.  SoA protocols answer `decided`
-    // straight from the hot block, so the scan never touches a node
-    // object.
+    // (4) Track nodes reaching the goal, each lane at its own local
+    // slot, compacting them out of the scan so its cost follows the
+    // number still short of it, not n.  SoA protocols answer straight
+    // from the hot block, so the scan never touches a node object.
     for (std::size_t q = 0; q < kLanes; ++q) {
       std::vector<NodeId>& undecided = undecided_[q];
       const Slot at = local_slot(q, tick);
       std::size_t keep = 0;
       for (std::size_t i = 0; i < undecided.size(); ++i) {
         const NodeId v = undecided[i];
-        const bool is_decided = [&] {
-          if constexpr (kHasHotState<P>) return hot_.decided(v);
-          else return nodes_[v].decided();
-        }();
-        if (is_decided) {
+        if (reached<G>(v)) {
           decision_slot_[v] = at;
           --pending_live_;
-          emit([&] {
-            return obs::Event::decision(at, v, /*color=*/-1,
-                                        at - schedule_.wake_slot(v));
-          });
+          if (G == Goal::kDecided || reached<Goal::kDecided>(v)) {
+            emit([&] {
+              return obs::Event::decision(at, v, /*color=*/-1,
+                                          at - schedule_.wake_slot(v));
+            });
+          }
         } else {
           undecided[keep++] = v;
         }
@@ -497,9 +511,9 @@ class Engine {
     }
   }
 
-  /// Run until every node is awake and has decided, or `max_slots` local
-  /// slots elapse.  Returns the statistics so far; `all_decided` reports
-  /// success.
+  /// Run until every node is awake and has reached goal `G` (decided by
+  /// default), or `max_slots` local slots elapse.  Returns the statistics
+  /// so far; `all_decided` reports success.
   ///
   /// Empty wake gaps are fast-forwarded: while no node is awake and the
   /// next wake lies in the future, stepping consumes no RNG and changes
@@ -507,6 +521,7 @@ class Engine {
   /// The jump requires a pending wake — it cannot fire when the lists
   /// are empty because every woken node died, where the old loop would
   /// stop after one more step via `all_decided`.
+  template <Goal G = Goal::kDecided>
   RunStats run(Slot max_slots) {
     URN_CHECK(max_slots > 0);
     if constexpr (T::kEnabled) {
@@ -540,29 +555,29 @@ class Engine {
           if (tick_ >= cap) break;
         }
       }
-      step();
+      step<G>();
       if (all_decided()) break;
     }
     stats_.all_decided = all_decided();
     flush();
     if constexpr (T::kEnabled) {
-      if (probe_ != nullptr) probe_->end_run();
+      if (probe_ != nullptr) {
+        for (NodeId v = 0; v < nodes_.size(); ++v) {
+          if (decision_slot_[v] != kUndecided) {
+            probe_->record_decision_latency(
+                static_cast<std::uint64_t>(decision_latency(v)));
+          }
+        }
+        probe_->end_run();
+      }
     }
     return stats_;
   }
 
-  /// O(1): every node woke, and no live node is still undecided.
+  /// O(1): every node woke, and no live node is still short of the goal
+  /// (undecided, or uncovered on a `Goal::kCovered` run).
   [[nodiscard]] bool all_decided() const {
     return next_wake_ >= wake_order_.size() && pending_live_ == 0;
-  }
-
-  /// Flush the attached event sink, if any (`run()` does this on exit;
-  /// step()-driven users call it once capture is complete).  Compiled
-  /// away for NullSink.
-  void flush() {
-    if constexpr (S::kEnabled) {
-      if (sink_ != nullptr) sink_->flush();
-    }
   }
 
   /// Crash-stop failure injection (aligned engine only): from the next
@@ -678,13 +693,15 @@ class Engine {
   [[nodiscard]] P& node(NodeId v) { return nodes_.at(v); }
   [[nodiscard]] const WakeSchedule& schedule() const { return schedule_; }
 
-  /// Local slot in which v's `decided()` first became true (kUndecided if
-  /// never) — comparable across slot alignments.
+  /// Local slot in which v first reached the run's goal — `decided()`,
+  /// or covered on a `Goal::kCovered` run (kUndecided if never) —
+  /// comparable across slot alignments.
   [[nodiscard]] Slot decision_slot(NodeId v) const {
     return decision_slot_.at(v);
   }
 
-  /// T_v of Sect. 2: slots between wake-up and irrevocable decision.
+  /// T_v of Sect. 2: slots between wake-up and irrevocable decision (the
+  /// cover latency on a `Goal::kCovered` run).
   [[nodiscard]] Slot decision_latency(NodeId v) const {
     URN_CHECK(decision_slot_.at(v) != kUndecided);
     return decision_slot_[v] - schedule_.wake_slot(v);
@@ -769,6 +786,22 @@ class Engine {
     emit([&] { return obs::Event::collision(now, u); });
   }
 
+  /// Has v reached goal `G`?  SoA protocols answer from the hot block.
+  template <Goal G>
+  [[nodiscard]] bool reached(NodeId v) const {
+    if constexpr (G == Goal::kCovered) return hot_.covered(v);
+    else if constexpr (kHasHotState<P>) return hot_.decided(v);
+    else return nodes_[v].decided();
+  }
+
+  /// Flush the attached event sink, if any (`run()` does this on exit).
+  /// Compiled away for NullSink.
+  void flush() {
+    if constexpr (S::kEnabled) {
+      if (sink_ != nullptr) sink_->flush();
+    }
+  }
+
   /// Emit an event built by `make` — compiled away entirely for NullSink
   /// (the lambda is never instantiated, so event construction costs
   /// nothing when tracing is off).
@@ -825,14 +858,14 @@ class Engine {
   Slot tick_ = 0;
   std::vector<std::uint8_t> status_;     ///< kAwakeBit | kDeadBit per node
   /// Per lane: live awake nodes (wake order, then id order) and their
-  /// undecided subset.
+  /// subset not yet at the run's goal.
   std::array<std::vector<NodeId>, kLanes> awake_;
   std::array<std::vector<NodeId>, kLanes> undecided_;
   std::vector<NodeId> wake_order_;
   std::size_t next_wake_ = 0;
   bool id_ordered_ = false;  ///< live lists re-sorted to id order yet?
-  std::vector<Slot> decision_slot_;
-  /// Live (non-dead) nodes without a recorded decision — the O(1)
+  std::vector<Slot> decision_slot_;  ///< slot each node reached the goal
+  /// Live (non-dead) nodes that have not reached the goal — the O(1)
   /// termination counter behind `all_decided()`.
   std::size_t pending_live_ = 0;
   std::vector<Message> transmitters_;  ///< this tick's transmissions

@@ -146,9 +146,9 @@ TEST(BinSink, RoundTripMatchesMemorySinkCaptureOfSameRun) {
   std::remove(path.c_str());
 }
 
-TEST(BinSink, StepDrivenEngineFlushMakesEventsReadable) {
+TEST(BinSink, StepDrivenSinkFlushMakesEventsReadable) {
   // step()-driven users never pass through run()'s automatic flush;
-  // Engine::flush() must make everything captured so far readable while
+  // BinSink::flush() must make everything captured so far readable while
   // the engine (and sink) stay live for further stepping.
   const std::string path = ::testing::TempDir() + "bintrace_stepflush.bin";
   Rng rng(91);
@@ -166,7 +166,7 @@ TEST(BinSink, StepDrivenEngineFlushMakesEventsReadable) {
       g, radio::WakeSchedule::synchronous(g.num_nodes()), std::move(nodes),
       91, {}, &sink);
   for (int s = 0; s < 200; ++s) engine.step();
-  engine.flush();
+  sink.flush();
 
   const ParsedTraceFile parsed = read_trace_file(path);
   ASSERT_TRUE(parsed.ok) << parsed.error;

@@ -261,8 +261,7 @@ TEST(LeaderElectionTraced, BitIdenticalToPlainAndMonitored) {
   trace.monitor = true;
   trace.metrics = true;
   trace.metrics_window = 64;
-  const auto traced =
-      core::run_leader_election_traced(net.graph, p, ws, 31, trace);
+  const auto traced = core::run_leader_election(net.graph, p, ws, 31, trace);
   EXPECT_EQ(plain.leaders, traced.leaders);
   EXPECT_EQ(plain.leader_of, traced.leader_of);
   EXPECT_EQ(plain.cover_latency, traced.cover_latency);
@@ -284,7 +283,7 @@ TEST(LeaderElectionTraced, HonorsMediumOptions) {
   radio::MediumOptions medium;
   medium.drop_probability = 0.3;
   const auto faulty =
-      core::run_leader_election(net.graph, p, ws, 41, 0, medium);
+      core::run_leader_election(net.graph, p, ws, 41, {}, 0, medium);
   EXPECT_GT(faulty.medium.dropped, 0u);
   const auto ideal = core::run_leader_election(net.graph, p, ws, 41);
   EXPECT_EQ(ideal.medium.dropped, 0u);

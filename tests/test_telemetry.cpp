@@ -480,8 +480,8 @@ TEST(TelemetryEngineProbe, LeaderElectionProbed) {
   Registry reg;
   core::TraceOptions topts;
   topts.telemetry = &reg;
-  const auto probed = core::run_leader_election_traced(
-      net.graph, params, schedule, 7, topts);
+  const auto probed =
+      core::run_leader_election(net.graph, params, schedule, 7, topts);
   const auto plain =
       core::run_leader_election(net.graph, params, schedule, 7);
   EXPECT_EQ(probed.leaders, plain.leaders);
@@ -489,8 +489,17 @@ TEST(TelemetryEngineProbe, LeaderElectionProbed) {
   const Snapshot snap = reg.snapshot();
   EXPECT_EQ(*snap.find_counter("engine.slots"),
             static_cast<std::uint64_t>(probed.medium.slots_run));
+  // run() brackets the stage-1 run once and times its phases.
+  EXPECT_EQ(*snap.find_counter("engine.runs"), 1u);
   EXPECT_EQ(*snap.find_counter("engine.runs_completed"), 1u);
+  EXPECT_GT(*snap.find_counter(layer_counter(kLayerProtocol)), 0u);
   EXPECT_EQ(*snap.find_gauge("engine.undecided"), 0);
+  // One cover latency per covered node, recorded once.
+  ASSERT_TRUE(probed.all_covered);
+  const HistogramSnapshot* latency =
+      snap.find_histogram("run.decision_latency");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->count, net.graph.num_nodes());
 }
 
 // The misaligned engine shares the probe seam; drive it with a scripted
