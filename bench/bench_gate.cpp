@@ -77,18 +77,19 @@ int urn::bench::bench_gate(const Args& args) {
               trials);
 
   // ---- leader-election trials --------------------------------------------
+  // Unprobed: the one telemetry registry then holds the coloring trials
+  // alone, so `run.decision_latency` is not a mix of decision and cover
+  // latencies.
   BenchSummary leader("gate_leader");
   leader.set("n", static_cast<std::uint64_t>(n));
   leader.set("jobs", static_cast<std::uint64_t>(args.resolved_jobs()));
-  core::TraceOptions leader_opts;
-  leader_opts.telemetry = args.telemetry;
   const auto elections =
       exec::map_trials(trials, args.executor(), [&](std::size_t t) {
         Rng wrng(mix_seed(0xCA7EB, t));
         const auto ws =
             radio::WakeSchedule::uniform(n, 2 * params.threshold(), wrng);
-        return core::run_leader_election(
-            net.graph, params, ws, mix_seed(0xCA7EC, t), leader_opts);
+        return core::run_leader_election(net.graph, params, ws,
+                                         mix_seed(0xCA7EC, t));
       });
   std::size_t covered = 0;
   Ledger leader_ledger;

@@ -56,8 +56,9 @@ int urn::bench::e5_locality(const Args& /*args*/) {
   std::map<std::uint32_t, Samples> phi_by_theta;  // bucket lo -> phis
   const std::uint32_t bucket = 5;
   double max_ratio = 0.0;
+  const auto thetas = graph::local_density_thetas(net.graph);
   for (graph::NodeId v = 0; v < net.graph.num_nodes(); ++v) {
-    const auto theta = graph::local_density_theta(net.graph, v);
+    const auto theta = thetas[v];
     const auto phi = graph::highest_neighborhood_color(net.graph, run.colors, v);
     phi_by_theta[(theta / bucket) * bucket].add(static_cast<double>(phi));
     max_ratio = std::max(max_ratio, static_cast<double>(phi) / theta);

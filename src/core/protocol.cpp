@@ -27,7 +27,7 @@ void ColoringNode::on_wake(radio::SlotContext& ctx) {
 void ColoringNode::enter_verify(std::int32_t color_index,
                                 const radio::SlotContext& ctx) {
   hot_->klass[id_] = ColoringHot::kPassive;
-  color_index_ = color_index;
+  hot_->color[id_] = color_index;
   hot_->passive_remaining[id_] = passive_slots_;
   hot_->counter[id_] = 0;
   clear_competitors();  // P_v := ∅ (Alg. 1 l. 1)
@@ -41,7 +41,7 @@ void ColoringNode::enter_decided(std::int32_t color_index,
   // reaches here with color_index == 0 (Alg. 3's leader entry).
   hot_->klass[id_] = color_index == 0 ? ColoringHot::kLeader
                                       : ColoringHot::kDecidedOther;
-  color_index_ = color_index;  // color_v := i (Alg. 3 l. 1)
+  hot_->color[id_] = color_index;  // color_v := i (Alg. 3 l. 1)
   clear_competitors();
   if (color_index == 0) {
     next_tc_ = 0;  // tc := 0, Q := ∅ (Alg. 3 l. 7–8)
@@ -55,13 +55,13 @@ void ColoringNode::record_transition(Slot slot,
                                      const radio::SlotContext& ctx) {
   if (ctx.tracing()) {
     ctx.emit(obs::Event::phase_change(
-        slot, id_, static_cast<std::uint8_t>(phase()), color_index_));
+        slot, id_, static_cast<std::uint8_t>(phase()), hot_->color[id_]));
   }
   if (transitions_.size() >= kMaxTransitions) return;
   // A well-behaved run needs ≤ κ₂ + 3 entries; one up-front reservation
   // avoids the doubling reallocations on every node's log.
   if (transitions_.empty()) transitions_.reserve(8);
-  transitions_.push_back({slot, phase(), color_index_});
+  transitions_.push_back({slot, phase(), hot_->color[id_]});
 }
 
 
@@ -69,24 +69,24 @@ void ColoringNode::on_receive(radio::SlotContext& ctx,
                               const radio::Message& msg) {
   switch (phase()) {
     case Phase::kVerify: {
+      const std::int32_t i = hot_->color[id_];  // verifying A_i
       // A message from a node in C_i covering us (Alg. 1 l. 10/23)?
       const bool from_c0 = (msg.type == radio::MsgType::kDecided &&
                             msg.color_index == 0) ||
                            msg.type == radio::MsgType::kAssign;
-      if (color_index_ == 0 && from_c0) {
+      if (i == 0 && from_c0) {
         leader_ = msg.sender;  // L(v) := w
         hot_->klass[id_] = ColoringHot::kRequest;
         record_transition(ctx.now, ctx);
         return;
       }
-      if (color_index_ > 0 && msg.type == radio::MsgType::kDecided &&
-          msg.color_index == color_index_) {
-        enter_verify(color_index_ + 1, ctx);  // A_suc = A_{i+1}
+      if (i > 0 && msg.type == radio::MsgType::kDecided &&
+          msg.color_index == i) {
+        enter_verify(i + 1, ctx);  // A_suc = A_{i+1}
         return;
       }
       // Competitor report M_A^i(w, c_w) (Alg. 1 l. 6–9 / 27–30).
-      if (msg.type == radio::MsgType::kCompete &&
-          msg.color_index == color_index_) {
+      if (msg.type == radio::MsgType::kCompete && msg.color_index == i) {
         const bool active = hot_->klass[id_] == ColoringHot::kCount;
         std::int64_t& counter = hot_->counter[id_];
         switch (params_->reset_policy) {
@@ -98,8 +98,7 @@ void ColoringNode::on_receive(radio::SlotContext& ctx,
                 counter = chi_of_competitors(ctx.now);  // Alg. 1 l. 29
                 ++stats_.resets;
                 if (ctx.tracing()) {
-                  ctx.emit(obs::Event::reset(ctx.now, id_, color_index_,
-                                             counter));
+                  ctx.emit(obs::Event::reset(ctx.now, id_, i, counter));
                 }
               }
             }
@@ -111,7 +110,7 @@ void ColoringNode::on_receive(radio::SlotContext& ctx,
               counter = 0;
               ++stats_.resets;
               if (ctx.tracing()) {
-                ctx.emit(obs::Event::reset(ctx.now, id_, color_index_, 0));
+                ctx.emit(obs::Event::reset(ctx.now, id_, i, 0));
               }
             }
             break;
@@ -135,7 +134,7 @@ void ColoringNode::on_receive(radio::SlotContext& ctx,
     }
 
     case Phase::kDecided: {
-      if (color_index_ != 0) return;
+      if (hot_->color[id_] != 0) return;
       // Leader: enqueue new requests addressed to us (Alg. 3 l. 10–12).
       if (msg.type != radio::MsgType::kRequest || msg.target != id_) return;
       const NodeId requester = msg.sender;
@@ -217,7 +216,7 @@ void ColoringNode::save_state(obs::postmortem::Writer& w) const {
   w.u8(static_cast<std::uint8_t>(phase()));
   w.boolean(hot_->klass[id_] == ColoringHot::kCount);
   w.u32(id_);
-  w.i32(color_index_);
+  w.i32(hot_->color[id_]);
   w.i32(tc_);
   w.i64(hot_->counter[id_]);
   w.i64(hot_->passive_remaining[id_]);
@@ -255,7 +254,7 @@ bool ColoringNode::load_state(obs::postmortem::Reader& r) {
   if (phase > static_cast<std::uint8_t>(Phase::kDecided)) return false;
   const bool active = r.boolean();
   if (r.u32() != id_) return false;  // checkpoint applied to wrong node
-  color_index_ = r.i32();
+  hot_->color[id_] = r.i32();
   tc_ = r.i32();
   hot_->counter[id_] = r.i64();
   hot_->passive_remaining[id_] = r.i64();
@@ -268,8 +267,8 @@ bool ColoringNode::load_state(obs::postmortem::Reader& r) {
       hot_->klass[id_] = ColoringHot::kRequest;
       break;
     case Phase::kDecided:
-      hot_->klass[id_] = color_index_ == 0 ? ColoringHot::kLeader
-                                           : ColoringHot::kDecidedOther;
+      hot_->klass[id_] = hot_->color[id_] == 0 ? ColoringHot::kLeader
+                                               : ColoringHot::kDecidedOther;
       break;
   }
 

@@ -72,9 +72,13 @@ enum class Phase : std::uint8_t {
 /// block per run and attaches every node to it (`attach_hot`); a node
 /// indexes the arrays with its own id.  The cold tail (competitor
 /// `SmallVec`, leader `RingQueue`, stats, transition log) stays inside
-/// the node object and is touched only on receive events and phase
-/// transitions, so the hot sweep streams three small arrays instead of
-/// striding over 200+-byte node records.
+/// the node object and is touched only on receptions that `reacts`
+/// admits and on phase transitions, so the hot sweep streams four small
+/// arrays instead of striding over 400+-byte node records.
+///
+/// The block answers both sides of a slot without touching a node
+/// object: `batch_slots` decides who transmits what, and `reacts` which
+/// receptions can change their receiver.
 ///
 /// `klass` collapses the old (phase, active, leader?) triple into one
 /// byte, ordered so the per-slot dispatch and the decided test are each
@@ -92,7 +96,10 @@ struct ColoringHot {
   };
 
   explicit ColoringHot(std::size_t n)
-      : klass(n, kPassive), counter(n, 0), passive_remaining(n, 0) {}
+      : klass(n, kPassive),
+        color(n, 0),
+        counter(n, 0),
+        passive_remaining(n, 0) {}
 
   /// O(1) decided test without touching the node object.
   [[nodiscard]] bool decided(NodeId v) const {
@@ -104,7 +111,35 @@ struct ColoringHot {
   /// is left only on a later slot's receive.
   [[nodiscard]] bool covered(NodeId v) const { return klass[v] >= kRequest; }
 
+  /// Can receiving `msg` change node v?  False only where
+  /// `ColoringNode::on_receive` provably leaves the node's state (every
+  /// byte `save_state` writes) untouched and emits no event, so the
+  /// engine skips the call there.  The cases mirror on_receive:
+  ///  * A_i acts on M_A^i and M_C^i of its own color i, and A₀ also on
+  ///    any assignment, which always carries color 0 (Alg. 1 l. 6–10,
+  ///    23, 27–30; Fig. 2's M_C⁰ edge);
+  ///  * R acts only on an assignment addressed to it (Alg. 2 l. 3; the
+  ///    sender check is left to on_receive);
+  ///  * a leader acts only on a request addressed to it (Alg. 3 l. 10);
+  ///  * C_i with i > 0 only announces (Alg. 3 l. 4) and ignores traffic.
+  [[nodiscard]] bool reacts(NodeId v, const radio::Message& msg) const {
+    const std::uint8_t k = klass[v];
+    if (k <= kCount) {
+      if (msg.type == radio::MsgType::kAssign) return color[v] == 0;
+      return msg.type != radio::MsgType::kRequest &&
+             msg.color_index == color[v];
+    }
+    if (k == kRequest) {
+      return msg.type == radio::MsgType::kAssign && msg.target == v;
+    }
+    if (k == kLeader) {
+      return msg.type == radio::MsgType::kRequest && msg.target == v;
+    }
+    return false;  // kDecidedOther
+  }
+
   std::vector<std::uint8_t> klass;              ///< state byte per node
+  std::vector<std::int32_t> color;              ///< i of the A_i / C_i
   std::vector<std::int64_t> counter;            ///< c_v
   std::vector<std::int64_t> passive_remaining;  ///< passive slots left
 
@@ -113,6 +148,7 @@ struct ColoringHot {
   // compares against registers instead of re-loading per-node copies.
   std::int64_t threshold = 0;  ///< ⌈σΔ log n⌉
   double p_active = 0.0;       ///< 1/(κ₂Δ)
+  double p_leader = 0.0;       ///< 1/κ₂
 };
 
 /// Per-node event counters for experiments and ablations.
@@ -137,8 +173,9 @@ struct Transition {
 
 /// One protocol participant; plugged into radio::Engine<ColoringNode>.
 ///
-/// Hot per-slot state (state byte, counter, passive countdown) lives in
-/// an engine-owned `ColoringHot` SoA block — see `Hot` / `attach_hot`.
+/// Hot per-slot state (state byte, color index, counter, passive
+/// countdown) lives in an engine-owned `ColoringHot` SoA block — see
+/// `Hot` / `attach_hot`.
 /// A node must be attached to a block before any callback runs; the
 /// engines attach every node in their constructors, and unit tests
 /// drive a node standalone by attaching a one-entry block.
@@ -170,15 +207,17 @@ class ColoringNode {
 
   /// Point this node at the run's SoA hot block and reset its hot entry
   /// to the pre-wake state.  Also publishes the shared Params-derived
-  /// scalars (threshold, p_active) into the block — identical for every
-  /// node of a run, asserted in debug builds.
+  /// scalars (threshold, p_active, p_leader) into the block — identical
+  /// for every node of a run, asserted in debug builds.
   void attach_hot(ColoringHot* hot) {
     hot_ = hot;
     URN_DCHECK(id_ < hot->klass.size());
     URN_DCHECK(hot->threshold == 0 || hot->threshold == threshold_);
     hot->threshold = threshold_;
     hot->p_active = p_active_;
+    hot->p_leader = p_leader_;
     hot->klass[id_] = ColoringHot::kPassive;
+    hot->color[id_] = 0;
     hot->counter[id_] = 0;
     hot->passive_remaining[id_] = 0;
   }
@@ -202,11 +241,12 @@ class ColoringNode {
   ///    order (which pins the medium-RNG drop-draw sequence under
   ///    drop_probability > 0);
   ///  * each node's own RNG consumption is unchanged: the fast classes
-  ///    draw the one raw xoshiro word their scalar `chance(p_active)`
+  ///    (C_i announcing, A_i counting, R requesting, an idle leader's
+  ///    beacon) draw the one raw xoshiro word their scalar `chance(p)`
   ///    would, rephrased as an exact integer compare (see the proof at
   ///    the cutoff computation), and the cold classes (activation with
-  ///    its χ reset and possible threshold decision, leader service) run
-  ///    the full scalar `on_slot`.
+  ///    its χ reset and possible threshold decision, a leader serving or
+  ///    starting to serve a request) run the full scalar `on_slot`.
   ///
   /// The win over the scalar loop is mechanical, not semantic: one
   /// branch on the hot `klass` byte instead of the nested phase
@@ -230,12 +270,13 @@ class ColoringNode {
 
  private:
   /// The irregular minority of `batch_slots` node-slots (activation with
-  /// its χ reset and possible threshold decision, leader service): runs
-  /// the full scalar `on_slot` with the slot's event hook, so RNG
-  /// consumption, message position and events match the scalar loop
-  /// trivially.  Deliberately defined out of line (protocol.cpp) — with
-  /// `on_slot` expanded in place the fused loop grows past what the
-  /// compiler will keep in registers (measured ~25% throughput loss).
+  /// its χ reset and possible threshold decision, a leader with a request
+  /// queued or in service): runs the full scalar `on_slot` with the
+  /// slot's event hook, so RNG consumption, message position and events
+  /// match the scalar loop trivially.  Deliberately defined out of line
+  /// (protocol.cpp) — with `on_slot` expanded in place the fused loop
+  /// grows past what the compiler will keep in registers (measured ~25%
+  /// throughput loss).
   static void batch_cold_slot(NodeId v, const radio::SlotContext& slot,
                               ColoringNode* nodes, Rng* rngs,
                               std::vector<radio::Message>& out);
@@ -251,10 +292,12 @@ class ColoringNode {
   }
   /// Final color (graph::kUncolored until decided).
   [[nodiscard]] graph::Color color() const {
-    return decided() ? color_index_ : graph::kUncolored;
+    return decided() ? hot_->color[id_] : graph::kUncolored;
   }
   /// Color index currently verified (only meaningful in kVerify).
-  [[nodiscard]] std::int32_t verifying_color() const { return color_index_; }
+  [[nodiscard]] std::int32_t verifying_color() const {
+    return hot_->color[id_];
+  }
   [[nodiscard]] bool is_leader() const {
     return hot_->klass[id_] == ColoringHot::kLeader;
   }
@@ -297,7 +340,7 @@ class ColoringNode {
 
   /// ⌈γζ_i log n⌉ for the current color index, from the cached pair.
   [[nodiscard]] std::int64_t critical_range_now() const {
-    return color_index_ == 0 ? critical_range0_ : critical_rangeN_;
+    return hot_->color[id_] == 0 ? critical_range0_ : critical_rangeN_;
   }
 
   // Hot per-slot state lives in the engine-owned SoA block; the fields
@@ -305,7 +348,6 @@ class ColoringNode {
   // transmitting minority of slots.
   ColoringHot* hot_ = nullptr;    ///< run-wide SoA block (attach_hot)
   NodeId id_ = graph::kInvalidNode;
-  std::int32_t color_index_ = 0;  ///< i of the current A_i / C_i
   std::int32_t tc_ = -1;          ///< intra-cluster color
   std::int64_t threshold_ = 0;    ///< cached ⌈σΔ log n⌉
   double p_active_ = 0.0;         ///< cached 1/(κ₂Δ)
@@ -386,7 +428,7 @@ inline std::optional<radio::Message> ColoringNode::on_slot(
     default: {  // kDecidedOther
       // Alg. 3 l. 4: non-leader C_i keeps announcing its color.
       if (ctx.random().chance(p_active_)) {
-        return radio::make_decided(id_, color_index_);
+        return radio::make_decided(id_, hot_->color[id_]);
       }
       return std::nullopt;
     }
@@ -399,11 +441,11 @@ inline std::optional<radio::Message> ColoringNode::count_slot(
   ++counter;  // Alg. 1 l. 17
   if (counter >= threshold_) {
     // Alg. 1 l. 19–20: decide color i and start Algorithm 3 at once.
-    enter_decided(color_index_, ctx);
+    enter_decided(hot_->color[id_], ctx);
     return on_slot(ctx);
   }
   if (ctx.random().chance(p_active_)) {
-    return radio::make_compete(id_, color_index_, counter);
+    return radio::make_compete(id_, hot_->color[id_], counter);
   }
   return std::nullopt;
 }
@@ -461,9 +503,18 @@ inline void ColoringNode::batch_slots(ColoringHot& hot, const NodeId* awake,
   // double, so the cutoff is the true ⌈p·2⁵³⌉ and the integer compare
   // reproduces the double compare bit-for-bit — while keeping the draw
   // free of the int→double conversion on the critical path.
-  const auto tx_cut = static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+  const auto cutoff = [](double q) {
+    return static_cast<std::uint64_t>(std::ceil(q * 0x1.0p53));
+  };
+  const std::uint64_t tx_cut = cutoff(p);
+  // The same argument for an idle leader's beacon at p_leader = 1/κ₂;
+  // at p_leader = 1 (κ₂ = 1) `chance` draws nothing, so every leader
+  // slot stays on the scalar path.
+  const bool beacon_fast = hot.p_leader > 0.0 && hot.p_leader < 1.0;
+  const std::uint64_t beacon_cut = beacon_fast ? cutoff(hot.p_leader) : 0;
 
   std::uint8_t* klass = hot.klass.data();
+  const std::int32_t* color = hot.color.data();
   std::int64_t* counter = hot.counter.data();
   std::int64_t* passive = hot.passive_remaining.data();
   const std::int64_t threshold = hot.threshold;
@@ -496,7 +547,7 @@ inline void ColoringNode::batch_slots(ColoringHot& hot, const NodeId* awake,
     if (k == ColoringHot::kDecidedOther) {
       // Alg. 3 l. 4: non-leader C_i keeps announcing its color.
       if ((rngs[v]() >> 11) < tx_cut) {
-        send(radio::make_decided(v, nodes[v].color_index_));
+        send(radio::make_decided(v, color[v]));
       }
     } else if (k == ColoringHot::kCount) {
       const std::int64_t c = counter[v] + 1;  // Alg. 1 l. 17
@@ -505,7 +556,7 @@ inline void ColoringNode::batch_slots(ColoringHot& hot, const NodeId* awake,
       } else {
         counter[v] = c;
         if ((rngs[v]() >> 11) < tx_cut) {
-          send(radio::make_compete(v, nodes[v].color_index_, c));
+          send(radio::make_compete(v, color[v], c));
         }
       }
     } else if (k == ColoringHot::kPassive) {
@@ -520,7 +571,14 @@ inline void ColoringNode::batch_slots(ColoringHot& hot, const NodeId* awake,
       if ((rngs[v]() >> 11) < tx_cut) {
         send(radio::make_request(v, nodes[v].leader_));
       }
-    } else {  // kLeader
+    } else if (beacon_fast && nodes[v].serve_remaining_ == 0 &&
+               nodes[v].queue_.empty()) {
+      // Alg. 3 l. 13–14: an idle leader (no request in service or queued,
+      // `leader_slot`'s last branch) beacons M_C⁰ with probability 1/κ₂.
+      if ((rngs[v]() >> 11) < beacon_cut) {
+        send(radio::make_decided(v, 0));
+      }
+    } else {  // kLeader with a request queued or in service
       batch_cold_slot(v, slot, nodes, rngs, out);  // Algorithm 3 service
     }
   }

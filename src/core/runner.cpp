@@ -311,12 +311,11 @@ obs::MonitorConfig make_monitor_config(const graph::Graph& g,
   // budget minus the latest wake slot it covers.
   config.latency_budget =
       default_slot_budget(params, schedule) - schedule.latest();
-  config.theta.reserve(g.num_nodes());
+  config.theta = graph::local_density_thetas(g);
   config.adj_offsets.reserve(g.num_nodes() + 1);
   config.adj.reserve(2 * g.num_edges());
   config.adj_offsets.push_back(0);
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    config.theta.push_back(graph::local_density_theta(g, v));
     for (graph::NodeId u : g.neighbors(v)) config.adj.push_back(u);
     config.adj_offsets.push_back(
         static_cast<std::uint32_t>(config.adj.size()));
@@ -368,9 +367,9 @@ LocalityReport check_locality(const graph::Graph& g,
                               std::uint32_t kappa2) {
   URN_CHECK(colors.size() == g.num_nodes());
   LocalityReport report;
+  const std::vector<std::uint32_t> thetas = graph::local_density_thetas(g);
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    const auto theta =
-        static_cast<double>(graph::local_density_theta(g, v));
+    const auto theta = static_cast<double>(thetas[v]);
     const graph::Color phi = graph::highest_neighborhood_color(g, colors, v);
     if (phi == graph::kUncolored) continue;
     const double ratio = static_cast<double>(phi) / theta;

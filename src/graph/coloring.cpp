@@ -46,10 +46,18 @@ std::size_t distinct_colors(const std::vector<Color>& colors) {
   return seen.size();
 }
 
-std::uint32_t local_density_theta(const Graph& g, NodeId v) {
-  std::uint32_t theta = 0;
-  for (NodeId w : g.two_hop_closed(v)) {
-    theta = std::max(theta, g.closed_degree(w));
+std::vector<std::uint32_t> local_density_thetas(const Graph& g) {
+  const std::size_t n = g.num_nodes();
+  std::vector<std::uint32_t> one_hop(n);  // max δ_w over w ∈ N_v
+  for (NodeId v = 0; v < n; ++v) {
+    one_hop[v] = g.closed_degree(v);
+    for (NodeId u : g.neighbors(v)) {
+      one_hop[v] = std::max(one_hop[v], g.closed_degree(u));
+    }
+  }
+  std::vector<std::uint32_t> theta = one_hop;  // then max over N_v of it
+  for (NodeId v = 0; v < n; ++v) {
+    for (NodeId u : g.neighbors(v)) theta[v] = std::max(theta[v], one_hop[u]);
   }
   return theta;
 }

@@ -45,8 +45,10 @@ struct ColoringCheck {
 /// Number of distinct colors in use (ignoring kUncolored).
 [[nodiscard]] std::size_t distinct_colors(const std::vector<Color>& colors);
 
-/// θ_v of Theorem 4: the maximum closed degree δ_w over w ∈ N_v².
-[[nodiscard]] std::uint32_t local_density_theta(const Graph& g, NodeId v);
+/// θ_v of Theorem 4 for every node v: the maximum closed degree δ_w
+/// over w ∈ N_v².  O(n + m): two max passes over the closed
+/// neighbourhoods, as N_v² is the union of N_u over u ∈ N_v.
+[[nodiscard]] std::vector<std::uint32_t> local_density_thetas(const Graph& g);
 
 /// φ_v of Theorem 4: the highest color assigned in the closed
 /// neighborhood N_v (including v).

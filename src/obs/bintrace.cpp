@@ -27,18 +27,6 @@ void put_u64(std::string& out, std::uint64_t v) {
   }
 }
 
-void store_u32(unsigned char* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    p[i] = static_cast<unsigned char>(v >> (8 * i));
-  }
-}
-
-void store_u64(unsigned char* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    p[i] = static_cast<unsigned char>(v >> (8 * i));
-  }
-}
-
 [[nodiscard]] std::uint16_t get_u16(const unsigned char* p) {
   return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
 }
@@ -53,26 +41,6 @@ void store_u64(unsigned char* p, std::uint64_t v) {
   std::uint64_t v = 0;
   for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
   return v;
-}
-
-}  // namespace
-
-namespace {
-
-/// Serialize `e` into `rec` (\pre spans kBinRecordSize bytes).  The
-/// byte-shift loops compile to plain stores on little-endian hosts, so
-/// this is memcpy-grade — the hot path of both append_bin and
-/// BinSink::record.
-void store_record(unsigned char* rec, const Event& e) {
-  store_u64(rec, static_cast<std::uint64_t>(e.slot));
-  store_u64(rec + 8, static_cast<std::uint64_t>(e.value));
-  store_u32(rec + 16, e.node);
-  store_u32(rec + 20, e.peer);
-  store_u32(rec + 24, static_cast<std::uint32_t>(e.color));
-  rec[28] = static_cast<unsigned char>(e.kind);
-  rec[29] = e.msg;
-  rec[30] = e.phase;
-  rec[31] = 0;
 }
 
 }  // namespace
@@ -143,21 +111,13 @@ std::uint64_t BinSink::retained() const {
   return written_ < capacity_ ? written_ : capacity_;
 }
 
-void BinSink::record(const Event& e) {
-  if (file_ == nullptr) return;
-  ++written_;
-  if (capacity_ > 0) {
-    if (ring_.size() < capacity_) {
-      ring_.push_back(e);
-    } else {
-      ring_[next_] = e;
-      next_ = (next_ + 1) % capacity_;
-    }
-    return;
+void BinSink::record_ring(const Event& e) {
+  if (ring_.size() < capacity_) {
+    ring_.push_back(e);
+  } else {
+    ring_[next_] = e;
+    next_ = (next_ + 1) % capacity_;
   }
-  store_record(reinterpret_cast<unsigned char*>(buffer_.data()) + len_, e);
-  len_ += kBinRecordSize;
-  if (len_ >= kFlushThreshold) flush();
 }
 
 void BinSink::flush() {

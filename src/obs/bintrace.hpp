@@ -58,6 +58,28 @@ inline constexpr std::size_t kBinRecordSize = 32;
 /// Header flag bit: the file holds only the most recent events.
 inline constexpr std::uint32_t kBinFlagRing = 1u << 0;
 
+/// Serialize `e` into `rec` (\pre spans kBinRecordSize bytes).  The
+/// byte-shift loops compile to plain stores on little-endian hosts, so
+/// this is memcpy-grade — the hot path of both append_bin and
+/// BinSink::record, inline so a traced run's per-event cost is a few
+/// stores.
+inline void store_record(unsigned char* rec, const Event& e) {
+  const auto store = [](unsigned char* p, std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      p[i] = static_cast<unsigned char>(v >> (8 * i));
+    }
+  };
+  store(rec, static_cast<std::uint64_t>(e.slot), 8);
+  store(rec + 8, static_cast<std::uint64_t>(e.value), 8);
+  store(rec + 16, e.node, 4);
+  store(rec + 20, e.peer, 4);
+  store(rec + 24, static_cast<std::uint32_t>(e.color), 4);
+  rec[28] = static_cast<unsigned char>(e.kind);
+  rec[29] = e.msg;
+  rec[30] = e.phase;
+  rec[31] = 0;
+}
+
 /// Serialize `e` as one 32-byte little-endian record appended to `out`.
 void append_bin(std::string& out, const Event& e);
 
@@ -79,7 +101,19 @@ class BinSink {
 
   static constexpr bool kEnabled = true;
 
-  void record(const Event& e);
+  /// Streaming mode serializes `e` in place, inline; ring mode keeps it
+  /// out of line (`record_ring`).
+  void record(const Event& e) {
+    if (file_ == nullptr) return;
+    ++written_;
+    if (capacity_ > 0) {
+      record_ring(e);
+      return;
+    }
+    store_record(reinterpret_cast<unsigned char*>(buffer_.data()) + len_, e);
+    len_ += kBinRecordSize;
+    if (len_ >= kFlushThreshold) flush();
+  }
   void flush();
 
   [[nodiscard]] bool ok() const { return file_ != nullptr; }
@@ -94,6 +128,9 @@ class BinSink {
 
  private:
   static constexpr std::size_t kFlushThreshold = 1 << 16;
+
+  /// Ring mode's half of `record` (`written_` already counts `e`).
+  void record_ring(const Event& e);
 
   /// The 24-byte header image for the current state (ring flushes
   /// refresh the dropped count on every rewrite).

@@ -125,8 +125,7 @@ void InvariantMonitorSink::on_decided(NodeId v, Slot slot,
   }
 }
 
-void InvariantMonitorSink::record(const Event& e) {
-  ++report_.events_seen;
+void InvariantMonitorSink::check(const Event& e) {
   switch (e.kind) {
     case EventKind::kWake:
       state(e.node).walker.wake(e.slot);
@@ -152,7 +151,7 @@ void InvariantMonitorSink::record(const Event& e) {
       break;
     }
     default:
-      break;  // tx/rx/collision/drop/reset/serve carry no invariant here
+      break;  // `record` passes no other kind
   }
 }
 

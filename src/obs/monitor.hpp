@@ -119,7 +119,17 @@ class InvariantMonitorSink {
   explicit InvariantMonitorSink(MonitorConfig config)
       : config_(std::move(config)) {}
 
-  void record(const Event& e);
+  /// Counts every event; only wakes, phase changes and decisions carry
+  /// an invariant here, so the rest (transmissions, deliveries,
+  /// collisions, drops, resets, serves: nearly all of a run's events)
+  /// return inline.
+  void record(const Event& e) {
+    ++report_.events_seen;
+    if (e.kind == EventKind::kWake || e.kind == EventKind::kPhase ||
+        e.kind == EventKind::kDecision) {
+      check(e);
+    }
+  }
   void flush() {}
 
   /// Snapshot of the tally so far (cheap; safe to call mid-run).
@@ -133,6 +143,8 @@ class InvariantMonitorSink {
     std::int32_t color = -1;
   };
 
+  /// `record`'s out-of-line half: a wake, phase or decision event.
+  void check(const Event& e);
   NodeState& state(NodeId v);
   void violation(Invariant inv, Slot slot, NodeId node, std::string what);
   void on_decided(NodeId v, Slot slot, std::int32_t color);

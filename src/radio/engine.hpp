@@ -23,7 +23,8 @@
 ///
 /// Within a slot the engine (1) wakes due nodes, (2) calls `on_slot` on all
 /// awake nodes collecting transmissions, (3) resolves the medium, and
-/// (4) delivers at most one message per listening node via `on_receive`.
+/// (4) delivers at most one message per listening node via `on_receive`
+/// (SoA protocols: only where their hot block says the message `reacts`).
 /// State changes made in `on_receive` therefore take effect in the next
 /// slot, matching the paper's slot granularity.  Only step (3) depends on
 /// slot alignment: it is the `Medium` policy (`AlignedMedium` here, the
@@ -133,18 +134,24 @@ concept NodeProtocol = requires(P p, const P cp, SlotContext& ctx,
 //                             std::vector<Message>& out);
 //     bool Hot::decided(NodeId) const;        // node-object-free test
 //     bool Hot::covered(NodeId) const;        // Goal::kCovered runs only
+//     bool Hot::reacts(NodeId, const Message&) const;  // receive screen
 //
 // The engine then (a) owns one block per run and attaches every node to
-// it at construction, and (b) replaces the per-node `on_slot` loop with
-// one `batch_slots` call per lane and tick, traced or not, on either
-// medium.  `slot` carries the lane's local slot and the engine's event
-// hook (null when untraced); the pass emits each transmit event
-// (`transmit_event`) right after appending its message, and hands the
-// hook to every per-node context it builds, so the event stream is the
-// scalar loop's, byte for byte.  The pass must be bit-identical to the
-// scalar loop (the protocol owns that proof; the reference-diff suites,
-// which call `on_slot` per node, are the arbiters).  Protocols without a
-// `Hot` alias get `NoHotState` and the scalar loop.
+// it at construction, (b) replaces the per-node `on_slot` loop with one
+// `batch_slots` call per lane and tick, traced or not, on either
+// medium, and (c) calls `on_receive` for a delivery only when
+// `reacts(u, msg)` holds.  `slot` carries the lane's local slot and the
+// engine's event hook (null when untraced); the pass emits each
+// transmit event (`transmit_event`) right after appending its message,
+// and hands the hook to every per-node context it builds, so the event
+// stream is the scalar loop's, byte for byte.  The pass must be
+// bit-identical to the scalar loop (the protocol owns that proof).
+// `reacts` may answer true where `on_receive` then does nothing, never
+// false where it would change the node (any byte of its `save_state`)
+// or emit an event; the delivery itself is counted and emitted either
+// way.  The reference-diff suites, which call `on_slot` per node and
+// `on_receive` per delivery, are the arbiters of both.  Protocols
+// without a `Hot` alias get `NoHotState` and the scalar loop.
 
 /// Placeholder hot block for protocols without SoA state (zero size, the
 /// attach/batch paths compile away behind `if constexpr`).
@@ -769,6 +776,10 @@ class Engine {
   }
 
   /// Hand `msg` to listener u in its local slot `now` (medium callback).
+  /// Every delivery is counted and emitted; an SoA protocol's node hears
+  /// it only where its hot block says it `reacts` (most receptions change
+  /// nothing — a decided non-leader ignores all traffic — and skipping
+  /// those spares an out-of-line call through a cold node object).
   void deliver(NodeId u, const Message& msg, Slot now) {
     ++stats_.deliveries;
     emit([&] {
@@ -776,6 +787,9 @@ class Engine {
                                   static_cast<std::uint8_t>(msg.type),
                                   msg.color_index);
     });
+    if constexpr (kHasHotState<P>) {
+      if (!hot_.reacts(u, msg)) return;
+    }
     SlotContext ctx = context(u, now);
     nodes_[u].on_receive(ctx, msg);
   }

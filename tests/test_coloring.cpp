@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "graph/coloring.hpp"
@@ -64,17 +65,51 @@ TEST(Metrics, MaxColorAndDistinct) {
 TEST(Metrics, LocalDensityThetaOnStar) {
   const Graph g = star_graph(6);
   // The hub has closed degree 6; every node sees it within two hops.
-  for (NodeId v = 0; v < 6; ++v) {
-    EXPECT_EQ(local_density_theta(g, v), 6u);
-  }
+  EXPECT_EQ(local_density_thetas(g), std::vector<std::uint32_t>(6, 6u));
 }
 
 TEST(Metrics, LocalDensityThetaOnPath) {
   const Graph g = path_graph(10);
+  const std::vector<std::uint32_t> theta = local_density_thetas(g);
+  ASSERT_EQ(theta.size(), 10u);
   // Interior nodes have closed degree 3.
-  EXPECT_EQ(local_density_theta(g, 5), 3u);
+  EXPECT_EQ(theta[5], 3u);
   // End node sees an interior node within 2 hops.
-  EXPECT_EQ(local_density_theta(g, 0), 3u);
+  EXPECT_EQ(theta[0], 3u);
+}
+
+/// θ_v straight from its definition: the max closed degree over the
+/// sorted 2-hop vector.
+std::uint32_t brute_force_theta(const Graph& g, NodeId v) {
+  std::uint32_t theta = 0;
+  for (NodeId w : g.two_hop_closed(v)) {
+    theta = std::max(theta, g.closed_degree(w));
+  }
+  return theta;
+}
+
+void expect_thetas_match_definition(const Graph& g) {
+  const std::vector<std::uint32_t> theta = local_density_thetas(g);
+  ASSERT_EQ(theta.size(), g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    EXPECT_EQ(theta[v], brute_force_theta(g, v)) << "node " << v;
+  }
+}
+
+TEST(Metrics, LocalDensityThetasMatchTwoHopDefinition) {
+  for (const Graph& g :
+       {path_graph(1), path_graph(2), path_graph(10), cycle_graph(7),
+        star_graph(6), complete_graph(5), empty_graph(4),
+        square(path_graph(5)), square(star_graph(5))}) {
+    expect_thetas_match_definition(g);
+  }
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    expect_thetas_match_definition(
+        random_udg(150, 5.0 + static_cast<double>(seed), 1.4, rng).graph);
+    expect_thetas_match_definition(
+        gnp(80, 0.02 * static_cast<double>(seed), rng));
+  }
 }
 
 TEST(Metrics, HighestNeighborhoodColor) {

@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 
 #include "core/params.hpp"
 #include "core/protocol.hpp"
 #include "core/runner.hpp"
 #include "graph/generators.hpp"
+#include "obs/postmortem.hpp"
 #include "radio/engine.hpp"
 #include "support/rng.hpp"
 
@@ -259,6 +261,138 @@ TEST(Protocol, NonePolicyNeverResets) {
   node.on_receive(c, radio::make_compete(2, 0, before));
   EXPECT_EQ(node.counter(), before);
   EXPECT_EQ(node.stats().resets, 0u);
+}
+
+// -------------------------------------------------------- receive screen --
+// The engine calls `on_receive` only where `ColoringHot::reacts` holds, so
+// every reception it screens out must leave the node exactly as it was.
+
+/// The states `reacts` distinguishes.
+enum class ScreenState {
+  kA0Passive,
+  kA0Counting,
+  kAi,  ///< A_i with i > 0
+  kRequest,
+  kIdleLeader,
+  kServingLeader,
+  kCi,  ///< C_i with i > 0
+};
+
+constexpr graph::NodeId kScreenLeader = 7;     ///< the node's leader
+constexpr graph::NodeId kScreenRequester = 5;  ///< a serving leader's
+
+/// Wake node 0 and drive it into `state` with hand-fed traffic.
+void drive_into(ScreenState state, const ColoringHot& hot, ColoringNode& node,
+                Rng& rng) {
+  radio::Slot t = 0;
+  auto ctx = ctx_at(0, t, rng);
+  node.on_wake(ctx);
+  const auto slot_until = [&](const auto& done) {
+    while (!done()) {
+      auto c = ctx_at(0, t++, rng);
+      (void)node.on_slot(c);
+    }
+  };
+  const auto decided = [&] { return node.decided(); };
+  switch (state) {
+    case ScreenState::kA0Passive:
+      return;
+    case ScreenState::kA0Counting:
+      slot_until([&] { return hot.klass[0] == ColoringHot::kCount; });
+      return;
+    case ScreenState::kRequest:
+      node.on_receive(ctx, radio::make_decided(kScreenLeader, 0));
+      return;
+    case ScreenState::kAi:
+    case ScreenState::kCi:
+      node.on_receive(ctx, radio::make_decided(kScreenLeader, 0));
+      node.on_receive(ctx, radio::make_assign(kScreenLeader, 0, /*tc=*/1));
+      if (state == ScreenState::kCi) slot_until(decided);
+      return;
+    case ScreenState::kIdleLeader:
+      slot_until(decided);
+      return;
+    case ScreenState::kServingLeader: {
+      slot_until(decided);
+      node.on_receive(ctx, radio::make_request(kScreenRequester, 0));
+      auto c = ctx_at(0, t, rng);
+      (void)node.on_slot(c);  // starts serving the request
+      return;
+    }
+  }
+}
+
+std::string state_bytes(const ColoringNode& node) {
+  obs::postmortem::Writer w;
+  node.save_state(w);
+  return w.data();
+}
+
+TEST(Protocol, ReceiveScreenPassesEveryReceptionThatActs) {
+  const Params p = tiny_params();
+  struct Row {
+    ScreenState state;
+    int reacting;  ///< of the 32 shapes, those `reacts` passes
+    int acting;    ///< those on which `on_receive` changes the node
+  };
+  // A_i: M_A^i and M_C^i of its own color, plus any assignment at i = 0;
+  // R: assignments addressed to it, acted on only from its leader;
+  // leaders: requests addressed to them; C_i, i > 0: nothing.
+  const Row rows[] = {
+      {ScreenState::kA0Passive, 16, 16}, {ScreenState::kA0Counting, 16, 16},
+      {ScreenState::kAi, 8, 8},          {ScreenState::kRequest, 4, 2},
+      {ScreenState::kIdleLeader, 4, 4},  {ScreenState::kServingLeader, 4, 4},
+      {ScreenState::kCi, 0, 0},
+  };
+  const radio::MsgType types[] = {
+      radio::MsgType::kCompete, radio::MsgType::kDecided,
+      radio::MsgType::kAssign, radio::MsgType::kRequest};
+  for (const Row& row : rows) {
+    int reacting = 0;
+    int acting = 0;
+    for (const radio::MsgType type : types) {
+      for (const bool own_color : {true, false}) {
+        for (const graph::NodeId target : {graph::NodeId{0}, graph::NodeId{3}}) {
+          for (const graph::NodeId sender : {kScreenLeader, graph::NodeId{9}}) {
+            ColoringHot hot(1);
+            ColoringNode node(&p, 0);
+            node.attach_hot(&hot);
+            Rng rng(42);
+            drive_into(row.state, hot, node, rng);
+            ASSERT_NE(node.phase() == Phase::kDecided,
+                      row.state < ScreenState::kIdleLeader);
+
+            radio::Message msg;
+            msg.type = type;
+            msg.sender = sender;
+            msg.color_index = hot.color[0] + (own_color ? 0 : 1);
+            msg.counter = node.counter();  // within any critical range
+            msg.target = target;
+            msg.tc = 1;
+
+            auto ctx = ctx_at(0, 10000, rng);
+            std::uint64_t events = 0;
+            ctx.events_sink = &events;
+            ctx.events_fn = [](void* sink, const obs::Event&) {
+              ++*static_cast<std::uint64_t*>(sink);
+            };
+            const bool reacts = hot.reacts(0, msg);
+            const std::string before = state_bytes(node);
+            node.on_receive(ctx, msg);
+            const bool acted = state_bytes(node) != before || events > 0;
+            EXPECT_TRUE(reacts || !acted)
+                << "state " << static_cast<int>(row.state) << ", type "
+                << static_cast<int>(type) << ", own color " << own_color
+                << ", target " << target << ", sender " << sender;
+            reacting += reacts ? 1 : 0;
+            acting += acted ? 1 : 0;
+          }
+        }
+      }
+    }
+    EXPECT_EQ(reacting, row.reacting) << static_cast<int>(row.state);
+    EXPECT_EQ(acting, row.acting) << static_cast<int>(row.state);
+  }
 }
 
 // ------------------------------------------------------------ tiny runs ---

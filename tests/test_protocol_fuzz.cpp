@@ -1,14 +1,20 @@
 // Robustness fuzzing: a ColoringNode must tolerate *any* message sequence
 // without crashing or violating its local invariants — in the radio model
 // a node can overhear arbitrary traffic from unknown nodes at any time
-// (late wakers, distant-cluster leaders, stale competitors).
+// (late wakers, distant-cluster leaders, stale competitors).  The same
+// traffic checks the hot block's receive screen: a message that
+// `ColoringHot::reacts` rejects (the engine then skips `on_receive`)
+// must leave the node's state and event stream untouched.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <tuple>
 
 #include "core/params.hpp"
 #include "core/protocol.hpp"
+#include "obs/postmortem.hpp"
 #include "radio/message.hpp"
 #include "support/rng.hpp"
 
@@ -46,11 +52,21 @@ radio::Message random_message(Rng& rng, std::uint32_t n_ids,
   return m;
 }
 
-class ProtocolFuzz : public ::testing::TestWithParam<int> {};
+/// The node's whole mutable state, as the checkpoint codec writes it.
+std::string state_bytes(const ColoringNode& node) {
+  obs::postmortem::Writer w;
+  node.save_state(w);
+  return w.data();
+}
+
+class ProtocolFuzz
+    : public ::testing::TestWithParam<std::tuple<int, ResetPolicy>> {};
 
 TEST_P(ProtocolFuzz, SurvivesArbitraryTrafficWithInvariantsIntact) {
-  const Params params = Params::practical(64, 6, 4, 6);
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 2654435761u + 17);
+  const auto [seed, policy] = GetParam();
+  Params params = Params::practical(64, 6, 4, 6);
+  params.reset_policy = policy;
+  Rng rng(static_cast<std::uint64_t>(seed) * 2654435761u + 17);
 
   ColoringHot hot(1);
   ColoringNode node(&params, /*id=*/0);
@@ -59,10 +75,17 @@ TEST_P(ProtocolFuzz, SurvivesArbitraryTrafficWithInvariantsIntact) {
   ctx.id = 0;
   ctx.rng = &rng;
   ctx.now = 0;
+  // Count what the node emits through its event hook.
+  std::uint64_t events = 0;
+  ctx.events_sink = &events;
+  ctx.events_fn = [](void* sink, const obs::Event&) {
+    ++*static_cast<std::uint64_t*>(sink);
+  };
   node.on_wake(ctx);
 
   graph::Color decided_color = graph::kUncolored;
   std::int32_t verify_high_water = 0;
+  std::uint64_t screened = 0;
 
   for (radio::Slot t = 0; t < 30000; ++t) {
     ctx.now = t;
@@ -72,7 +95,21 @@ TEST_P(ProtocolFuzz, SurvivesArbitraryTrafficWithInvariantsIntact) {
     if (rng.chance(0.5)) {
       const auto burst = 1 + rng.below(2);
       for (std::uint64_t k = 0; k < burst; ++k) {
-        node.on_receive(ctx, random_message(rng, 40, 80, 3000));
+        const radio::Message msg = random_message(rng, 40, 80, 3000);
+        if (hot.reacts(0, msg)) {
+          node.on_receive(ctx, msg);
+          continue;
+        }
+        // The engine skips this call; it must be a no-op.
+        ++screened;
+        const std::string before = state_bytes(node);
+        const std::uint64_t events_before = events;
+        node.on_receive(ctx, msg);
+        ASSERT_EQ(state_bytes(node), before)
+            << "slot " << t << ": screened message of type "
+            << static_cast<int>(msg.type) << " changed phase "
+            << static_cast<int>(node.phase());
+        ASSERT_EQ(events, events_before) << "slot " << t;
       }
     }
 
@@ -101,9 +138,15 @@ TEST_P(ProtocolFuzz, SurvivesArbitraryTrafficWithInvariantsIntact) {
   // With kDecided traffic claiming every color, the node keeps advancing
   // but the verify index can only move forward.
   EXPECT_GE(verify_high_water, 0);
+  EXPECT_GT(screened, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ProtocolFuzz, ::testing::Range(0, 10));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, ProtocolFuzz,
+    ::testing::Combine(::testing::Range(0, 10),
+                       ::testing::Values(ResetPolicy::kCriticalRange,
+                                         ResetPolicy::kNaive,
+                                         ResetPolicy::kNone)));
 
 TEST(ProtocolFuzz, AdversarialCoverEveryColorForcesForwardProgressOnly) {
   // Feed M_C^i for the exact color under verification each time the node
