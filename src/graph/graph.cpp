@@ -1,6 +1,7 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace urn::graph {
 
@@ -28,15 +29,30 @@ bool Graph::has_edge(NodeId u, NodeId v) const {
 
 std::vector<NodeId> Graph::two_hop_closed(NodeId v) const {
   URN_DCHECK(v < num_nodes());
+  // One flag per node id, all clear between calls.  thread_local because
+  // trial loops share one graph across workers, and Graph holds no mutable
+  // state; it grows to the largest graph this thread has walked.
+  static thread_local std::vector<std::uint8_t> seen;
+  if (seen.size() < num_nodes()) seen.resize(num_nodes(), 0);
+  // Reserve the walk's length up front: no allocation can then throw
+  // while flags are set.
+  std::size_t walk = 1 + degree(v);
+  for (NodeId u : neighbors(v)) walk += degree(u);
   std::vector<NodeId> out;
-  out.push_back(v);
-  for (NodeId u : neighbors(v)) out.push_back(u);
-  const std::size_t one_hop_end = out.size();
-  for (std::size_t i = 1; i < one_hop_end; ++i) {
-    for (NodeId w : neighbors(out[i])) out.push_back(w);
+  out.reserve(walk);
+  const auto visit = [&](NodeId w) {
+    if (seen[w] == 0) {
+      seen[w] = 1;
+      out.push_back(w);
+    }
+  };
+  visit(v);
+  for (NodeId u : neighbors(v)) {
+    visit(u);
+    for (NodeId w : neighbors(u)) visit(w);
   }
+  for (NodeId w : out) seen[w] = 0;
   std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
@@ -47,28 +63,49 @@ void GraphBuilder::add_edge(NodeId u, NodeId v) {
 }
 
 Graph GraphBuilder::build() const {
+  URN_CHECK_MSG(edges_.size() <= UINT32_MAX / 2,
+                "too many edges for 32-bit offsets: " << edges_.size());
   Graph g;
-  g.offsets_.assign(num_nodes_ + 1, 0);
+  auto& offsets = g.offsets_;
+  auto& adj = g.adjacency_;
+  offsets.assign(num_nodes_ + 1, 0);
 
-  // Symmetrize, drop self-loops.
-  std::vector<std::pair<NodeId, NodeId>> directed;
-  directed.reserve(edges_.size() * 2);
+  // Bucket by endpoint: count both ends of every non-loop edge, then
+  // scatter each end's partner into its bucket (duplicates included).
   for (auto [u, v] : edges_) {
     if (u == v) continue;
-    directed.emplace_back(u, v);
-    directed.emplace_back(v, u);
+    ++offsets[u + 1];
+    ++offsets[v + 1];
   }
-  std::sort(directed.begin(), directed.end());
-  directed.erase(std::unique(directed.begin(), directed.end()),
-                 directed.end());
+  for (std::size_t i = 1; i <= num_nodes_; ++i) offsets[i] += offsets[i - 1];
+  adj.resize(offsets[num_nodes_]);
+  {
+    std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
+    for (auto [u, v] : edges_) {
+      if (u == v) continue;
+      adj[cursor[u]++] = v;
+      adj[cursor[v]++] = u;
+    }
+  }
 
-  for (auto [u, v] : directed) ++g.offsets_[u + 1];
-  for (std::size_t i = 1; i <= num_nodes_; ++i) {
-    g.offsets_[i] += g.offsets_[i - 1];
+  // Sort each bucket, drop its duplicates, and slide what is left down
+  // over the duplicates dropped before it.
+  std::uint32_t kept = 0;
+  for (std::size_t u = 0; u < num_nodes_; ++u) {
+    const auto first = adj.begin() + offsets[u];
+    const auto last = adj.begin() + offsets[u + 1];
+    std::sort(first, last);
+    const auto end = std::unique(first, last);
+    const auto dest = adj.begin() + kept;
+    if (dest != first) std::copy(first, end, dest);
+    offsets[u] = kept;
+    kept += static_cast<std::uint32_t>(end - first);
   }
-  g.adjacency_.resize(directed.size());
-  std::vector<std::uint32_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
-  for (auto [u, v] : directed) g.adjacency_[cursor[u]++] = v;
+  offsets[num_nodes_] = kept;
+  if (kept < adj.size()) {
+    adj.resize(kept);
+    adj.shrink_to_fit();
+  }
   return g;
 }
 

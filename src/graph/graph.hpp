@@ -65,7 +65,12 @@ class Graph {
   [[nodiscard]] bool has_edge(NodeId u, NodeId v) const;
 
   /// Sorted closed 2-hop neighborhood N_v² (nodes within distance ≤ 2,
-  /// including v itself).
+  /// including v itself).  One walk over the 2-walks from v (about δ_v²
+  /// steps) pushes each id the first time a per-thread flag array meets
+  /// it, then clears those flags and sorts only the |N_v²| distinct ids.
+  /// The flag array is `thread_local` (n bytes, grown to the largest graph
+  /// the thread has walked), so concurrent calls on one shared graph are
+  /// safe and the graph itself stays immutable.
   [[nodiscard]] std::vector<NodeId> two_hop_closed(NodeId v) const;
 
  private:
@@ -88,6 +93,10 @@ class GraphBuilder {
   [[nodiscard]] std::size_t num_nodes() const { return num_nodes_; }
 
   /// Freeze into an immutable Graph. The builder may be reused afterwards.
+  /// Buckets the edge list by endpoint (count, prefix-sum, scatter into
+  /// one id array), then sorts and deduplicates each node's list in place:
+  /// O(n + m log Δ) time and one transient array of 4-byte ids, with no
+  /// global sort.  The same edge list, in any order, gives the same CSR.
   [[nodiscard]] Graph build() const;
 
  private:

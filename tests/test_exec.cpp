@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "analysis/experiment.hpp"
+#include "core/params.hpp"
 #include "exec/chunk.hpp"
 #include "exec/parallel.hpp"
 #include "exec/pool.hpp"
@@ -180,6 +181,25 @@ TEST(MapTrials, ResultsComeBackInTrialOrderForEveryJobsAndChunk) {
     }
   }
   EXPECT_TRUE(map_trials(0, {3, 0}, [](std::size_t t) { return t; }).empty());
+}
+
+// Workers share one immutable graph; each 2-hop walk in κ₂ uses its own
+// thread's flag scratch.  Four workers measuring the same graph at once
+// (the TSan leg runs this) must each get the serial answer.
+TEST(MapTrials, SharedGraphBoundsMatchSerial) {
+  Rng rng(0xB0D5);
+  const auto net = graph::random_udg(150, 6.0, 1.5, rng);
+  const core::GraphBounds serial = core::measure_bounds(net.graph);
+  const auto bounds = map_trials(8, {4, 1}, [&](std::size_t) {
+    return core::measure_bounds(net.graph);
+  });
+  ASSERT_EQ(bounds.size(), 8u);
+  for (const core::GraphBounds& b : bounds) {
+    EXPECT_EQ(b.delta, serial.delta);
+    EXPECT_EQ(b.kappa1, serial.kappa1);
+    EXPECT_EQ(b.kappa2, serial.kappa2);
+    EXPECT_EQ(b.exact, serial.exact);
+  }
 }
 
 TEST(ParallelForTrials, ZeroTrialsYieldsDefaultPartial) {

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/traversal.hpp"
+#include "support/rng.hpp"
 
 namespace urn::graph {
 namespace {
@@ -72,6 +77,71 @@ TEST(GraphBuilder, ReusableAfterBuild) {
   EXPECT_EQ(g2.num_edges(), 2u);
 }
 
+// The CSR as two flat arrays, read back through the public accessors:
+// offsets[v] is where v's list starts in the concatenated lists.
+struct Csr {
+  std::vector<std::uint32_t> offsets{0};
+  std::vector<NodeId> adjacency;
+  bool operator==(const Csr&) const = default;
+};
+
+Csr csr_of(const Graph& g) {
+  Csr c;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const auto nb = g.neighbors(v);
+    c.adjacency.insert(c.adjacency.end(), nb.begin(), nb.end());
+    c.offsets.push_back(static_cast<std::uint32_t>(c.adjacency.size()));
+  }
+  return c;
+}
+
+// The CSR `build` must produce, from a std::set of ordered pairs: both
+// directions of every non-loop edge, each once, sorted by (u, v).
+Csr reference_csr(std::size_t n,
+                  const std::vector<std::pair<NodeId, NodeId>>& edges) {
+  std::set<std::pair<NodeId, NodeId>> directed;
+  for (auto [u, v] : edges) {
+    if (u == v) continue;
+    directed.emplace(u, v);
+    directed.emplace(v, u);
+  }
+  Csr c;
+  c.offsets.assign(n + 1, 0);
+  for (auto [u, v] : directed) {
+    ++c.offsets[u + 1];
+    c.adjacency.push_back(v);
+  }
+  for (std::size_t i = 1; i <= n; ++i) c.offsets[i] += c.offsets[i - 1];
+  return c;
+}
+
+TEST(GraphBuilder, MatchesOrderedPairSetReference) {
+  Rng rng(0x6B1D);
+  for (std::size_t n : {0u, 1u, 2u, 50u, 300u}) {
+    for (int rep = 0; rep < 4; ++rep) {
+      // Random edges over the first ~2/3 of the ids (the rest stay
+      // isolated), then duplicates, reversed duplicates and self-loops.
+      std::vector<std::pair<NodeId, NodeId>> edges;
+      const std::size_t live = (2 * n + 2) / 3;
+      for (std::size_t e = 0; e < 3 * n; ++e) {
+        const auto u = static_cast<NodeId>(rng.below(live));
+        const auto v = static_cast<NodeId>(rng.below(live));
+        edges.emplace_back(u, v);
+        if (rng.chance(0.2)) edges.emplace_back(u, v);
+        if (rng.chance(0.2)) edges.emplace_back(v, u);
+        if (rng.chance(0.1)) edges.emplace_back(u, u);
+      }
+      rng.shuffle(edges);
+      GraphBuilder b(n);
+      for (auto [u, v] : edges) b.add_edge(u, v);
+      const Graph g = b.build();
+      ASSERT_EQ(g.num_nodes(), n);
+      EXPECT_EQ(csr_of(g), reference_csr(n, edges))
+          << "n=" << n << " rep=" << rep;
+    }
+  }
+}
+
 // ------------------------------------------------------------ accessors ---
 
 TEST(Graph, NeighborsAreSortedAndSymmetric) {
@@ -120,6 +190,38 @@ TEST(Graph, TwoHopClosedOnStar) {
 TEST(Graph, TwoHopClosedIsolatedNode) {
   const Graph g = empty_graph(3);
   EXPECT_EQ(g.two_hop_closed(1), (std::vector<NodeId>{1}));
+}
+
+// The flagged walk against BFS distance <= 2.  The calls alternate between
+// two graphs of different sizes on one thread, so the per-thread flags are
+// reused (and must come back clear) across sizes, larger and smaller.
+TEST(Graph, TwoHopClosedMatchesBfsAcrossInterleavedGraphs) {
+  Rng rng(0x2409);
+  const std::vector<std::pair<Graph, Graph>> pairs = {
+      {random_udg(60, 4.0, 1.2, rng).graph,
+       random_udg(400, 9.0, 1.3, rng).graph},
+      {gnp(350, 0.03, rng), gnp(40, 0.2, rng)},
+      {random_udg(200, 6.0, 1.5, rng).graph, gnp(90, 0.05, rng)},
+  };
+  const auto within_two = [](const Graph& g, NodeId v) {
+    const auto dist = bfs_distances(g, v);
+    std::vector<NodeId> hood;
+    for (NodeId w = 0; w < g.num_nodes(); ++w) {
+      if (dist[w] <= 2) hood.push_back(w);
+    }
+    return hood;
+  };
+  for (const auto& [a, b] : pairs) {
+    const std::size_t most = std::max(a.num_nodes(), b.num_nodes());
+    for (std::size_t i = 0; i < most; ++i) {
+      for (const Graph* g : {&a, &b}) {
+        if (i >= g->num_nodes()) continue;
+        const auto v = static_cast<NodeId>(i);
+        ASSERT_EQ(g->two_hop_closed(v), within_two(*g, v))
+            << "n=" << g->num_nodes() << " v=" << v;
+      }
+    }
+  }
 }
 
 TEST(Graph, MaxClosedDegreeOfEdgeless) {
