@@ -2,8 +2,9 @@
 /// \brief Shared helpers for the experiments behind `urn_repro` (E1–E15,
 ///        A1–A3 and the regression gate) and for m2_macro.
 ///
-/// Besides the sweep's parameters and the banner, this provides the two
-/// observability hooks every experiment shares:
+/// Besides the sweep's parameters, the banner and the up-front check of
+/// the output directories (`unwritable_output_dir`), this provides the
+/// two observability hooks every experiment shares:
 ///
 ///  * `BenchSummary` — machine-readable run summaries.  Each experiment
 ///    fills one with its scenario parameters and headline metrics and
@@ -38,6 +39,8 @@
 #include <string>
 #include <utility>
 
+#include <unistd.h>
+
 #include "analysis/experiment.hpp"
 #include "analysis/run_flags.hpp"
 #include "analysis/table.hpp"
@@ -66,6 +69,23 @@ inline core::Params sweep_params(const graph::Graph& g) {
   URN_CHECK_MSG(b.exact, "a 2-hop neighbourhood of this deployment exceeds "
                          "the exact kappa limit");
   return core::Params::practical(g.num_nodes(), b.delta, b.kappa1, b.kappa2);
+}
+
+/// The first of `URN_BENCH_CSV` and `URN_BENCH_JSON` that is set,
+/// non-empty and not a directory that accepts a file, or "" when both are
+/// usable.  A probe file is created in each named directory and removed at
+/// once, so a binary can refuse before any work and leave nothing behind.
+inline std::string unwritable_output_dir() {
+  for (const char* var : {"URN_BENCH_CSV", "URN_BENCH_JSON"}) {
+    const char* dir = std::getenv(var);
+    if (dir == nullptr || *dir == '\0') continue;
+    std::string probe = std::string(dir) + "/.urn_probe_XXXXXX";
+    const int fd = ::mkstemp(probe.data());
+    if (fd < 0) return dir;
+    ::close(fd);
+    ::unlink(probe.c_str());
+  }
+  return "";
 }
 
 /// Print a one-line banner common to all experiment binaries.

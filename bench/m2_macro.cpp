@@ -217,6 +217,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", flags.error().c_str());
     return 2;
   }
+  if (const std::string bad = bench::unwritable_output_dir(); !bad.empty()) {
+    std::fprintf(stderr, "error: cannot write %s\n", bad.c_str());
+    return 2;
+  }
   const bool smoke = flags.get_bool("smoke");
   const auto reps = static_cast<std::size_t>(
       flags.get_int("reps") > 0 ? flags.get_int("reps") : (smoke ? 1 : 3));

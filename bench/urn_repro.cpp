@@ -115,10 +115,10 @@ int main(int argc, char** argv) {
                        id + " does not");
   }
   const std::string spans_out = flags.get_string("spans-out");
-  if (const std::string bad = args.run.unwritable({spans_out});
-      !bad.empty()) {
-    return bench::fail("cannot write " + bad);
-  }
+  // The output directories first: the flag check creates its files.
+  std::string bad = bench::unwritable_output_dir();
+  if (bad.empty()) bad = args.run.unwritable({spans_out});
+  if (!bad.empty()) return bench::fail("cannot write " + bad);
 
   analysis::TelemetrySession telemetry(args.run);
   args.telemetry = telemetry.registry();

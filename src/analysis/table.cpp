@@ -78,7 +78,8 @@ std::string Table::write_csv(const std::string& dir) const {
 
 void Table::emit() const {
   print(std::cout);
-  if (const char* dir = std::getenv("URN_BENCH_CSV")) {
+  const char* dir = std::getenv("URN_BENCH_CSV");
+  if (dir != nullptr && *dir != '\0') {
     const std::string path = write_csv(dir);
     std::cout << "[csv] " << path << '\n';
   }

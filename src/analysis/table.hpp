@@ -38,7 +38,8 @@ class Table {
   /// Write CSV to `<dir>/<name>.csv`; returns the path written.
   std::string write_csv(const std::string& dir) const;
 
-  /// Print to stdout and, if URN_BENCH_CSV is set, export CSV there.
+  /// Print to stdout and, if URN_BENCH_CSV is set and non-empty, export
+  /// CSV there.
   void emit() const;
 
   [[nodiscard]] const std::string& name() const { return name_; }

@@ -52,7 +52,6 @@ std::vector<NodeId> Graph::two_hop_closed(NodeId v) const {
     for (NodeId w : neighbors(u)) visit(w);
   }
   for (NodeId w : out) seen[w] = 0;
-  std::sort(out.begin(), out.end());
   return out;
 }
 

@@ -64,13 +64,15 @@ class Graph {
   /// O(log deg) adjacency test.
   [[nodiscard]] bool has_edge(NodeId u, NodeId v) const;
 
-  /// Sorted closed 2-hop neighborhood N_v² (nodes within distance ≤ 2,
-  /// including v itself).  One walk over the 2-walks from v (about δ_v²
-  /// steps) pushes each id the first time a per-thread flag array meets
-  /// it, then clears those flags and sorts only the |N_v²| distinct ids.
-  /// The flag array is `thread_local` (n bytes, grown to the largest graph
-  /// the thread has walked), so concurrent calls on one shared graph are
-  /// safe and the graph itself stays immutable.
+  /// Closed 2-hop neighborhood N_v² (nodes within distance ≤ 2, including
+  /// v itself) in walk order: v, then each neighbour u in id order, each
+  /// followed by those of u's neighbours not met before.  The order is
+  /// part of the contract (κ₂'s clique cover relies on it) and nothing
+  /// sorts the ids.  One walk over the 2-walks from v (about δ_v² steps)
+  /// pushes each id the first time a per-thread flag array meets it, then
+  /// clears those flags.  The flag array is `thread_local` (n bytes, grown
+  /// to the largest graph the thread has walked), so concurrent calls on
+  /// one shared graph are safe and the graph itself stays immutable.
   [[nodiscard]] std::vector<NodeId> two_hop_closed(NodeId v) const;
 
  private:

@@ -65,25 +65,43 @@ constexpr std::uint32_t kAbsent = std::numeric_limits<std::uint32_t>::max();
 /// graph: Tomita and Seki's MCQ colouring bound in the bitset form of San
 /// Segundo et al.'s BBMC.  The candidates are covered greedily by cliques
 /// of G; an independent set holds at most one vertex of each, so `taken +
-/// cliques <= best` prunes.  The node index and every buffer live as long
-/// as the solver and are reused by each set it solves.
+/// cliques <= best` prunes.  The cover takes candidates in set order, so
+/// a set whose neighbours sit side by side gets tighter cliques; that is
+/// why κ₂ passes its 2-hop walk reversed (see two_hop_closed below).  On
+/// graphs without geometry no order is reliably good, and a sparse set in
+/// a bad order (a shuffled long path) makes the search exponential.
+///
+/// Row word w of vertex i is the OR of the one-bit masks of i's neighbours
+/// among set positions 64w..64w+63: mask_ holds those masks by node id
+/// for one word at a time and is zero between uses, so a row costs one
+/// load and one OR per neighbour visit, with no branch, and a set of k
+/// nodes takes ⌈k/64⌉ passes over its neighbour lists.  The node index,
+/// the masks (8 bytes per node) and every buffer live as long as the
+/// solver and are reused by each set it solves.
 class MisSolver {
  public:
-  explicit MisSolver(const Graph& g) : g_(g), pos_(g.num_nodes(), kAbsent) {}
+  explicit MisSolver(const Graph& g)
+      : g_(g), pos_(g.num_nodes(), kAbsent), mask_(g.num_nodes(), 0) {}
 
   /// max(floor, α(G[nodes])).  A set whose root bound cannot beat `floor`
   /// returns at once.
   std::uint32_t exact(std::span<const NodeId> nodes, std::uint32_t floor) {
-    index(nodes);
+    index(nodes);  // only for its checks
+    unindex(nodes);
     const std::size_t k = nodes.size();
     words_ = (k + 63) / 64;
-    adj_.assign(k * words_, 0);
-    for (std::size_t i = 0; i < k; ++i) {
-      for (NodeId u : g_.neighbors(nodes[i])) {
-        if (pos_[u] != kAbsent) set(row(i), pos_[u]);
+    adj_.resize(k * words_);
+    for (std::size_t w = 0; w < words_; ++w) {
+      const std::span<const NodeId> word =
+          nodes.subspan(w * 64, std::min<std::size_t>(64, k - w * 64));
+      for (std::size_t j = 0; j < word.size(); ++j) mask_[word[j]] = 1ULL << j;
+      for (std::size_t i = 0; i < k; ++i) {
+        std::uint64_t bits = 0;
+        for (NodeId u : g_.neighbors(nodes[i])) bits |= mask_[u];
+        row(i)[w] = bits;
       }
+      for (NodeId v : word) mask_[v] = 0;
     }
-    unindex(nodes);
     left_.resize(words_);
     clique_.resize(words_);
     grow(0);
@@ -203,7 +221,8 @@ class MisSolver {
   }
 
   const Graph& g_;
-  std::vector<std::uint32_t> pos_;  ///< node → position, kAbsent outside
+  std::vector<std::uint32_t> pos_;   ///< node → position, kAbsent outside
+  std::vector<std::uint64_t> mask_;  ///< node → its bit in one row word
   std::size_t words_ = 0;
   std::vector<std::uint64_t> adj_;     ///< a row of words_ words per vertex
   std::vector<std::uint64_t> cand_;    ///< one candidate set per depth
@@ -242,8 +261,13 @@ std::vector<NodeId> one_hop_closed(const Graph& g, NodeId v) {
   return hood;
 }
 
+/// v's 2-hop walk reversed, far ring first: the nodes met through one
+/// neighbour then sit side by side, so the clique cover grows each clique
+/// from nearby nodes and the root bound is tighter on geometric graphs.
 std::vector<NodeId> two_hop_closed(const Graph& g, NodeId v) {
-  return g.two_hop_closed(v);
+  std::vector<NodeId> hood = g.two_hop_closed(v);
+  std::reverse(hood.begin(), hood.end());
+  return hood;
 }
 
 /// The largest independent set over hood_of(g, v) for the evaluated nodes

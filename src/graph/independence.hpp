@@ -12,6 +12,17 @@
 /// so far, so a neighborhood whose cover cannot beat it stops at the root.
 /// A greedy fallback (lower bound) kicks in beyond a configurable
 /// subproblem size.
+///
+/// A bitset row of the set is built 64 positions at a time: each member's
+/// one-bit mask is written into a per-node word, and a row word is the OR
+/// of the masks of its node's neighbours, with no branch per neighbour.
+/// The greedy cover takes candidates in set order, so the order decides
+/// how tight the bound is.  κ₂ hands the solver v's 2-hop walk reversed
+/// (`Graph::two_hop_closed`, far ring first): nodes reached through one
+/// neighbour sit side by side and each clique grows from nearby nodes,
+/// which on geometric graphs closes more neighborhoods at the root.  The
+/// order is a locality heuristic: on graphs without geometry (G(n, p))
+/// it can cost time, and the answer is the same in every order.
 
 #pragma once
 
@@ -42,7 +53,8 @@ namespace urn::graph {
 
 /// Exact maximum-independent-set size of the subgraph induced by `nodes`,
 /// via branch and bound with the clique-cover bound.  Intended for
-/// neighborhood-sized subproblems.
+/// neighborhood-sized subproblems.  The order of `nodes` moves only the
+/// time: the cover follows it (see the file comment).
 /// \pre nodes.size() <= 4096 (bitset-backed).
 /// \pre `nodes` holds distinct ids < g.num_nodes(); a repeated or
 ///      out-of-range id throws CheckError (checked in Release too).

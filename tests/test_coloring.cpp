@@ -79,7 +79,7 @@ TEST(Metrics, LocalDensityThetaOnPath) {
 }
 
 /// θ_v straight from its definition: the max closed degree over the
-/// sorted 2-hop vector.
+/// 2-hop vector.
 std::uint32_t brute_force_theta(const Graph& g, NodeId v) {
   std::uint32_t theta = 0;
   for (NodeId w : g.two_hop_closed(v)) {

@@ -174,9 +174,10 @@ TEST(Graph, HasEdge) {
 
 TEST(Graph, TwoHopClosedOnPath) {
   const Graph g = path_graph(6);  // 0-1-2-3-4-5
+  // Walk order: v, then each neighbour followed by its unseen neighbours.
   EXPECT_EQ(g.two_hop_closed(0), (std::vector<NodeId>{0, 1, 2}));
-  EXPECT_EQ(g.two_hop_closed(2), (std::vector<NodeId>{0, 1, 2, 3, 4}));
-  EXPECT_EQ(g.two_hop_closed(5), (std::vector<NodeId>{3, 4, 5}));
+  EXPECT_EQ(g.two_hop_closed(2), (std::vector<NodeId>{2, 1, 0, 3, 4}));
+  EXPECT_EQ(g.two_hop_closed(5), (std::vector<NodeId>{5, 4, 3}));
 }
 
 TEST(Graph, TwoHopClosedOnStar) {
@@ -192,9 +193,10 @@ TEST(Graph, TwoHopClosedIsolatedNode) {
   EXPECT_EQ(g.two_hop_closed(1), (std::vector<NodeId>{1}));
 }
 
-// The flagged walk against BFS distance <= 2.  The calls alternate between
-// two graphs of different sizes on one thread, so the per-thread flags are
-// reused (and must come back clear) across sizes, larger and smaller.
+// The flagged walk against a reference walk in the same order, and its ids
+// against BFS distance <= 2.  The calls alternate between two graphs of
+// different sizes on one thread, so the per-thread flags are reused (and
+// must come back clear) across sizes, larger and smaller.
 TEST(Graph, TwoHopClosedMatchesBfsAcrossInterleavedGraphs) {
   Rng rng(0x2409);
   const std::vector<std::pair<Graph, Graph>> pairs = {
@@ -211,13 +213,30 @@ TEST(Graph, TwoHopClosedMatchesBfsAcrossInterleavedGraphs) {
     }
     return hood;
   };
+  const auto walk = [](const Graph& g, NodeId v) {
+    std::vector<NodeId> hood;
+    const auto meet = [&hood](NodeId w) {
+      if (std::find(hood.begin(), hood.end(), w) == hood.end()) {
+        hood.push_back(w);
+      }
+    };
+    meet(v);
+    for (NodeId u : g.neighbors(v)) {
+      meet(u);
+      for (NodeId w : g.neighbors(u)) meet(w);
+    }
+    return hood;
+  };
   for (const auto& [a, b] : pairs) {
     const std::size_t most = std::max(a.num_nodes(), b.num_nodes());
     for (std::size_t i = 0; i < most; ++i) {
       for (const Graph* g : {&a, &b}) {
         if (i >= g->num_nodes()) continue;
         const auto v = static_cast<NodeId>(i);
-        ASSERT_EQ(g->two_hop_closed(v), within_two(*g, v))
+        std::vector<NodeId> hood = g->two_hop_closed(v);
+        ASSERT_EQ(hood, walk(*g, v)) << "n=" << g->num_nodes() << " v=" << v;
+        std::sort(hood.begin(), hood.end());
+        ASSERT_EQ(hood, within_two(*g, v))
             << "n=" << g->num_nodes() << " v=" << v;
       }
     }

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <numeric>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -219,6 +220,80 @@ TEST(ExactMis, MatchesBruteForceOnRandomInducedSubgraphs) {
   }
 }
 
+/// `edges` among nodes 0..k-1, plus nodes k and k+1 adjacent to all of
+/// them: neighbours that a set of the first k nodes leaves out.
+Graph with_two_hubs(std::size_t k,
+                    const std::vector<std::pair<NodeId, NodeId>>& edges) {
+  GraphBuilder b(k + 2);
+  for (const auto& [u, v] : edges) b.add_edge(u, v);
+  for (NodeId v = 0; v < k; ++v) {
+    b.add_edge(v, static_cast<NodeId>(k));
+    b.add_edge(v, static_cast<NodeId>(k + 1));
+  }
+  return b.build();
+}
+
+/// Set sizes around the 64-node words of the solver's rows, up to five
+/// words.
+constexpr std::size_t kWordEdgeSizes[] = {63, 64, 65, 127, 128, 129, 193, 300};
+
+/// Solves nodes 0..k-1 of g in id order and, if `shuffles` > 0, in that
+/// many shuffled orders.
+void expect_alpha(const Graph& g, std::size_t k, std::uint32_t alpha,
+                  int shuffles, Rng& rng, const char* what) {
+  std::vector<NodeId> nodes(k);
+  std::iota(nodes.begin(), nodes.end(), 0u);
+  for (int order = 0; order <= shuffles; ++order) {
+    EXPECT_EQ(max_independent_set_size(g, nodes), alpha)
+        << what << ", k = " << k << ", order " << order;
+    rng.shuffle(nodes);
+  }
+}
+
+// Sets whose clique cover is exact in every order, so any set order must
+// give α: disjoint triangles (the k mod 3 leftover nodes isolated) and
+// K_{a,b}, each solved in three shuffled orders too.
+TEST(ExactMis, CoverExactSetsAcrossWordEdges) {
+  Rng rng(64);
+  for (const std::size_t k : kWordEdgeSizes) {
+    std::vector<std::pair<NodeId, NodeId>> triangles;
+    for (NodeId v = 0; v + 3 <= k; v += 3) {
+      triangles.insert(triangles.end(),
+                       {{v, v + 1}, {v + 1, v + 2}, {v, v + 2}});
+    }
+    expect_alpha(with_two_hubs(k, triangles), k,
+                 static_cast<std::uint32_t>(k / 3 + k % 3), 3, rng,
+                 "triangles");
+    const std::size_t a = k / 3;
+    std::vector<std::pair<NodeId, NodeId>> bipartite;
+    for (NodeId u = 0; u < a; ++u) {
+      for (auto v = static_cast<NodeId>(a); v < k; ++v) {
+        bipartite.emplace_back(u, v);
+      }
+    }
+    expect_alpha(with_two_hubs(k, bipartite), k,
+                 static_cast<std::uint32_t>(k - a), 3, rng, "K_{a,b}");
+  }
+}
+
+// Paths and cycles at the same sizes.  Their cover is exact only in a good
+// order, and a shuffled long path makes the search exponential, so they
+// are shuffled only up to 100 nodes.
+TEST(ExactMis, PathsAndCyclesAcrossWordEdges) {
+  Rng rng(65);
+  for (const std::size_t k : kWordEdgeSizes) {
+    const int shuffles = k <= 100 ? 3 : 0;
+    std::vector<std::pair<NodeId, NodeId>> path;
+    for (NodeId v = 0; v + 1 < k; ++v) path.emplace_back(v, v + 1);
+    expect_alpha(with_two_hubs(k, path), k,
+                 static_cast<std::uint32_t>((k + 1) / 2), shuffles, rng,
+                 "path");
+    path.emplace_back(static_cast<NodeId>(k - 1), 0);
+    expect_alpha(with_two_hubs(k, path), k, static_cast<std::uint32_t>(k / 2),
+                 shuffles, rng, "cycle");
+  }
+}
+
 // ----------------------------------------------------------------- kappa --
 
 TEST(Kappa, StarGraph) {
@@ -281,7 +356,9 @@ TEST_P(UbgKappaBounds, DoublingDimensionBound) {
 INSTANTIATE_TEST_SUITE_P(Dims, UbgKappaBounds, ::testing::Values(1u, 2u, 3u));
 
 // κ starts each neighbourhood's search from the maximum so far; it must
-// still equal the largest per-neighbourhood exact answer.
+// still equal the largest per-neighbourhood exact answer.  The reference
+// solves a shuffled copy of each neighbourhood, so κ₂'s walk order is
+// checked against an answer that does not depend on order.
 class KappaFloor : public ::testing::TestWithParam<int> {};
 
 TEST_P(KappaFloor, EqualsLargestNeighbourhoodMis) {
@@ -301,9 +378,11 @@ TEST_P(KappaFloor, EqualsLargestNeighbourhoodMis) {
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     std::vector<NodeId> hood = {v};
     for (NodeId u : g.neighbors(v)) hood.push_back(u);
+    rng.shuffle(hood);
     one_hop = std::max(one_hop, max_independent_set_size(g, hood));
-    two_hop =
-        std::max(two_hop, max_independent_set_size(g, g.two_hop_closed(v)));
+    hood = g.two_hop_closed(v);
+    rng.shuffle(hood);
+    two_hop = std::max(two_hop, max_independent_set_size(g, hood));
   }
   const auto k1 = kappa1(g);
   const auto k2 = kappa2(g);
